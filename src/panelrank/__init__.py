@@ -16,8 +16,8 @@ from .analytics import (GoalWeights, GroupProfile, RankSeries, RankTable,
 from .core import (AdjustedUbiquity, ComplexityScores, DegreeIndex,
                    IterationStep, IterationTrace, ProximityMatrix,
                    SimilarityPair, adjusted_ubiquity, degree_index,
-                   eigenpairs, fitness_step, genepy_scores,
-                   principal_eigenvector, proximity, run_fitness, similarity)
+                   fitness_step, genepy_scores, principal_eigenvector,
+                   proximity, run_fitness, similarity)
 from .errors import (DegeneratePanelError, InputError, NonConvergenceError,
                      PanelRankError)
 from .panel import (Alignment, EntityMap, Finding, IndicatorRecord,
@@ -40,7 +40,7 @@ __all__ = [
     "RankSeries", "RankTable", "RankTrajectory", "RankedEntity",
     "ScorePanel", "SimilarityPair", "TableData", "WeightsEvolution",
     "adjusted_ubiquity", "aggregate_indicators", "align_panels",
-    "align_rosters", "degree_index", "eigenpairs", "emit_bipartite",
+    "align_rosters", "degree_index", "emit_bipartite",
     "emit_grouped_bars", "emit_heatmap", "emit_rank_bump", "emit_table",
     "emit_weight_bars",
     "emit_weighted_lines", "fitness_step", "genepy_scores", "goal_weights",

@@ -12,9 +12,10 @@ Three subcommands:
 ``validate``
     Panel diagnostics; exits nonzero only on errors, not warnings.
 
-Exit codes: 0 success, 1 input error, 2 degenerate panel, 3 solver
-non-convergence (suppressed by ``--allow-nonconverged``). Output files are
-a pure function of inputs and flags: reruns are byte-identical.
+Exit codes: 0 success, 1 input error, 2 degenerate panel, 3 fixed-point
+non-convergence (suppressed by ``--allow-nonconverged``). The spectral
+route is a direct solve and has no exit 3. Output files are a pure
+function of inputs and flags: reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ BASIS_CHOICES = ("k_s", "composite_mean", "D_s")
 class RunConfig:
     """Everything a subcommand needs, resolved from flags."""
 
-    panels: list[tuple[str, Path]] = field(default_factory=list)
-    indicators: list[tuple[str, Path]] = field(default_factory=list)
+    # (kind, year, path) per input, in command-line order; kind is
+    # "panel" or "indicators".
+    inputs: list[tuple[str, str, Path]] = field(default_factory=list)
     entity_maps: dict[tuple[str, str], Path] = field(default_factory=dict)
     method: str = "both"
     tol: float = 1e-10
@@ -50,8 +52,15 @@ class RunConfig:
     allow_nonconverged: bool = False
 
     def validate(self) -> None:
-        if not self.panels and not self.indicators:
+        if not self.inputs:
             raise InputError("at least one --panel or --indicators input is required")
+        seen: dict[str, str] = {}
+        for _, year, _ in self.inputs:
+            label = _safe_label(year)
+            if label in seen:
+                raise InputError(f"year labels {seen[label]!r} and {year!r} "
+                                 f"both write outputs labelled {label!r}")
+            seen[label] = year
         if self.tol <= 0:
             raise InputError("--tol must be positive")
         if self.max_steps < 1:
@@ -89,10 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_solver: bool = True) -> None:
-        p.add_argument("--panel", action="append", default=[],
-                       metavar="YEAR=PATH",
+        # Both input flags append to one list so the command-line order,
+        # which sets the chronology, survives.
+        p.add_argument("--panel", dest="inputs", action="append", default=[],
+                       type=lambda raw: ("panel", raw), metavar="YEAR=PATH",
                        help="panel CSV for one year (repeatable)")
-        p.add_argument("--indicators", action="append", default=[],
+        p.add_argument("--indicators", dest="inputs", action="append",
+                       default=[], type=lambda raw: ("indicators", raw),
                        metavar="[YEAR=]PATH",
                        help="long-form indicator CSV to aggregate into a panel "
                             "(year defaults to the file stem)")
@@ -103,11 +115,14 @@ def build_parser() -> argparse.ArgumentParser:
         if with_solver:
             p.add_argument("--method", choices=("spectral", "iterative", "both"),
                            default="both")
-            p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
-            p.add_argument("--max-steps", type=int, default=core.DEFAULT_MAX_STEPS)
+            p.add_argument("--tol", type=float, default=core.DEFAULT_TOL,
+                           help="fixed-point tolerance (the spectral route "
+                                "is a direct solve)")
+            p.add_argument("--max-steps", type=int, default=core.DEFAULT_MAX_STEPS,
+                           help="fixed-point step limit")
             p.add_argument("--allow-nonconverged", action="store_true",
-                           help="keep going with the last iterate instead of "
-                                "exiting 3")
+                           help="keep going with the last fixed-point iterate "
+                                "instead of exiting 3")
 
     compute = sub.add_parser("compute", help="run the full pipeline")
     add_common(compute)
@@ -138,15 +153,14 @@ def _split_key_value(raw: str, flag: str) -> tuple[str, str]:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     config = RunConfig()
-    for raw in args.panel:
-        year, path = _split_key_value(raw, "--panel YEAR=PATH")
-        config.panels.append((year, Path(path)))
-    for raw in args.indicators:
-        if "=" in raw:
+    for kind, raw in args.inputs:
+        if kind == "panel":
+            year, path = _split_key_value(raw, "--panel YEAR=PATH")
+        elif "=" in raw:
             year, path = raw.split("=", 1)
         else:
             year, path = Path(raw).stem, raw
-        config.indicators.append((year, Path(path)))
+        config.inputs.append((kind, year, Path(path)))
     for raw in args.entity_map:
         key, path = _split_key_value(raw, "--entity-map A->B=PATH")
         if "->" not in key:
@@ -187,14 +201,17 @@ def _read_text(path: Path) -> str:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def load_input(kind: str, year: str, path: Path) -> ScorePanel:
+    """Parse one panel CSV or aggregate one indicator CSV."""
+    text = _read_text(path)
+    if kind == "panel":
+        return parse_panel(text, year)
+    return aggregate_indicators(parse_indicator_csv(text, year))
+
+
 def load_panels(config: RunConfig) -> list[ScorePanel]:
     """Parse all configured inputs, in the order they were given."""
-    panels = []
-    for year, path in config.panels:
-        panels.append(parse_panel(_read_text(path), year))
-    for year, path in config.indicators:
-        panels.append(aggregate_indicators(parse_indicator_csv(_read_text(path), year)))
-    return panels
+    return [load_input(*item) for item in config.inputs]
 
 
 def load_entity_map(config: RunConfig, year_a: str, year_b: str) -> EntityMap:
@@ -208,44 +225,12 @@ def _safe_label(year: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", year)
 
 
-def _spectral_with_fallback(panel: ScorePanel, config: RunConfig,
-                            warn) -> core.ComplexityScores:
-    """Spectral scores, substituting last iterates when allowed."""
-    try:
-        return core.genepy_scores(panel, config.tol, config.max_steps)
-    except NonConvergenceError:
-        if not config.allow_nonconverged:
-            raise
-        warn(f"year {panel.year}: spectral solver did not converge; "
-             "using last iterates (--allow-nonconverged)")
-        deg = core.degree_index(panel)
-        ubiq = core.adjusted_ubiquity(panel, deg)
-        pair = core.similarity(core.proximity(panel, deg, ubiq))
-
-        def solve(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-            try:
-                return core.principal_eigenvector(matrix, config.tol,
-                                                  config.max_steps)
-            except NonConvergenceError as err:
-                return err.eigenvalue, err.vector
-
-        lam_u, vec_u = solve(pair.entity_similarity)
-        lam_v, vec_v = solve(pair.category_similarity)
-        return core.ComplexityScores(
-            year=panel.year, entities=panel.entities,
-            categories=panel.categories,
-            entity_scores=vec_u / vec_u.mean(),
-            category_scores=vec_v / vec_v.mean(),
-            method="spectral",
-            entity_eigenvalue=lam_u, category_eigenvalue=lam_v)
-
-
 def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
     deg = core.degree_index(panel)
     ubiq = core.adjusted_ubiquity(panel, deg)
     spectral = iterative = trace = None
     if config.method in ("spectral", "both"):
-        spectral = _spectral_with_fallback(panel, config, warn)
+        spectral = core.genepy_scores(panel)
     if config.method in ("iterative", "both"):
         iterative, trace = core.run_fitness(panel, config.tol, config.max_steps)
         if not trace.converged:
@@ -502,9 +487,9 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
 def cmd_validate(config: RunConfig) -> int:
     """Print findings for every panel; exit 1 only if any error."""
     failed = False
-    for year, path in config.panels:
+    for kind, year, path in config.inputs:
         try:
-            panel = parse_panel(_read_text(path), year)
+            panel = load_input(kind, year, path)
         except InputError as exc:
             print(f"{year}: error: {exc}")
             failed = True
@@ -516,16 +501,6 @@ def cmd_validate(config: RunConfig) -> int:
             failed = True
         if not findings:
             print(f"{year}: ok")
-    for year, path in config.indicators:
-        try:
-            panel = aggregate_indicators(
-                parse_indicator_csv(_read_text(path), year))
-        except InputError as exc:
-            print(f"{year}: error: {exc}")
-            failed = True
-            continue
-        for finding in validate_panel(panel):
-            print(f"{year}: {finding.severity}: {finding.message}")
     return 1 if failed else 0
 
 

@@ -3,9 +3,11 @@
 Two related routes to a pair of score vectors over entities and categories:
 
 * the spectral route builds the proximity matrix ``N`` (scores rescaled by
-  row totals and adjusted column ubiquities), projects it into the two
-  similarity matrices ``N N^T`` and ``N^T N``, and takes their principal
-  eigenvectors;
+  row totals and adjusted column ubiquities) and takes the principal
+  eigenvectors of the two similarity matrices ``N N^T`` and ``N^T N``.
+  Those are the leading left and right singular vectors of ``N``, so one
+  thin SVD gives both, with the shared eigenvalue ``sigma_1^2``.
+  ``similarity`` builds the two matrices only as a small-panel diagnostic;
 * the iterative route runs the nonlinear fitness-complexity map to a fixed
   point, renormalizing both vectors to mean one at every step.
 
@@ -26,11 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePanelError, NonConvergenceError
+from .errors import DegeneratePanelError
 from .panel import ScorePanel
 
+# Fixed-point iteration defaults; the spectral route is a direct solve.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 1000
+
+# Relative distance below which the top singular values (or eigenvalues)
+# of a spectrum count as one degenerate value.
+_DEGENERACY = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,39 +187,34 @@ def similarity(prox: ProximityMatrix) -> SimilarityPair:
                           (u + u.T) / 2.0, (v + v.T) / 2.0)
 
 
-def _power_iterate(matrix: np.ndarray, vec: np.ndarray, tol: float,
-                   max_steps: int) -> tuple[float, np.ndarray]:
-    residual = np.inf
-    eigenvalue = 0.0
-    for _ in range(max_steps):
-        image = matrix @ vec
-        eigenvalue = float(vec @ image) / float(vec @ vec)
-        if eigenvalue != 0.0:
-            residual = float(np.max(np.abs(image - eigenvalue * vec))
-                             / abs(eigenvalue))
-            if residual <= tol:
-                if vec.sum() < 0:
-                    vec = -vec
-                return eigenvalue, vec
-        norm = float(np.linalg.norm(image))
-        if norm == 0.0:
-            raise ValueError("power iteration hit the null space")
-        vec = image / norm
-    raise NonConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_steps} steps "
-        f"(last residual {residual:.3e})",
-        steps=max_steps, residual=residual, eigenvalue=eigenvalue, vector=vec)
+def _dominant_direction(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Unit vector for the largest of ``values``.
+
+    ``vectors`` holds one orthonormal column per entry of ``values``. The
+    columns whose value lies within ``_DEGENERACY`` (relative) of the
+    largest span the dominant subspace; the result is the uniform vector
+    projected onto it. That is the limit power iteration reaches from the
+    uniform start, so ties resolve the same way whatever basis LAPACK
+    picked, and a simple dominant vector comes out oriented to a positive
+    entry sum.
+    """
+    top = values.max()
+    basis = vectors[:, values >= top - _DEGENERACY * abs(top)]
+    size = basis.shape[0]
+    vec = basis @ (basis.T @ np.full(size, 1.0 / np.sqrt(size)))
+    norm = float(np.linalg.norm(vec))
+    if norm <= _DEGENERACY:
+        raise ValueError("dominant subspace is orthogonal to the uniform vector")
+    return vec / norm
 
 
-def principal_eigenvector(matrix: np.ndarray, tol: float = DEFAULT_TOL,
-                          max_steps: int = DEFAULT_MAX_STEPS) -> tuple[float, np.ndarray]:
+def principal_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a symmetric non-negative matrix.
 
-    Power iteration from the uniform positive start vector. Returns the
-    Rayleigh-quotient eigenvalue and a unit-norm eigenvector oriented so
-    its entry sum is positive; convergence means
-    ``max|M v - lambda v| / lambda <= tol``. For a degenerate spectrum the
-    limit from the uniform start is returned, which makes ties
+    A dense symmetric eigensolve (``numpy.linalg.eigh``). Returns the
+    largest eigenvalue and a unit-norm eigenvector oriented so its entry
+    sum is positive. For a degenerate dominant eigenvalue the uniform
+    vector projected onto its eigenspace is returned, which makes ties
     deterministic.
     """
     matrix = np.asarray(matrix, dtype=float)
@@ -220,48 +222,27 @@ def principal_eigenvector(matrix: np.ndarray, tol: float = DEFAULT_TOL,
         raise ValueError("matrix must be square")
     if (matrix == 0).all():
         raise ValueError("matrix is all zero")
-    size = matrix.shape[0]
-    return _power_iterate(matrix, np.full(size, 1.0 / np.sqrt(size)),
-                          tol, max_steps)
+    values, vectors = np.linalg.eigh(matrix)
+    return float(values[-1]), _dominant_direction(vectors, values)
 
 
-def eigenpairs(matrix: np.ndarray, count: int = 2, tol: float = DEFAULT_TOL,
-               max_steps: int = DEFAULT_MAX_STEPS) -> list[tuple[float, np.ndarray]]:
-    """Leading eigenpairs of a positive semidefinite similarity matrix.
+def genepy_scores(panel: ScorePanel) -> ComplexityScores:
+    """Spectral scores from one thin SVD of the proximity matrix ``N``.
 
-    Repeated power iteration with Hotelling deflation. The first pair is
-    exactly what ``principal_eigenvector`` returns; deflated stages start
-    from a fixed ramp vector so results stay deterministic. Exposed for
-    exploratory use of the sub-dominant structure; nothing downstream
-    consumes more than the principal pair.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    count = min(count, matrix.shape[0])
-    pairs = [principal_eigenvector(matrix, tol, max_steps)]
-    work = np.array(matrix)
-    for _ in range(count - 1):
-        lam, vec = pairs[-1]
-        work = work - lam * np.outer(vec, vec)
-        start = 1.0 + np.arange(work.shape[0]) / work.shape[0]
-        pairs.append(_power_iterate(work, start / np.linalg.norm(start),
-                                    tol, max_steps))
-    return pairs
-
-
-def genepy_scores(panel: ScorePanel, tol: float = DEFAULT_TOL,
-                  max_steps: int = DEFAULT_MAX_STEPS) -> ComplexityScores:
-    """Spectral scores: principal eigenvectors of the similarity pair.
-
-    Entity scores come from entity similarity, category scores from
-    category similarity; both are rescaled to mean one. The two dominant
-    eigenvalues agree up to solver tolerance because the projections share
-    their nonzero spectrum.
+    The principal eigenvectors of ``N N^T`` and ``N^T N`` are the leading
+    left and right singular vectors of ``N``, and both dominant eigenvalues
+    equal the squared top singular value, so they agree exactly. Entity
+    and category scores are those vectors rescaled to mean one. A
+    degenerate top singular value resolves as in ``principal_eigenvector``:
+    the uniform vector projected onto the top singular subspace.
     """
     deg = degree_index(panel)
     ubiq = adjusted_ubiquity(panel, deg)
-    pair = similarity(proximity(panel, deg, ubiq))
-    lam_u, vec_u = principal_eigenvector(pair.entity_similarity, tol, max_steps)
-    lam_v, vec_v = principal_eigenvector(pair.category_similarity, tol, max_steps)
+    left, sigma, right_t = np.linalg.svd(proximity(panel, deg, ubiq).values,
+                                         full_matrices=False)
+    vec_u = _dominant_direction(left, sigma)
+    vec_v = _dominant_direction(right_t.T, sigma)
+    eigenvalue = float(sigma[0]) ** 2
     return ComplexityScores(
         year=panel.year,
         entities=panel.entities,
@@ -269,8 +250,8 @@ def genepy_scores(panel: ScorePanel, tol: float = DEFAULT_TOL,
         entity_scores=vec_u / vec_u.mean(),
         category_scores=vec_v / vec_v.mean(),
         method="spectral",
-        entity_eigenvalue=lam_u,
-        category_eigenvalue=lam_v)
+        entity_eigenvalue=eigenvalue,
+        category_eigenvalue=eigenvalue)
 
 
 def _fitness_update(scores: np.ndarray, entity_scores: np.ndarray,

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: input problems are exit 1, panels
 that are structurally valid but mathematically unusable (zero rows or
-columns) are exit 2, and solver non-convergence is exit 3.
+columns) are exit 2, and fixed-point non-convergence is exit 3.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ class DegeneratePanelError(PanelRankError):
 
 
 class NonConvergenceError(PanelRankError):
-    """An iterative solver did not reach its tolerance within max_steps.
+    """The fixed-point iteration did not reach its tolerance within max_steps.
 
-    Carries the last iterate so callers that opt in can still use it.
+    ``steps`` and ``residual`` describe the last iterate.
     """
 
-    def __init__(self, message: str, steps: int, residual: float,
-                 eigenvalue: float | None = None, vector=None) -> None:
+    def __init__(self, message: str, steps: int, residual: float) -> None:
         super().__init__(message)
         self.steps = steps
         self.residual = residual
-        self.eigenvalue = eigenvalue
-        self.vector = vector

@@ -16,8 +16,8 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 

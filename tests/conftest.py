@@ -23,6 +23,22 @@ def worked_2x2():
 
 
 @pytest.fixture
+def near_block():
+    """Two 6x4 communities of independent scores linked only by 1e-3 cells.
+
+    The top two eigenvalues of ``N N^T`` are 0.4% apart, too close for
+    1000 power-iteration steps to reach 1e-10. The fixed-point iteration
+    does not converge on it either.
+    """
+    rng = np.random.default_rng(0)
+    scores = np.full((12, 8), 1e-3)
+    scores[:6, :4] = rng.uniform(10, 90, size=(6, 4))
+    scores[6:, 4:] = rng.uniform(10, 90, size=(6, 4))
+    return make_panel("2024", [f"e{i:02d}" for i in range(12)],
+                      [f"c{j:02d}" for j in range(8)], scores)
+
+
+@pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
 

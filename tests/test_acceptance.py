@@ -5,7 +5,7 @@ with ``pytest -s``). The criteria are:
 
 1. the hand-worked 3x2 oracle panel;
 2. the 2x2 closed-form oracle;
-3. power iteration against a dense Jacobi eigensolver;
+3. the dominant eigensolver against a dense Jacobi eigensolver;
 4. the invariance battery (scale, permutation, Perron sign, spectrum);
 5. (a) fixed-point convergence, and (b) iterative-vs-spectral agreement.
    With row totals ``k``, ``P = D_k^-1 X`` and ``u = P^T 1``, the fixed
@@ -96,7 +96,7 @@ def test_criterion_2_closed_form_2x2_oracle():
 
 
 def test_criterion_3_dense_oracle_equivalence():
-    """Power iteration matches a Jacobi eigensolver on 200 small panels."""
+    """principal_eigenvector matches a Jacobi eigensolver on 200 small panels."""
     with criterion(3, "dense-oracle equivalence"):
         start = time.perf_counter()
         rng = np.random.default_rng(1003)
@@ -183,11 +183,10 @@ def test_criterion_5b_method_agreement_near_uniform():
     entity vector satisfies ``x ~ P q`` with ``q_j = sum_i P_ij x_i / u_j^2``.
     Expanding ``1/g`` about 1 makes the two category updates agree to first
     order in ``delta = g - 1``, so ``g`` equals the spectral scores up to
-    O(delta^2). At the default solver tolerance (1e-10) the observed
-    remainder is 0.7-2.3 x ``max|d_spec - 1|^2`` and comes mostly from
-    where power iteration stops, which leaves the bound of 10 x with a 4x
-    margin; solver faults that break the relation land at about 128 x or
-    more.
+    O(delta^2). With the spectral scores from a direct SVD solve and the
+    fixed point at tolerance 1e-10, the observed remainder is at most
+    0.009 x ``max|d_spec - 1|^2``, far inside the bound of 10 x; solver
+    faults that break the relation land at about 128 x or more.
 
     The raw vectors are not compared: the fixed point ``k * g`` follows the
     row totals at first order in the perturbation, while the spectral

@@ -1,12 +1,17 @@
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 
+from panelrank import panel_to_csv
 from panelrank.cli import main
 
 WORKED_3X2 = "entity,g1,g2\na,2,0\nb,1,1\nc,0,2\n"
 WORKED_2X2 = "entity,g1,g2\na,1,1\nb,1,0\n"
+INDICATORS_2X2 = ("entity,category,indicator,value\n"
+                  "a,g1,k1,40\na,g1,k2,60\na,g2,k1,10\n"
+                  "b,g1,k1,20\nb,g2,k1,30\n")
 DISTINCT_3X2 = "entity,g1,g2\na,50,40\nb,30,20\nc,10,5\n"
 
 
@@ -88,16 +93,55 @@ class TestCompute:
         assert "did not converge" in capsys.readouterr().err
 
     def test_indicator_input(self, tmp_path, capsys):
-        text = ("entity,category,indicator,value\n"
-                "a,g1,k1,40\na,g1,k2,60\na,g2,k1,10\n"
-                "b,g1,k1,20\nb,g2,k1,30\n")
-        indicators = write(tmp_path, "ind.csv", text)
+        indicators = write(tmp_path, "ind.csv", INDICATORS_2X2)
         rc = main(["compute", "--indicators", "2019=" + indicators,
                    "--out", str(tmp_path / "out"), "--charts", "none"])
         assert rc == 0
         rows = read_csv(tmp_path / "out" / "scores_entities_2019.csv")
         assert rows[1][0] == "a"
         assert rows[1][1] == "60.000000"  # mean(40, 60) + 10
+
+    def test_mixed_inputs_keep_command_line_order(self, tmp_path, capsys):
+        indicators = write(tmp_path, "ind.csv", INDICATORS_2X2)
+        panel = write(tmp_path, "p.csv", WORKED_2X2)
+        rc = main(["compute", "--indicators", "2024=" + indicators,
+                   "--panel", "2018=" + panel, "--method", "spectral",
+                   "--out", str(tmp_path / "out"), "--charts", "rank_bump"])
+        assert rc == 0
+        bump = ET.parse(tmp_path / "out" / "rank_bump_k_s.svg").getroot()
+        ticks = [el.text for el in bump.iter() if el.get("class") == "x-tick"]
+        assert ticks == ["2024", "2018"]
+
+    @pytest.mark.parametrize("labels", [("2019", "2019"), ("2019/a", "2019_a")])
+    def test_colliding_year_labels_exit_1(self, tmp_path, capsys, labels):
+        panel = write(tmp_path, "p.csv", WORKED_3X2)
+        rc = main(["compute", "--panel", f"{labels[0]}={panel}",
+                   "--panel", f"{labels[1]}={panel}",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "year labels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_near_block_fixed_point_exits_3(self, tmp_path, capsys,
+                                             near_block):
+        panel = write(tmp_path, "p.csv", panel_to_csv(near_block))
+        rc = main(["compute", "--panel", "2024=" + panel, "--method", "both",
+                   "--out", str(tmp_path / "out"), "--charts", "none"])
+        assert rc == 3
+        assert "fixed-point iteration did not reach" in capsys.readouterr().err
+
+    def test_near_block_allow_nonconverged(self, tmp_path, capsys,
+                                           near_block):
+        panel = write(tmp_path, "p.csv", panel_to_csv(near_block))
+        rc = main(["compute", "--panel", "2024=" + panel, "--method", "both",
+                   "--allow-nonconverged",
+                   "--out", str(tmp_path / "out"), "--charts", "none"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert "warning: year 2024: fixed-point iteration did not converge" in err
+        assert "spectral" not in err
+        rows = read_csv(tmp_path / "out" / "scores_entities_2024.csv")
+        assert rows[0][4:] == ["complexity_spectral", "complexity_iterative"]
 
     def test_four_year_fixture_with_maps(self, tmp_path, capsys, data_dir):
         rc = main([
@@ -193,6 +237,14 @@ class TestValidate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "warning" in out and "0.833" in out
+
+    def test_indicator_zero_entity_exit_1(self, tmp_path, capsys):
+        indicators = write(tmp_path, "ind.csv",
+                           "entity,category,indicator,value\n"
+                           "a,g1,k1,0\na,g2,k1,0\nb,g1,k1,20\nb,g2,k1,30\n")
+        rc = main(["validate", "--indicators", "2019=" + indicators])
+        assert rc == 1
+        assert "2019: error:" in capsys.readouterr().out
 
     def test_no_inputs_exit_1(self, capsys):
         rc = main(["validate"])

@@ -353,3 +353,38 @@ class TestAllEmittersWellFormed:
         for svg in outputs:
             root = ET.fromstring(svg)
             assert root.tag.endswith("svg")
+
+
+class TestMarkupInIds:
+    ENTITIES = ['a"b', "c'd", "e<f", "g&h"]
+    CATEGORIES = ['q"1', "q'2", "q<3", "q&4"]
+
+    def test_every_chart_parses_and_keeps_ids(self):
+        from xml.dom import minidom
+        rng = np.random.default_rng(35)
+        panel = make_panel('y"1', self.ENTITIES, self.CATEGORIES,
+                           rng.uniform(1, 100, size=(4, 4)))
+        weights = weights_for(panel.categories, [1.0, 2.0, 3.0, 4.0],
+                              year=panel.year)
+        table = rank_entities(panel.entities, degree_index(panel).totals,
+                              "k_s", panel.year)
+        outputs = [
+            emit_heatmap(panel, ChartSpec("heatmap", title="<\"'&>")),
+            emit_bipartite(panel, panel.entities, ChartSpec("bipartite")),
+            emit_weight_bars(weights, ChartSpec("weight_bars")),
+            emit_weighted_lines(weighted_performance(panel, weights),
+                                tertile_groups(table, panel, weights),
+                                panel.entities, ChartSpec("weighted_lines")),
+            emit_rank_bump(rank_evolution([table]), ChartSpec("rank_bump")),
+            emit_grouped_bars(weights_evolution([weights]),
+                              ChartSpec("grouped_bars")),
+        ]
+        for svg in outputs:
+            doc = minidom.parseString(svg)
+            ids = set()
+            for name in ("data-entity", "data-category"):
+                for el in doc.getElementsByTagName("*"):
+                    if el.hasAttribute(name):
+                        ids.add(el.getAttribute(name))
+            assert ids, svg[:200]
+            assert ids <= set(self.ENTITIES) | set(self.CATEGORIES)
