@@ -14,10 +14,10 @@ from .analytics import (GoalWeights, GroupProfile, RankSeries, RankTable,
                         rank_evolution, spearman, tertile_groups,
                         weighted_performance, weights_evolution)
 from .core import (AdjustedUbiquity, ComplexityScores, DegreeIndex,
-                   IterationStep, IterationTrace, ProximityMatrix,
-                   SimilarityPair, adjusted_ubiquity, degree_index,
-                   fitness_step, genepy_scores, principal_eigenvector,
-                   proximity, run_fitness, similarity)
+                   IterationTrace, ProximityMatrix, SimilarityPair,
+                   adjusted_ubiquity, degree_index, fitness_step,
+                   genepy_scores, principal_eigenvector, proximity,
+                   run_fitness, similarity)
 from .errors import (DegeneratePanelError, InputError, NonConvergenceError,
                      PanelRankError)
 from .panel import (Alignment, EntityMap, Finding, IndicatorRecord,
@@ -35,7 +35,7 @@ __all__ = [
     "AdjustedUbiquity", "Alignment", "ChartSpec", "ComplexityScores",
     "DegeneratePanelError", "DegreeIndex", "EntityMap", "Finding",
     "GoalWeights", "GroupProfile", "IndicatorRecord", "IndicatorTable",
-    "InputError", "IterationStep", "IterationTrace", "Lineage", "MapRule",
+    "InputError", "IterationTrace", "Lineage", "MapRule",
     "NonConvergenceError", "PanelRankError", "ProximityMatrix",
     "RankSeries", "RankTable", "RankTrajectory", "RankedEntity",
     "ScorePanel", "SimilarityPair", "TableData", "WeightsEvolution",

@@ -147,12 +147,14 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties replaced by the mean of their positions."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=float)
-    ranks[order] = np.arange(1, values.size + 1, dtype=float)
-    for v in np.unique(values):
-        mask = values == v
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
+    ordered = values[order]
+    # One pass over runs of equal sorted values (NaN != NaN, so each NaN is
+    # a run of its own); positions start+1 .. start+count average to
+    # start + (count + 1) / 2.
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, values.size])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return ranks
 
 
@@ -249,10 +251,11 @@ def rank_evolution(tables: Sequence[RankTable],
         for i in range(len(tables) - 1)]
 
     years = tuple(t.year for t in tables)
+    rank_of = [t.rank_of() for t in tables]
     trajectories = []
     for entity in tables[-1].entities():
         ranks: list[int | None] = [None] * len(tables)
-        ranks[-1] = tables[-1].rank_of()[entity]
+        ranks[-1] = rank_of[-1][entity]
         lineage = "own"
         current: str | None = entity
         for i in range(len(tables) - 2, -1, -1):
@@ -266,7 +269,7 @@ def rank_evolution(tables: Sequence[RankTable],
                     lineage = "split-derived"
                 current = link.parents[0]
             if current is not None:
-                ranks[i] = tables[i].rank_of().get(current)
+                ranks[i] = rank_of[i].get(current)
         trajectories.append(RankTrajectory(entity, tuple(ranks), lineage))
     return RankSeries(years, tuple(trajectories))
 
@@ -278,16 +281,10 @@ def weights_evolution(series: Sequence[GoalWeights]) -> WeightsEvolution:
     """
     if not series:
         raise InputError("weights evolution needs at least one year")
-    categories: list[str] = []
-    for weights in series:
-        for category in weights.categories:
-            if category not in categories:
-                categories.append(category)
+    categories = tuple(dict.fromkeys(c for w in series for c in w.categories))
+    row_of = {c: i for i, c in enumerate(categories)}
     years = tuple(w.year for w in series)
     values = np.full((len(categories), len(series)), np.nan)
     for t, weights in enumerate(series):
-        index = {c: j for j, c in enumerate(weights.categories)}
-        for i, category in enumerate(categories):
-            if category in index:
-                values[i, t] = weights.values[index[category]]
-    return WeightsEvolution(years, tuple(categories), values)
+        values[[row_of[c] for c in weights.categories], t] = weights.values
+    return WeightsEvolution(years, categories, values)

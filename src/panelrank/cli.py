@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,6 @@ from . import analytics, core, report
 from .errors import DegeneratePanelError, InputError, NonConvergenceError
 from .panel import EntityMap, ScorePanel, aggregate_indicators, parse_indicator_csv, \
     parse_panel, validate_panel
-
-BASIS_CHOICES = ("k_s", "composite_mean", "D_s")
 
 
 @dataclass
@@ -44,7 +42,7 @@ class RunConfig:
     # "panel" or "indicators".
     inputs: list[tuple[str, str, Path]] = field(default_factory=list)
     entity_maps: dict[tuple[str, str], Path] = field(default_factory=dict)
-    method: str = "both"
+    method: str = "both"  # spectral, iterative, both, or none (no solver)
     tol: float = 1e-10
     max_steps: int = 1000
     out_dir: Path | None = None
@@ -133,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                               + ", ".join(report.CHART_KINDS))
 
     compare = sub.add_parser("compare", help="Spearman rho between two bases")
-    compare.add_argument("basis_a", choices=BASIS_CHOICES)
-    compare.add_argument("basis_b", choices=BASIS_CHOICES)
+    compare.add_argument("basis_a", choices=analytics.RANK_BASES)
+    compare.add_argument("basis_b", choices=analytics.RANK_BASES)
     add_common(compare)
     compare.add_argument("--out", default=None, metavar="DIR",
                          help="also write the side-by-side table here")
@@ -427,6 +425,12 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     if len(panels) > 2:
         raise InputError("compare takes one panel (within-year) or two "
                          "(across years)")
+    # Run only the solver the bases read: D_s reads the primary scores
+    # (spectral unless --method iterative), k_s and composite_mean none.
+    if "D_s" not in (basis_a, basis_b):
+        config = replace(config, method="none")
+    elif config.method == "both":
+        config = replace(config, method="spectral")
     results = [compute_year(p, config, lambda m: print(f"warning: {m}",
                                                        file=sys.stderr))
                for p in panels]

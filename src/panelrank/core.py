@@ -113,22 +113,10 @@ class ComplexityScores:
 
 
 @dataclass(frozen=True)
-class IterationStep:
-    """One step of the fixed-point iteration, before and after rescaling."""
-
-    index: int
-    entity_raw: np.ndarray
-    category_raw: np.ndarray
-    entity_scores: np.ndarray
-    category_scores: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
 class IterationTrace:
-    """Full record of a fixed-point run."""
+    """Residual history of a fixed-point run, one entry per step."""
 
-    iterates: tuple[IterationStep, ...]
+    residuals: tuple[float, ...]
     converged: bool
     steps: int
     final_residual: float
@@ -255,9 +243,8 @@ def genepy_scores(panel: ScorePanel) -> ComplexityScores:
 
 
 def _fitness_update(scores: np.ndarray, entity_scores: np.ndarray,
-                    category_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                          np.ndarray, np.ndarray]:
-    """One raw update of the nonlinear map plus both mean-one rescalings.
+                    category_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One update of the nonlinear map, both vectors rescaled to mean one.
 
     Entity update: score-weighted sum of current category scores. Category
     update: reciprocal of the sum of scores divided by current entity
@@ -266,9 +253,8 @@ def _fitness_update(scores: np.ndarray, entity_scores: np.ndarray,
     """
     entity_raw = scores @ category_scores
     category_raw = 1.0 / (scores / entity_scores[:, None]).sum(axis=0)
-    entity_new = entity_raw / (entity_raw.sum() / entity_raw.size)
-    category_new = category_raw / (category_raw.sum() / category_raw.size)
-    return entity_raw, category_raw, entity_new, category_new
+    return (entity_raw / (entity_raw.sum() / entity_raw.size),
+            category_raw / (category_raw.sum() / category_raw.size))
 
 
 def fitness_step(panel: ScorePanel,
@@ -280,9 +266,7 @@ def fitness_step(panel: ScorePanel,
     if (entity_scores <= 0).any():
         raise ValueError(
             "singular update: entity scores must be strictly positive")
-    _, _, entity_new, category_new = _fitness_update(
-        panel.scores, entity_scores, category_scores)
-    return entity_new, category_new
+    return _fitness_update(panel.scores, entity_scores, category_scores)
 
 
 def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
@@ -299,17 +283,16 @@ def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
 
     entity_scores = np.ones(panel.n_entities)
     category_scores = np.ones(panel.n_categories)
-    steps: list[IterationStep] = []
+    residuals: list[float] = []
     converged = False
     residual = np.inf
-    for index in range(1, max_steps + 1):
-        entity_raw, category_raw, entity_new, category_new = _fitness_update(
+    for _ in range(max_steps):
+        entity_new, category_new = _fitness_update(
             panel.scores, entity_scores, category_scores)
         residual = max(
             float(np.max(np.abs(entity_new - entity_scores) / entity_scores)),
             float(np.max(np.abs(category_new - category_scores) / category_scores)))
-        steps.append(IterationStep(index, entity_raw, category_raw,
-                                   entity_new, category_new, residual))
+        residuals.append(residual)
         entity_scores, category_scores = entity_new, category_new
         if residual <= tol:
             converged = True
@@ -322,5 +305,5 @@ def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
         entity_scores=entity_scores,
         category_scores=category_scores,
         method="iterative")
-    trace = IterationTrace(tuple(steps), converged, len(steps), residual)
+    trace = IterationTrace(tuple(residuals), converged, len(residuals), residual)
     return scores, trace

@@ -334,8 +334,6 @@ def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
         raise InputError("indicator table is empty")
     seen: set[tuple[str, str, str]] = set()
     cells: dict[tuple[str, str], list[float]] = {}
-    entities: list[str] = []
-    categories: list[str] = []
     for rec in table.rows:
         key = (rec.entity, rec.category, rec.indicator)
         if key in seen:
@@ -349,58 +347,36 @@ def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
                 f"entity {rec.entity!r}, category {rec.category!r}, "
                 f"indicator {rec.indicator!r}")
         cells.setdefault((rec.entity, rec.category), []).append(rec.value)
-        if rec.entity not in entities:
-            entities.append(rec.entity)
-        if rec.category not in categories:
-            categories.append(rec.category)
 
-    scores = np.zeros((len(entities), len(categories)))
-    missing = np.ones((len(entities), len(categories)), dtype=bool)
+    # Positions in order of first appearance.
+    row_of = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in cells))}
+    col_of = {c: j for j, c in enumerate(dict.fromkeys(c for _, c in cells))}
+    scores = np.zeros((len(row_of), len(col_of)))
+    missing = np.ones((len(row_of), len(col_of)), dtype=bool)
     for (entity, category), values in cells.items():
-        i = entities.index(entity)
-        j = categories.index(category)
+        i, j = row_of[entity], col_of[category]
         scores[i, j] = math.fsum(values) / len(values)
         missing[i, j] = False
-    return make_panel(table.year, entities, categories, scores, missing)
+    return make_panel(table.year, tuple(row_of), tuple(col_of), scores, missing)
 
 
 def validate_panel(panel: ScorePanel) -> list[Finding]:
     """Diagnose a panel without mutating it.
 
-    Errors are invariant violations or rows/columns that would break the
-    scoring math (zero totals); warnings flag suspicious but usable data
-    (high missingness, constant columns).
+    The structural invariants (range, no all-missing row or column) are
+    enforced by ``make_panel``. Errors here are rows or columns with a
+    zero total, which break the scoring math; warnings flag suspicious but
+    usable data (high missingness, constant columns).
     """
     findings: list[Finding] = []
     present = panel.present_mask()
 
-    out_of_range = present & ((panel.scores < 0) | (panel.scores > 100))
-    for i, j in np.argwhere(out_of_range):
-        findings.append(Finding(
-            "error", "score-out-of-range",
-            f"score {panel.scores[i, j]} outside [0, 100] at entity "
-            f"{panel.entities[i]!r}, category {panel.categories[j]!r}",
-            entity=panel.entities[i], category=panel.categories[j]))
-
-    for i in np.flatnonzero(~present.any(axis=1)):
-        findings.append(Finding(
-            "error", "all-missing-row",
-            f"entity {panel.entities[i]!r} has no reported scores",
-            entity=panel.entities[i]))
-    for j in np.flatnonzero(~present.any(axis=0)):
-        findings.append(Finding(
-            "error", "all-missing-column",
-            f"category {panel.categories[j]!r} has no reported scores",
-            category=panel.categories[j]))
-
-    totals = np.where(present, panel.scores, 0.0).sum(axis=1)
-    for i in np.flatnonzero((totals == 0) & present.any(axis=1)):
+    for i in np.flatnonzero(panel.scores.sum(axis=1) == 0):
         findings.append(Finding(
             "error", "degenerate-entity",
             f"entity {panel.entities[i]!r} has a zero total score",
             entity=panel.entities[i]))
-    col_totals = np.where(present, panel.scores, 0.0).sum(axis=0)
-    for j in np.flatnonzero((col_totals == 0) & present.any(axis=0)):
+    for j in np.flatnonzero(panel.scores.sum(axis=0) == 0):
         findings.append(Finding(
             "error", "degenerate-category",
             f"category {panel.categories[j]!r} has a zero total score",

@@ -16,6 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from html import escape
 from typing import Sequence
 
@@ -58,6 +59,9 @@ class TableData:
     rows: tuple[tuple, ...] = field(default_factory=tuple)
 
 
+# Parsed once per colour string: ChartSpec validation fills the cache and
+# every ramp_color call on that spec reads it. Results are immutable tuples.
+@lru_cache(maxsize=256)
 def _hex_rgb(color: str) -> tuple[int, int, int]:
     if not (len(color) == 7 and color.startswith("#")):
         raise InputError(f"colors must be '#rrggbb', got {color!r}")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from panelrank import (EntityMap, GoalWeights, InputError, adjusted_ubiquity,
-                       degree_index, genepy_scores, goal_weights, make_panel,
-                       rank_correlation, rank_entities, rank_evolution,
-                       spearman, tertile_groups, weighted_performance,
+from panelrank import (EntityMap, GoalWeights, InputError, RankTable,
+                       adjusted_ubiquity, degree_index, genepy_scores,
+                       goal_weights, make_panel, rank_correlation,
+                       rank_entities, rank_evolution, spearman,
+                       tertile_groups, weighted_performance,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
 
@@ -246,6 +247,22 @@ class TestRankEvolution:
                 if rank is not None:
                     assert (trajectory.entity, year) not in seen
                     seen.add((trajectory.entity, year))
+
+    def test_rank_lookup_built_once_per_table(self, monkeypatch):
+        calls = []
+        rank_of = RankTable.rank_of
+
+        def counted(table):
+            calls.append(table.year)
+            return rank_of(table)
+
+        monkeypatch.setattr(RankTable, "rank_of", counted)
+        entities = [f"e{i:02d}" for i in range(20)]
+        tables = self.tables(*((year, entities, np.arange(20.0))
+                               for year in ("2018", "2019", "2020")))
+        series = rank_evolution(tables)
+        assert sorted(calls) == ["2018", "2019", "2020"]
+        assert series.trajectories[0].ranks == (1, 1, 1)
 
     def test_map_count_mismatch(self):
         tables = self.tables(("2018", ["a", "b"], [2.0, 1.0]))

@@ -1,6 +1,9 @@
+import hashlib
+import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,10 @@ INDICATORS_2X2 = ("entity,category,indicator,value\n"
                   "a,g1,k1,40\na,g1,k2,60\na,g2,k1,10\n"
                   "b,g1,k1,20\nb,g2,k1,30\n")
 DISTINCT_3X2 = "entity,g1,g2\na,50,40\nb,30,20\nc,10,5\n"
+# sha256 of every file `compute` writes for the bundled dataset, recorded
+# from the code before any rewrite of the scoring or emit paths.
+FIXTURE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "fixture_sha256.json")
 
 
 def write(tmp_path, name, text):
@@ -158,6 +165,22 @@ class TestCompute:
         assert bump.count('class="x-tick"') == 4
         assert (tmp_path / "out" / "grouped_bars_weights.svg").exists()
 
+    def test_fixture_outputs_match_recorded_digests(self, tmp_path, capsys,
+                                                    data_dir):
+        out = tmp_path / "out"
+        panels = [arg for year in ("2018", "2019", "2020", "2024")
+                  for arg in ("--panel",
+                              f"{year}={data_dir / f'panel_{year}.csv'}")]
+        rc = main(["compute", *panels,
+                   "--entity-map", f"2019->2020={data_dir / 'map_2019_2020.json'}",
+                   "--method", "both", "--charts", "all", "--out", str(out)])
+        assert rc == 0
+        expected = json.loads(FIXTURE_DIGESTS.read_text())
+        got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+        assert len(expected) == 44
+        assert got == expected
+
 
 class TestCompare:
     def test_same_basis_rho_one(self, tmp_path, capsys):
@@ -176,6 +199,24 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "spearman rho (k_s vs D_s) = 1.000000" in out
         assert "score_k_s" in out
+
+    @pytest.mark.parametrize("bases", [("k_s", "composite_mean"),
+                                       ("k_s", "D_s")])
+    def test_runs_only_the_solver_its_bases_read(self, tmp_path, capsys,
+                                                 bases):
+        # the fixed point does not converge on this panel; neither basis
+        # reads it (D_s reads the spectral scores under --method both)
+        panel = write(tmp_path, "p.csv", WORKED_2X2)
+        rc = main(["compare", *bases, "--panel", "2024=" + panel])
+        assert rc == 0
+        assert f"spearman rho ({bases[0]} vs {bases[1]})" in capsys.readouterr().out
+
+    def test_ds_iterative_nonconvergence_exits_3(self, tmp_path, capsys):
+        panel = write(tmp_path, "p.csv", WORKED_2X2)
+        rc = main(["compare", "k_s", "D_s", "--panel", "2024=" + panel,
+                   "--method", "iterative"])
+        assert rc == 3
+        assert "fixed-point iteration did not reach" in capsys.readouterr().err
 
     def test_writes_side_by_side(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_3X2)

@@ -329,11 +329,16 @@ class TestRunFitness:
 
     def test_trace_contents(self, worked_3x2):
         _, trace = run_fitness(worked_3x2)
-        assert trace.steps == len(trace.iterates) <= 1000
-        first = trace.iterates[0]
-        assert first.index == 1
-        assert np.allclose(first.entity_raw, [2.0, 2.0, 2.0], atol=1e-15)
-        assert trace.final_residual == trace.iterates[-1].residual
+        assert trace.steps == len(trace.residuals) <= 1000
+        # the first step from the uniform start: the raw entity update is
+        # the row totals [2, 2, 2], and the step's move is the first residual
+        d1, c1 = fitness_step(worked_3x2, (np.ones(3), np.ones(2)))
+        totals = worked_3x2.scores.sum(axis=1)
+        assert np.allclose(totals, [2.0, 2.0, 2.0], atol=1e-15)
+        assert np.allclose(d1, totals / totals.mean(), atol=1e-15)
+        assert trace.residuals[0] == max(float(np.max(np.abs(d1 - 1.0))),
+                                         float(np.max(np.abs(c1 - 1.0))))
+        assert trace.final_residual == trace.residuals[-1]
 
     def test_residual_tail_monotone_on_fixture(self, data_dir):
         from panelrank import parse_panel
@@ -342,7 +347,7 @@ class TestRunFitness:
                                 year)
             _, trace = run_fitness(panel)
             assert trace.converged
-            tail = [s.residual for s in trace.iterates[-10:]]
+            tail = trace.residuals[-10:]
             assert all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
 
     def test_nonconvergence_flagged_not_raised(self, worked_2x2):
