@@ -8,6 +8,7 @@ by every mean.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -134,12 +135,11 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
         raise InputError("entities and values must have equal length")
     if not np.isfinite(values).all():
         raise InputError("rank values must be finite")
-    order = sorted(range(len(entities)), key=lambda i: (-values[i], entities[i]))
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[float(v)] = counts.get(float(v), 0) + 1
+    scores = values.tolist()
+    order = sorted(range(len(entities)), key=lambda i: (-scores[i], entities[i]))
+    counts = Counter(scores)
     rows = tuple(
-        RankedEntity(entities[i], float(values[i]), rank, counts[float(values[i])] > 1)
+        RankedEntity(entities[i], scores[i], rank, counts[scores[i]] > 1)
         for rank, i in enumerate(order, start=1))
     return RankTable(year, basis, rows)
 
@@ -148,8 +148,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n with ties replaced by the mean of their positions."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    # One pass over runs of equal sorted values (NaN != NaN, so each NaN is
-    # a run of its own); positions start+1 .. start+count average to
+    # One pass over runs of equal sorted values (inputs are finite, checked
+    # by `spearman`); positions start+1 .. start+count average to
     # start + (count + 1) / 2.
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     counts = np.diff(np.r_[starts, values.size])
@@ -161,12 +161,15 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman rank correlation with average-rank tie handling.
 
-    Returns NaN when either input has no variation.
+    Returns NaN when either input has no variation. Inputs must be finite:
+    a NaN has no rank.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size != b.size:
         raise InputError("correlation inputs must have equal length")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise InputError("correlation inputs must be finite")
     ra = _average_ranks(a) - (a.size + 1) / 2.0
     rb = _average_ranks(b) - (b.size + 1) / 2.0
     denom = np.sqrt((ra @ ra) * (rb @ rb))

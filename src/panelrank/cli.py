@@ -472,8 +472,9 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
                score_b[partner[row.entity]], rank_b[partner[row.entity]])
               for row in table_a.rows))
 
+    text = report.emit_table(side_by_side)
     print(f"spearman rho ({basis_a} vs {basis_b}) = {rho:.6f}")
-    print(report.emit_table(side_by_side), end="")
+    print(text, end="")
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         name = (f"compare_{basis_a}_vs_{basis_b}_"
@@ -481,9 +482,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
                 + ("" if first is last else f"_{_safe_label(last.panel.year)}")
                 + ".csv")
         path = config.out_dir / name
-        rows = list(side_by_side.rows)
-        path.write_text(report.emit_table(report.TableData(
-            side_by_side.columns, tuple(rows))), encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         print(path)
     return 0
 

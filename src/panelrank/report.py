@@ -60,7 +60,7 @@ class TableData:
 
 
 # Parsed once per colour string: ChartSpec validation fills the cache and
-# every ramp_color call on that spec reads it. Results are immutable tuples.
+# every colour computed for that spec reads it. Results are immutable tuples.
 @lru_cache(maxsize=256)
 def _hex_rgb(color: str) -> tuple[int, int, int]:
     if not (len(color) == 7 and color.startswith("#")):
@@ -71,13 +71,23 @@ def _hex_rgb(color: str) -> tuple[int, int, int]:
         raise InputError(f"colors must be '#rrggbb', got {color!r}") from None
 
 
+def _ramp_colors(spec: ChartSpec, t) -> list[str]:
+    """Colours for the values of ``t``, flattened in C order.
+
+    Each channel is ``lo + t * (hi - lo)`` between the spec's endpoints,
+    rounded half to even, with t clamped to [0, 1]; NaN maps to the low
+    end. Emitters call this once per chart, never per element.
+    """
+    t = np.minimum(1.0, np.fmax(0.0, np.ravel(t)))
+    low = np.array(_hex_rgb(spec.color_low))
+    high = np.array(_hex_rgb(spec.color_high))
+    channels = np.rint(low + t[:, None] * (high - low)).astype(np.int64)
+    return [f"#{c:06x}" for c in (channels @ (65536, 256, 1)).tolist()]
+
+
 def ramp_color(spec: ChartSpec, t: float) -> str:
     """Linear interpolation between the spec's endpoints, t in [0, 1]."""
-    t = min(1.0, max(0.0, t))
-    low = _hex_rgb(spec.color_low)
-    high = _hex_rgb(spec.color_high)
-    channels = (round(lo + t * (hi - lo)) for lo, hi in zip(low, high))
-    return "#" + "".join(f"{c:02x}" for c in channels)
+    return _ramp_colors(spec, [t])[0]
 
 
 def _require_kind(spec: ChartSpec, kind: str) -> None:
@@ -118,12 +128,15 @@ def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
 
 
 def _cell_text(value) -> str:
+    # Floats first: they are most cells, and no bool is a float.
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else f"{float(value):.6f}"
+    if type(value) is str:
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "" if math.isnan(value) else f"{float(value):.6f}"
     if value is None:
         return ""
     return str(value)
@@ -216,23 +229,29 @@ def emit_heatmap(panel: ScorePanel, spec: ChartSpec) -> str:
         parts.append(_text(margin_left - 6, margin_top + (i + 0.7) * cell_h,
                            entity, cls="row-label", anchor="end"))
 
-    for i in range(panel.n_entities):
-        for j in range(panel.n_categories):
-            x = margin_left + j * cell_w
-            y = margin_top + i * cell_h
-            if panel.missing_mask[i, j]:
+    # Everything shared by a row or a column is formatted once; colours
+    # come from one call for the whole matrix.
+    m = panel.n_categories
+    xs = [_fmt(margin_left + j * cell_w) for j in range(m)]
+    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
+    categories = [escape(c) for c in panel.categories]
+    colors = _ramp_colors(spec, panel.scores / 100.0)
+    rows = zip(panel.entities, panel.scores.tolist(),
+               panel.missing_mask.tolist())
+    for i, (entity, values, missing) in enumerate(rows):
+        y = f'y="{_fmt(margin_top + i * cell_h)}" {size}'
+        entity = escape(entity)
+        cells = zip(xs, categories, values, missing, colors[i * m:(i + 1) * m])
+        for x, category, value, gap, fill in cells:
+            if gap:
                 cls, fill, value_attr = "cell missing", "url(#hatch)", ""
             else:
-                value = float(panel.scores[i, j])
-                cls = "cell"
-                fill = ramp_color(spec, value / 100.0)
-                value_attr = f' data-value="{value:.3f}"'
+                cls, value_attr = "cell", f' data-value="{value:.3f}"'
             parts.append(
-                f'<rect class="{cls}" x="{_fmt(x)}" y="{_fmt(y)}" '
-                f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}" '
+                f'<rect class="{cls}" x="{x}" {y} '
                 f'fill="{fill}" stroke="#ffffff" stroke-width="0.5" '
-                f'data-entity="{escape(panel.entities[i])}" '
-                f'data-category="{escape(panel.categories[j])}"{value_attr}/>')
+                f'data-entity="{entity}" '
+                f'data-category="{category}"{value_attr}/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -261,6 +280,8 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
 
     parts = _svg_open(spec)
     min_w, max_w = 0.5, 4.0
+    m = panel.n_categories
+    colors = _ramp_colors(spec, panel.scores[[row_of[e] for e in subset]] / 100.0)
     for i, entity in enumerate(subset):
         ey = y_pos(i, len(subset))
         for j, category in enumerate(panel.categories):
@@ -270,8 +291,8 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
             t = value / 100.0
             parts.append(
                 f'<line class="edge" x1="{_fmt(left_x)}" y1="{_fmt(ey)}" '
-                f'x2="{_fmt(right_x)}" y2="{_fmt(y_pos(j, panel.n_categories))}" '
-                f'stroke="{ramp_color(spec, t)}" '
+                f'x2="{_fmt(right_x)}" y2="{_fmt(y_pos(j, m))}" '
+                f'stroke="{colors[i * m + j]}" '
                 f'stroke-width="{min_w + t * (max_w - min_w):.2f}" '
                 f'stroke-opacity="0.75" data-entity="{escape(entity)}" '
                 f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
@@ -303,6 +324,7 @@ def emit_weight_bars(weights: GoalWeights, spec: ChartSpec) -> str:
     bar_h = slot_h * 0.7
     top = float(np.max(weights.values))
 
+    colors = _ramp_colors(spec, weights.values / top)
     parts = _svg_open(spec)
     for i, category in enumerate(weights.categories):
         value = float(weights.values[i])
@@ -311,7 +333,7 @@ def emit_weight_bars(weights: GoalWeights, spec: ChartSpec) -> str:
         parts.append(
             f'<rect class="bar" x="{_fmt(margin_left)}" y="{_fmt(y)}" '
             f'width="{_fmt(length)}" height="{_fmt(bar_h)}" '
-            f'fill="{ramp_color(spec, value / top)}" '
+            f'fill="{colors[i]}" '
             f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
         parts.append(_text(margin_left - 6, y + bar_h * 0.75, category,
                            cls="row-label", anchor="end"))
@@ -321,8 +343,12 @@ def emit_weight_bars(weights: GoalWeights, spec: ChartSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _path_from_points(points: list[tuple[float, float] | None]) -> str:
-    """SVG path data visiting points in order, restarting after gaps."""
+def _path_from_points(points: list[tuple[str, float] | None]) -> str:
+    """SVG path data visiting points in order, restarting after gaps.
+
+    Each point is an x already formatted with ``_fmt`` (charts format
+    each column's x once) and a y, which is formatted here.
+    """
     out: list[str] = []
     pen_down = False
     for point in points:
@@ -330,7 +356,7 @@ def _path_from_points(points: list[tuple[float, float] | None]) -> str:
             pen_down = False
             continue
         cmd = "L" if pen_down else "M"
-        out.append(f"{cmd}{_fmt(point[0])},{_fmt(point[1])}")
+        out.append(f"{cmd}{point[0]},{point[1]:.2f}")
         pen_down = True
     return " ".join(out)
 
@@ -358,20 +384,20 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     hi = float(finite.max())
     span = hi - lo if hi > lo else 1.0
 
-    def x_pos(j: int) -> float:
-        if n_cat == 1:
-            return margin_left + plot_w / 2
-        return margin_left + plot_w * j / (n_cat - 1)
+    if n_cat == 1:
+        xs = [margin_left + plot_w / 2]
+    else:
+        xs = [margin_left + plot_w * j / (n_cat - 1) for j in range(n_cat)]
+    x_text = [_fmt(x) for x in xs]
+    # One y per value of every curve; a finite value always gives a finite
+    # y and a non-finite one a non-finite y, which marks the gap.
+    ys = (margin_top + plot_h * (1 - (stacked - lo) / span)).tolist()
 
-    def y_pos(value: float) -> float:
-        return margin_top + plot_h * (1 - (value - lo) / span)
+    def path(curve: list[float]) -> str:
+        return _path_from_points([(x, y) if math.isfinite(y) else None
+                                  for x, y in zip(x_text, curve)])
 
-    def curve_points(values: np.ndarray) -> list[tuple[float, float] | None]:
-        return [None if not np.isfinite(v) else (x_pos(j), y_pos(float(v)))
-                for j, v in enumerate(values)]
-
-    group_colors = (ramp_color(spec, 1.0), ramp_color(spec, 0.5),
-                    ramp_color(spec, 0.0))
+    group_colors = _ramp_colors(spec, [1.0, 0.5, 0.0])
     group_of = {e: g for g, members in enumerate(profile.groups) for e in members}
     ungrouped = [e for e in entities if e not in group_of]
     if ungrouped:
@@ -379,28 +405,26 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
                          + ", ".join(ungrouped))
 
     parts = _svg_open(spec)
+    tick_y = _fmt(spec.height - margin_bottom + 16)
     for j, category in enumerate(profile.categories):
-        parts.append(_text(x_pos(j), spec.height - margin_bottom + 16, category,
+        parts.append(_text(xs[j], spec.height - margin_bottom + 16, category,
                            cls="x-tick", anchor="end",
-                           extra=f' transform="rotate(-60 {_fmt(x_pos(j))} '
-                                 f'{_fmt(spec.height - margin_bottom + 16)})"'))
+                           extra=f' transform="rotate(-60 {x_text[j]} {tick_y})"'))
 
+    n = len(entities)
     for i, entity in enumerate(entities):
         parts.append(
-            f'<path class="entity-line" '
-            f'd="{_path_from_points(curve_points(performance[i]))}" '
+            f'<path class="entity-line" d="{path(ys[i])}" '
             f'fill="none" stroke="{group_colors[group_of[entity]]}" '
             f'stroke-width="1" stroke-opacity="0.45" '
             f'data-entity="{escape(entity)}"/>')
     for g in range(3):
         parts.append(
-            f'<path class="group-line" '
-            f'd="{_path_from_points(curve_points(profile.group_curves[g]))}" '
+            f'<path class="group-line" d="{path(ys[n + g])}" '
             f'fill="none" stroke="{group_colors[g]}" stroke-width="3" '
             f'data-group="{g + 1}"/>')
     parts.append(
-        f'<path class="national-line" '
-        f'd="{_path_from_points(curve_points(profile.national_curve))}" '
+        f'<path class="national-line" d="{path(ys[n + 3])}" '
         f'fill="none" stroke="#333333" stroke-width="3"/>')
 
     for j, category in enumerate(profile.categories):
@@ -410,11 +434,11 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
         best = int(np.nanargmax(column))
         worst = int(np.nanargmin(column))
         parts.append(_text(
-            x_pos(j), y_pos(float(column[best])) - 6,
+            xs[j], ys[best][j] - 6,
             f"{entities[best]} {column[best]:.3f}", cls="best-label",
             size=9, anchor="middle"))
         parts.append(_text(
-            x_pos(j), y_pos(float(column[worst])) + 12,
+            xs[j], ys[worst][j] + 12,
             f"{entities[worst]} {column[worst]:.3f}", cls="worst-label",
             size=9, anchor="middle"))
     parts.append("</svg>")
@@ -451,15 +475,17 @@ def emit_rank_bump(series: RankSeries, spec: ChartSpec) -> str:
         parts.append(_text(margin_left - 8, y_pos(rank) + 4, str(rank),
                            cls="y-tick", anchor="end"))
 
-    final_rank = {t.entity: t.ranks[-1] for t in series.trajectories}
-    for trajectory in series.trajectories:
-        rank = final_rank[trajectory.entity]
-        t_color = 1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
-        points = [None if r is None else (x_pos(t), y_pos(r))
+    x_text = [_fmt(x_pos(t)) for t in range(n_years)]
+    final_ranks = [trajectory.ranks[-1] for trajectory in series.trajectories]
+    colors = _ramp_colors(spec, [
+        1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
+        for rank in final_ranks])
+    for trajectory, rank, color in zip(series.trajectories, final_ranks, colors):
+        points = [None if r is None else (x_text[t], y_pos(r))
                   for t, r in enumerate(trajectory.ranks)]
         parts.append(
             f'<path class="rank-line" d="{_path_from_points(points)}" '
-            f'fill="none" stroke="{ramp_color(spec, t_color)}" '
+            f'fill="none" stroke="{color}" '
             f'stroke-width="2" data-entity="{escape(trajectory.entity)}" '
             f'data-lineage="{trajectory.lineage}"/>')
         label = trajectory.entity
@@ -487,9 +513,8 @@ def emit_grouped_bars(evolution: WeightsEvolution, spec: ChartSpec) -> str:
     group_w = plot_w / n_cat
     bar_w = group_w / (n_years + 1)
     top = float(np.nanmax(evolution.values))
-    year_color = {
-        year: ramp_color(spec, t / max(1, n_years - 1))
-        for t, year in enumerate(evolution.years)}
+    year_color = dict(zip(evolution.years, _ramp_colors(
+        spec, [t / max(1, n_years - 1) for t in range(n_years)])))
 
     parts = _svg_open(spec)
     baseline = margin_top + plot_h

@@ -3,7 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelrank import make_panel
+from panelrank import (ChartSpec, degree_index, emit_bipartite,
+                       emit_grouped_bars, emit_heatmap, emit_rank_bump,
+                       emit_weight_bars, emit_weighted_lines, make_panel,
+                       rank_entities, rank_evolution, tertile_groups,
+                       weighted_performance, weights_evolution)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data" / "synthetic"
 
@@ -49,3 +53,24 @@ def random_panel(rng: np.random.Generator, n_entities: int, n_categories: int,
     scores = rng.uniform(low, high, size=(n_entities, n_categories))
     return make_panel(year, [f"e{i:02d}" for i in range(n_entities)],
                       [f"c{j:02d}" for j in range(n_categories)], scores)
+
+
+def all_charts(panel, weights, title: str = "") -> dict[str, str]:
+    """The six charts of one panel, by kind: the bipartite chart covers
+    every entity and the groups come from the k_s ranking."""
+    table = rank_entities(panel.entities, degree_index(panel).totals,
+                          "k_s", panel.year)
+    return {
+        "heatmap": emit_heatmap(panel, ChartSpec("heatmap", title=title)),
+        "bipartite": emit_bipartite(panel, panel.entities,
+                                    ChartSpec("bipartite")),
+        "weight_bars": emit_weight_bars(weights, ChartSpec("weight_bars")),
+        "weighted_lines": emit_weighted_lines(
+            weighted_performance(panel, weights),
+            tertile_groups(table, panel, weights), panel.entities,
+            ChartSpec("weighted_lines")),
+        "rank_bump": emit_rank_bump(rank_evolution([table]),
+                                    ChartSpec("rank_bump")),
+        "grouped_bars": emit_grouped_bars(weights_evolution([weights]),
+                                          ChartSpec("grouped_bars")),
+    }

@@ -145,6 +145,17 @@ class TestRankCorrelation:
         # a = (-0.5, -0.5, 1), b = (-1, 0, 1); rho = 1.5 / sqrt(1.5 * 2)
         assert rho == pytest.approx(1.5 / np.sqrt(3.0), abs=1e-12)
 
+    @pytest.mark.parametrize("a, b", [
+        ([float("nan")] * 3, [1.0, 2.0, 3.0]),
+        ([1.0, float("nan"), 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0], [1.0, float("inf"), 3.0]),
+        ([1.0, 2.0, 3.0], [float("-inf"), 2.0, 3.0]),
+    ])
+    def test_non_finite_rejected(self, a, b):
+        # a NaN has no rank; before this check, the first two gave 1.0, 0.4
+        with pytest.raises(InputError, match="finite"):
+            spearman(a, b)
+
     def test_entity_set_mismatch(self):
         a = rank_entities(["a", "b"], [1.0, 2.0], "k_s", "y")
         b = rank_entities(["a", "c"], [1.0, 2.0], "k_s", "y")

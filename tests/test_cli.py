@@ -229,6 +229,16 @@ class TestCompare:
                            "score_composite_mean", "rank_composite_mean"]
         assert len(rows) == 4
 
+    def test_written_file_equals_printed_table(self, tmp_path, capsys):
+        panel = write(tmp_path, "p.csv", WORKED_3X2)
+        rc = main(["compare", "k_s", "composite_mean",
+                   "--panel", "2024=" + panel, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        path = tmp_path / "out" / "compare_k_s_vs_composite_mean_2024.csv"
+        rho_line, table = capsys.readouterr().out.split("\n", 1)
+        assert rho_line.startswith("spearman rho")
+        assert table == path.read_text(encoding="utf-8") + f"{path}\n"
+
     def test_mismatched_rosters_without_map_exit_1(self, tmp_path, capsys):
         a = write(tmp_path, "a.csv", WORKED_3X2)
         b = write(tmp_path, "b.csv", "entity,g1,g2\nx,2,0\ny,1,1\nz,0,2\n")

@@ -1,3 +1,4 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -10,9 +11,10 @@ from panelrank import (ChartSpec, GoalWeights, InputError, TableData,
                        ramp_color, rank_entities, rank_evolution,
                        tertile_groups, weighted_performance,
                        weights_evolution)
+from panelrank.analytics import tertile_sizes
 from panelrank.panel import Finding
 
-from conftest import random_panel
+from conftest import all_charts, random_panel
 
 
 def elements_with_class(svg_text: str, token: str):
@@ -366,19 +368,7 @@ class TestMarkupInIds:
                            rng.uniform(1, 100, size=(4, 4)))
         weights = weights_for(panel.categories, [1.0, 2.0, 3.0, 4.0],
                               year=panel.year)
-        table = rank_entities(panel.entities, degree_index(panel).totals,
-                              "k_s", panel.year)
-        outputs = [
-            emit_heatmap(panel, ChartSpec("heatmap", title="<\"'&>")),
-            emit_bipartite(panel, panel.entities, ChartSpec("bipartite")),
-            emit_weight_bars(weights, ChartSpec("weight_bars")),
-            emit_weighted_lines(weighted_performance(panel, weights),
-                                tertile_groups(table, panel, weights),
-                                panel.entities, ChartSpec("weighted_lines")),
-            emit_rank_bump(rank_evolution([table]), ChartSpec("rank_bump")),
-            emit_grouped_bars(weights_evolution([weights]),
-                              ChartSpec("grouped_bars")),
-        ]
+        outputs = all_charts(panel, weights, title="<\"'&>").values()
         for svg in outputs:
             doc = minidom.parseString(svg)
             ids = set()
@@ -388,3 +378,118 @@ class TestMarkupInIds:
                         ids.add(el.getAttribute(name))
             assert ids, svg[:200]
             assert ids <= set(self.ENTITIES) | set(self.CATEGORIES)
+
+
+def recorded_outputs() -> dict[str, str]:
+    """Every chart and table of a 201 x 9 panel, by name.
+
+    The data come from fixed integer formulas, not a random generator, so
+    the digests do not depend on the numpy version. The panel has about 5%
+    missing cells, integer scores (so ties, and t = 0.5 colour ties), one
+    category missing for the whole bottom tertile (a NaN group curve), and
+    ids holding ``&``, ``<`` and ``"``.
+    The rank bump has entities introduced in later years (path gaps) and
+    the grouped bars a category absent in one year.
+    """
+    n, m = 201, 9
+    row, col = np.arange(n)[:, None], np.arange(m)
+    entities = [f"e{i:03d}" for i in range(n)]
+    entities[3], entities[7], entities[11] = "a&b", "<c>", 'q"d'
+    categories = [f"c{j}" for j in range(m)]
+    categories[2], categories[5] = "x&y", '<z>"'
+
+    values = (row[:, 0] * 37 % 60).astype(float)  # tied rank values
+    table = rank_entities(entities, values, "k_s", "2024")
+    bottom = set(table.entities()[-tertile_sizes(n)[2]:])
+    scores = ((row * 37 + col * 11) % 101).astype(float)
+    mask = (row * 13 + col * 7) % 20 == 0
+    mask[:, 0] = False
+    mask[[i for i, e in enumerate(entities) if e in bottom], 6] = True
+    # Crafted so that this cell's weighted-lines y, computed as
+    # margin_top + plot_h * (1 - (v - lo) / span), formats differently
+    # to two decimals when those operations are reordered.
+    scores[20, 1] = 38.28899167437558
+    mask[20, 1] = False
+    panel = make_panel("2024", entities, categories, scores, mask)
+
+    weights = weights_for(categories, 0.5 + 1.5 * (col * 5 % m) / (m - 1),
+                          "2024")
+    profile = tertile_groups(table, panel, weights)
+    assert np.isnan(profile.group_curves[2, 6])
+    early = [rank_entities(entities[:150 + 20 * k], values[:150 + 20 * k],
+                           "k_s", str(2022 + k)) for k in range(2)]
+    evolution = weights_evolution([
+        weights_for(categories[:8], weights.values[:8] * 0.9, "2022"),
+        weights_for(categories, weights.values * 1.1, "2023"), weights])
+    mixed = TableData(
+        ("entity", "score", "np_score", "rank", "tied", "note"),
+        tuple((e, float(v) if i % 17 else float("nan"), np.float64(v / 7),
+               np.int64(i), i % 2 == 0, None if i % 3 else "x,y")
+              for i, (e, v) in enumerate(zip(entities, values))))
+
+    outputs = {
+        "heatmap": emit_heatmap(panel, ChartSpec("heatmap", title='T & <"q">')),
+        "bipartite": emit_bipartite(panel, entities[:12], ChartSpec("bipartite")),
+        "weight_bars": emit_weight_bars(weights, ChartSpec("weight_bars")),
+        "weighted_lines": emit_weighted_lines(
+            weighted_performance(panel, weights), profile, panel.entities,
+            ChartSpec("weighted_lines")),
+        "rank_bump": emit_rank_bump(rank_evolution([*early, table]),
+                                    ChartSpec("rank_bump")),
+        "grouped_bars": emit_grouped_bars(evolution, ChartSpec("grouped_bars")),
+    }
+    for name, data in (("ranks", table), ("weights", evolution),
+                       ("mixed", mixed)):
+        for fmt in ("csv", "json"):
+            outputs[f"{name}.{fmt}"] = emit_table(data, fmt)
+    return outputs
+
+
+class TestRecordedDigests:
+    # Recorded from the per-cell emitters, before colours, coordinates and
+    # escaping moved out of the cell loops.
+    DIGESTS = {
+        "heatmap":
+            "31b0b1f4933fc739e9fe67fc4105741df3081cd1b7de8a5d8ddd8f85058880bf",
+        "bipartite":
+            "fa379574dfb66053752652cf4a9158ab2bbc74f5982e455f01710bd28e2f69d6",
+        "weight_bars":
+            "0afc22b3d920fcba04f1376c98e34df166e0bbe844e65322749eebcb7dec5a19",
+        "weighted_lines":
+            "ba303994d5b970880afbb8df245020702d57fc7fd377240482f7632ca79481e8",
+        "rank_bump":
+            "69eb144dd0b0d397d91dc1e26ee9d74c0b4611daa970d3c653a5b28838d04a3a",
+        "grouped_bars":
+            "26a2183b0aa3638e1f4e4328818caa93e5f2abd9f9fb0097c017ac45d0cb3a9e",
+        "ranks.csv":
+            "bae8f7cb13a4c305a5225ab015b03c386ea182e272a3678f77705f4b36d8cb9f",
+        "ranks.json":
+            "78a770435939f37079bd1d8b6c5e8730c256a84467c187365239f9bc8795985a",
+        "weights.csv":
+            "c75cc8679360206a6afe78bb6a7b420593ce00aa7cd2531023dbb6e714f3bc61",
+        "weights.json":
+            "b7c52816bb9f6f1819f3dfb8583d1426397e7b1e23928d8b3287e634a5e45ed5",
+        "mixed.csv":
+            "6945b1a4fafc7a05659123e7f76f39f0d39de456a28bae9aee678c37ac077e42",
+        "mixed.json":
+            "de28dee9ffd33072653a64056f3a67ff1c51535d401092571b7d843d99c4619f",
+    }
+
+    def test_outputs_match_recorded_digests(self):
+        got = {name: hashlib.sha256(text.encode()).hexdigest()
+               for name, text in recorded_outputs().items()}
+        assert got == self.DIGESTS
+
+    @pytest.mark.parametrize("t, low, high, expected", [
+        (float("nan"), "#ffff00", "#008000", "#ffff00"),   # NaN: low end
+        (float("inf"), "#ffff00", "#008000", "#008000"),   # clamped to 1
+        (float("-inf"), "#ffff00", "#008000", "#ffff00"),  # clamped to 0
+        (-0.0, "#ffff00", "#008000", "#ffff00"),
+        (1.5, "#ffff00", "#008000", "#008000"),
+        # 0.5 * 5 = 2.5 and 0.5 * 255 = 127.5: half to even gives 2 and
+        # 128, where int() gives 2 and 127 and half up gives 3 and 128
+        (0.5, "#000000", "#05ff00", "#028000"),
+    ])
+    def test_ramp_color_hand_values(self, t, low, high, expected):
+        spec = ChartSpec("heatmap", color_low=low, color_high=high)
+        assert ramp_color(spec, t) == expected
