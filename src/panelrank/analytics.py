@@ -31,32 +31,25 @@ class GoalWeights:
 
 
 @dataclass(frozen=True)
-class RankedEntity:
-    """One row of a rank table. ``tied`` marks scores shared with another
-    entity, where the ordering fell back to the entity id."""
-
-    entity: str
-    score: float
-    rank: int
-    tied: bool
-
-
-@dataclass(frozen=True)
 class RankTable:
-    """Entities of one year ordered by a scoring basis, rank 1 highest."""
+    """Entities of one year ordered by a scoring basis, rank 1 highest.
+
+    The columns are parallel and in rank order, so ``entities[i]`` has
+    rank ``i + 1``. ``tied`` marks scores shared with another entity,
+    where the ordering fell back to the entity id.
+    """
 
     year: str
     basis: str
-    rows: tuple[RankedEntity, ...]
-
-    def entities(self) -> tuple[str, ...]:
-        return tuple(row.entity for row in self.rows)
+    entities: tuple[str, ...]
+    scores: tuple[float, ...]
+    tied: tuple[bool, ...]
 
     def rank_of(self) -> dict[str, int]:
-        return {row.entity: row.rank for row in self.rows}
+        return {entity: rank for rank, entity in enumerate(self.entities, start=1)}
 
     def score_of(self) -> dict[str, float]:
-        return {row.entity: row.score for row in self.rows}
+        return dict(zip(self.entities, self.scores))
 
 
 @dataclass(frozen=True)
@@ -138,10 +131,9 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
     scores = values.tolist()
     order = sorted(range(len(entities)), key=lambda i: (-scores[i], entities[i]))
     counts = Counter(scores)
-    rows = tuple(
-        RankedEntity(entities[i], scores[i], rank, counts[scores[i]] > 1)
-        for rank, i in enumerate(order, start=1))
-    return RankTable(year, basis, rows)
+    return RankTable(year, basis, tuple(entities[i] for i in order),
+                     tuple(scores[i] for i in order),
+                     tuple(counts[scores[i]] > 1 for i in order))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -180,11 +172,11 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
 
 def rank_correlation(a: RankTable, b: RankTable) -> float:
     """Spearman rho between two rank tables over the same entity set."""
-    if set(a.entities()) != set(b.entities()):
+    if set(a.entities) != set(b.entities):
         raise InputError(
             f"entity sets differ between rank tables ({a.basis}/{a.year} "
             f"vs {b.basis}/{b.year})")
-    ids = sorted(a.entities())
+    ids = sorted(a.entities)
     score_a = a.score_of()
     score_b = b.score_of()
     return spearman([score_a[e] for e in ids], [score_b[e] for e in ids])
@@ -214,15 +206,15 @@ def tertile_groups(table: RankTable, panel: ScorePanel,
     """
     if panel.n_entities < 3:
         raise InputError("tertile grouping needs at least 3 entities")
-    if set(table.entities()) != set(panel.entities):
+    if set(table.entities) != set(panel.entities):
         raise InputError("rank table and panel entity sets differ")
 
     performance = weighted_performance(panel, weights)
     row_of = {e: i for i, e in enumerate(panel.entities)}
-    ordered = table.entities()
+    ordered = table.entities
     sizes = tertile_sizes(len(ordered))
     bounds = (0, sizes[0], sizes[0] + sizes[1], len(ordered))
-    groups = tuple(tuple(ordered[bounds[i]:bounds[i + 1]]) for i in range(3))
+    groups = tuple(ordered[bounds[i]:bounds[i + 1]] for i in range(3))
 
     curves = np.vstack([
         _present_mean(performance[[row_of[e] for e in group], :])
@@ -250,13 +242,13 @@ def rank_evolution(tables: Sequence[RankTable],
             f"got {len(maps)}")
 
     links_by_year: list[dict[str, Lineage]] = [
-        align_rosters(tables[i].entities(), tables[i + 1].entities(), maps[i]).by_entity()
+        align_rosters(tables[i].entities, tables[i + 1].entities, maps[i]).by_entity()
         for i in range(len(tables) - 1)]
 
     years = tuple(t.year for t in tables)
     rank_of = [t.rank_of() for t in tables]
     trajectories = []
-    for entity in tables[-1].entities():
+    for entity in tables[-1].entities:
         ranks: list[int | None] = [None] * len(tables)
         ranks[-1] = rank_of[-1][entity]
         lineage = "own"

@@ -233,10 +233,12 @@ def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
         iterative, trace = core.run_fitness(panel, config.tol, config.max_steps)
         if not trace.converged:
             if not config.allow_nonconverged:
+                stopped = ("" if trace.steps == config.max_steps else
+                           "; the next iterate was not finite and positive")
                 raise NonConvergenceError(
                     f"year {panel.year}: fixed-point iteration did not reach "
-                    f"tol={config.tol} within {config.max_steps} steps "
-                    f"(last residual {trace.final_residual:.3e})",
+                    f"tol={config.tol} after {trace.steps} steps "
+                    f"(last residual {trace.final_residual:.3e}{stopped})",
                     steps=trace.steps, residual=trace.final_residual)
             warn(f"year {panel.year}: fixed-point iteration did not converge; "
                  "using last iterate (--allow-nonconverged)")
@@ -244,64 +246,42 @@ def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
 
 
 def _entity_table(result: YearResult) -> report.TableData:
+    deg = result.degree
     columns = ["entity", "total_score", "applicable_count", "composite_mean"]
-    extractors = []
-    if result.spectral is not None:
-        columns.append("complexity_spectral")
-        extractors.append(result.spectral.entity_scores)
-    if result.iterative is not None:
-        columns.append("complexity_iterative")
-        extractors.append(result.iterative.entity_scores)
-    rows = []
-    for i, entity in enumerate(result.panel.entities):
-        row = [entity, float(result.degree.totals[i]),
-               int(result.degree.applicable_counts[i]),
-               float(result.degree.composite_means[i])]
-        row.extend(float(vec[i]) for vec in extractors)
-        rows.append(tuple(row))
-    return report.TableData(tuple(columns), tuple(rows))
+    values = [result.panel.entities, deg.totals.tolist(),
+              deg.applicable_counts.tolist(), deg.composite_means.tolist()]
+    for scores in (result.spectral, result.iterative):
+        if scores is not None:
+            columns.append(f"complexity_{scores.method}")
+            values.append(scores.entity_scores.tolist())
+    return report.TableData(tuple(columns), tuple(zip(*values)))
 
 
 def _category_table(result: YearResult) -> report.TableData:
     columns = ["category", "adjusted_ubiquity"]
-    extractors = []
-    for scores, tag in ((result.spectral, "spectral"),
-                        (result.iterative, "iterative")):
+    values = [result.panel.categories, result.ubiquity.values.tolist()]
+    for scores in (result.spectral, result.iterative):
         if scores is not None:
-            columns.extend([f"complexity_{tag}", f"weight_{tag}"])
             weights = analytics.goal_weights(scores, result.ubiquity)
-            extractors.append((scores.category_scores, weights.values))
-    rows = []
-    for j, category in enumerate(result.panel.categories):
-        row = [category, float(result.ubiquity.values[j])]
-        for cat_scores, weight_values in extractors:
-            row.extend((float(cat_scores[j]), float(weight_values[j])))
-        rows.append(tuple(row))
-    return report.TableData(tuple(columns), tuple(rows))
+            columns += [f"complexity_{scores.method}", f"weight_{scores.method}"]
+            values += [scores.category_scores.tolist(), weights.values.tolist()]
+    return report.TableData(tuple(columns), tuple(zip(*values)))
 
 
 def _basis_values(result: YearResult, basis: str) -> np.ndarray:
+    """Entity values of a rank basis; only ``D_s`` reads a solver."""
     if basis == "k_s":
         return result.degree.totals
     if basis == "composite_mean":
         return result.degree.composite_means
-    if basis == "D_s":
-        return result.primary.entity_scores
-    raise InputError(f"unknown basis {basis!r}")
+    return result.primary.entity_scores
 
 
 def _rank_tables(result: YearResult) -> dict[str, analytics.RankTable]:
     panel = result.panel
-    tables = {
-        "k_s": analytics.rank_entities(panel.entities, result.degree.totals,
-                                       "k_s", panel.year),
-        "composite_mean": analytics.rank_entities(
-            panel.entities, result.degree.composite_means,
-            "composite_mean", panel.year),
-        "D_s": analytics.rank_entities(panel.entities,
-                                       result.primary.entity_scores,
-                                       "D_s", panel.year),
-    }
+    tables = {basis: analytics.rank_entities(
+                  panel.entities, _basis_values(result, basis), basis, panel.year)
+              for basis in analytics.RANK_BASES}
     if result.spectral is not None and result.iterative is not None:
         tables["D_s_iterative"] = analytics.rank_entities(
             panel.entities, result.iterative.entity_scores, "D_s", panel.year)
@@ -310,7 +290,7 @@ def _rank_tables(result: YearResult) -> dict[str, analytics.RankTable]:
 
 def _bipartite_subset(table: analytics.RankTable, size: int = 8) -> tuple[str, ...]:
     """Entities sampled evenly across the ranking ladder."""
-    ordered = table.entities()
+    ordered = table.entities
     if len(ordered) <= size:
         return ordered
     picks = np.round(np.linspace(0, len(ordered) - 1, size)).astype(int)
@@ -352,13 +332,8 @@ def cmd_compute(config: RunConfig) -> int:
         write(f"scores_entities_{label}.csv", report.emit_table(_entity_table(result)))
         write(f"scores_categories_{label}.csv",
               report.emit_table(_category_table(result)))
-        write(f"ranks_k_s_{label}.csv", report.emit_table(tables["k_s"]))
-        write(f"ranks_composite_mean_{label}.csv",
-              report.emit_table(tables["composite_mean"]))
-        write(f"ranks_D_s_{label}.csv", report.emit_table(tables["D_s"]))
-        if "D_s_iterative" in tables:
-            write(f"ranks_D_s_iterative_{label}.csv",
-                  report.emit_table(tables["D_s_iterative"]))
+        for key, table in tables.items():
+            write(f"ranks_{key}_{label}.csv", report.emit_table(table))
 
         if result.spectral is not None and result.iterative is not None:
             agreement_rows.append(
@@ -468,9 +443,10 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     side_by_side = report.TableData(
         ("entity", f"score_{basis_a}", f"rank_{basis_a}",
          f"score_{basis_b}", f"rank_{basis_b}"),
-        tuple((row.entity, row.score, row.rank,
-               score_b[partner[row.entity]], rank_b[partner[row.entity]])
-              for row in table_a.rows))
+        tuple((entity, score, rank,
+               score_b[partner[entity]], rank_b[partner[entity]])
+              for rank, (entity, score) in enumerate(
+                  zip(table_a.entities, table_a.scores), start=1)))
 
     text = report.emit_table(side_by_side)
     print(f"spearman rho ({basis_a} vs {basis_b}) = {rho:.6f}")

@@ -107,7 +107,6 @@ class ComplexityScores:
     entity_scores: np.ndarray
     category_scores: np.ndarray
     method: str
-    normalization: str = "mean-one"
     entity_eigenvalue: float | None = None
     category_eigenvalue: float | None = None
 
@@ -276,7 +275,9 @@ def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
     Stops when the entrywise relative change of both vectors drops to
     ``tol`` (L-infinity). Non-convergence is not an exception: the last
     iterate is returned with ``converged=False`` in the trace so callers
-    can decide what to do with it.
+    can decide what to do with it. An update that is not all finite and
+    positive (some scores flowing to zero or overflowing) also stops the
+    run as not converged; the previous iterate is kept.
     """
     deg = degree_index(panel)
     adjusted_ubiquity(panel, deg)  # reject degenerate columns up front
@@ -287,8 +288,12 @@ def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
     converged = False
     residual = np.inf
     for _ in range(max_steps):
-        entity_new, category_new = _fitness_update(
-            panel.scores, entity_scores, category_scores)
+        with np.errstate(all="ignore"):
+            entity_new, category_new = _fitness_update(
+                panel.scores, entity_scores, category_scores)
+        if not all(np.isfinite(v).all() and (v > 0).all()
+                   for v in (entity_new, category_new)):
+            break
         residual = max(
             float(np.max(np.abs(entity_new - entity_scores) / entity_scores)),
             float(np.max(np.abs(category_new - category_scores) / category_scores)))

@@ -46,21 +46,14 @@ class ScorePanel:
 
 
 @dataclass(frozen=True)
-class IndicatorRecord:
-    """One indicator-level score for an (entity, category) cell."""
-
-    entity: str
-    category: str
-    indicator: str
-    value: float
-
-
-@dataclass(frozen=True)
 class IndicatorTable:
-    """Long-form indicator scores for one year."""
+    """Long-form indicator scores for one year, one parallel column each."""
 
     year: str
-    rows: tuple[IndicatorRecord, ...]
+    entities: tuple[str, ...] = ()
+    categories: tuple[str, ...] = ()
+    indicators: tuple[str, ...] = ()
+    values: tuple[float, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -223,6 +216,15 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
     return ScorePanel(str(year), entities, categories, scores, missing_mask)
 
 
+def _csv_rows(csv_text: str) -> list[list[str]]:
+    """The non-empty rows of a CSV text; reader errors become InputError."""
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+
+
 def parse_panel(csv_text: str, year: str) -> ScorePanel:
     """Parse a wide-form panel CSV into a validated ScorePanel.
 
@@ -230,8 +232,7 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     entity, empty cells meaning missing. Raises InputError with row/column
     coordinates for any malformed cell.
     """
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [row for row in reader if row]
+    rows = _csv_rows(csv_text)
     if not rows:
         raise InputError("empty panel file")
     header = [cell.strip() for cell in rows[0]]
@@ -281,8 +282,11 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
 def panel_to_csv(panel: ScorePanel) -> str:
     """Serialize a panel back to its CSV form.
 
-    Floats are written with shortest round-trip precision so that
-    ``parse_panel(panel_to_csv(p), p.year)`` reproduces ``p`` exactly.
+    Floats are written with shortest round-trip precision, so
+    ``parse_panel(panel_to_csv(p), p.year)`` reproduces ``p`` exactly
+    whenever no entity or category id has leading or trailing whitespace
+    (the parser strips cells) or contains a carriage return (which the
+    writer leaves unquoted).
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -300,8 +304,7 @@ def panel_to_csv(panel: ScorePanel) -> str:
 
 def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
     """Parse a long-form indicator CSV (``entity,category,indicator,value``)."""
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = [row for row in reader if row]
+    rows = _csv_rows(csv_text)
     if not rows:
         raise InputError("empty indicator file")
     header = [cell.strip().lower() for cell in rows[0]]
@@ -309,7 +312,7 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
         raise InputError(
             "indicator header must be 'entity,category,indicator,value', "
             f"got {','.join(header)!r}")
-    records: list[IndicatorRecord] = []
+    records: list[tuple[str, str, str, float]] = []
     for r, row in enumerate(rows[1:], start=2):
         cells = [cell.strip() for cell in row]
         if len(cells) != 4:
@@ -318,8 +321,9 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
             value = float(cells[3])
         except ValueError:
             raise InputError(f"non-numeric value {cells[3]!r} at row {r}") from None
-        records.append(IndicatorRecord(cells[0], cells[1], cells[2], value))
-    return IndicatorTable(str(year), tuple(records))
+        records.append((cells[0], cells[1], cells[2], value))
+    # Rows to columns; with no rows the columns keep their empty defaults.
+    return IndicatorTable(str(year), *zip(*records))
 
 
 def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
@@ -330,23 +334,25 @@ def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
     become missing cells. The mean uses an exactly rounded sum, so the
     result does not depend on indicator order.
     """
-    if not table.rows:
+    if not table.values:
         raise InputError("indicator table is empty")
     seen: set[tuple[str, str, str]] = set()
     cells: dict[tuple[str, str], list[float]] = {}
-    for rec in table.rows:
-        key = (rec.entity, rec.category, rec.indicator)
+    for entity, category, indicator, value in zip(
+            table.entities, table.categories, table.indicators, table.values,
+            strict=True):
+        key = (entity, category, indicator)
         if key in seen:
             raise InputError(
-                f"duplicate indicator {rec.indicator!r} for entity "
-                f"{rec.entity!r}, category {rec.category!r}")
+                f"duplicate indicator {indicator!r} for entity "
+                f"{entity!r}, category {category!r}")
         seen.add(key)
-        if not math.isfinite(rec.value) or rec.value < 0 or rec.value > 100:
+        if not math.isfinite(value) or value < 0 or value > 100:
             raise InputError(
-                f"indicator value {rec.value} out of range [0, 100] for "
-                f"entity {rec.entity!r}, category {rec.category!r}, "
-                f"indicator {rec.indicator!r}")
-        cells.setdefault((rec.entity, rec.category), []).append(rec.value)
+                f"indicator value {value} out of range [0, 100] for "
+                f"entity {entity!r}, category {category!r}, "
+                f"indicator {indicator!r}")
+        cells.setdefault((entity, category), []).append(value)
 
     # Positions in order of first appearance.
     row_of = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in cells))}
@@ -481,9 +487,3 @@ def align_rosters(earlier: Sequence[str], later: Sequence[str],
     order = {e: i for i, e in enumerate(later)}
     links.sort(key=lambda link: order[link.entity])
     return Alignment(tuple(links), retired)
-
-
-def align_panels(a: ScorePanel, b: ScorePanel,
-                 emap: EntityMap | None = None) -> Alignment:
-    """Align the entity rosters of two panels (earlier ``a``, later ``b``)."""
-    return align_rosters(a.entities, b.entities, emap)

@@ -159,16 +159,16 @@ def to_table(data) -> TableData:
     if isinstance(data, RankTable):
         return TableData(
             ("entity", "score", "rank", "tied"),
-            tuple((r.entity, r.score, r.rank, r.tied) for r in data.rows))
+            tuple(zip(data.entities, data.scores,
+                      range(1, len(data.entities) + 1), data.tied)))
     if isinstance(data, GoalWeights):
         return TableData(
             ("category", "weight"),
-            tuple(zip(data.categories, (float(v) for v in data.values))))
+            tuple(zip(data.categories, data.values.tolist())))
     if isinstance(data, WeightsEvolution):
         return TableData(
             ("category", *data.years),
-            tuple((c, *(float(v) for v in data.values[i]))
-                  for i, c in enumerate(data.categories)))
+            tuple((c, *row) for c, row in zip(data.categories, data.values.tolist())))
     if isinstance(data, Sequence) and all(isinstance(x, Finding) for x in data):
         return TableData(
             ("severity", "code", "message", "entity", "category"),

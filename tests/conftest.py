@@ -43,6 +43,23 @@ def near_block():
 
 
 @pytest.fixture
+def structural_zeros():
+    """300 x 17 panel whose first 200 entities score 0 in the last 7
+    categories, built from a fixed formula.
+
+    Scaling it to uniform marginals needs 17 * 200 <= 300 * 10, which
+    fails, so no positive fixed point exists: the fitness of those
+    entities flows to zero, and from step 4162 the update is no longer
+    finite and positive.
+    """
+    row, col = np.arange(300)[:, None], np.arange(17)
+    scores = 10.0 + (row * 37 + col * 11) % 81
+    scores[:200, 10:] = 0.0
+    return make_panel("2024", [f"e{i:03d}" for i in range(300)],
+                      [f"c{j:02d}" for j in range(17)], scores)
+
+
+@pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
 

@@ -241,8 +241,7 @@ def test_criterion_6_total_vs_mean_rank_equivalence():
                                      panel.year)
             by_mean = rank_entities(panel.entities, deg.composite_means,
                                     "composite_mean", panel.year)
-            assert [(r.entity, r.rank) for r in by_total.rows] == \
-                   [(r.entity, r.rank) for r in by_mean.rows]
+            assert by_total.rank_of() == by_mean.rank_of()
 
 
 def test_criterion_7_pipeline_determinism(tmp_path, capsys):

@@ -75,20 +75,19 @@ class TestWeightedPerformance:
 class TestRankEntities:
     def test_worked_2x2_scores(self):
         table = rank_entities(["a", "b"], [1.5352, 0.4648], "D_s", "2024")
-        assert [(r.entity, r.rank) for r in table.rows] == [("a", 1), ("b", 2)]
+        assert table.rank_of() == {"a": 1, "b": 2}
 
     def test_tie_broken_lexicographically_and_flagged(self):
         table = rank_entities(["zed", "ann", "mid"], [5.0, 5.0, 7.0], "k_s", "y")
-        assert [(r.entity, r.rank) for r in table.rows] == [
-            ("mid", 1), ("ann", 2), ("zed", 3)]
-        assert [r.tied for r in table.rows] == [False, True, True]
+        assert table.rank_of() == {"mid": 1, "ann": 2, "zed": 3}
+        assert list(table.tied) == [False, True, True]
 
     def test_full_permutation(self):
         rng = np.random.default_rng(22)
         values = rng.uniform(0, 100, size=36)
         table = rank_entities([f"e{i:02d}" for i in range(36)], values,
                               "k_s", "2024")
-        assert sorted(r.rank for r in table.rows) == list(range(1, 37))
+        assert sorted(table.rank_of().values()) == list(range(1, 37))
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
@@ -180,7 +179,7 @@ class TestTertileGroups:
         members = [e for group in profile.groups for e in group]
         assert sorted(members) == sorted(panel.entities)
         assert [len(g) for g in profile.groups] == [4, 4, 3]
-        assert profile.groups[0] == table.entities()[:4]
+        assert profile.groups[0] == table.entities[:4]
 
     def test_identical_performance_identical_curves(self):
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],

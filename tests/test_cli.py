@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,6 +18,8 @@ INDICATORS_2X2 = ("entity,category,indicator,value\n"
                   "a,g1,k1,40\na,g1,k2,60\na,g2,k1,10\n"
                   "b,g1,k1,20\nb,g2,k1,30\n")
 DISTINCT_3X2 = "entity,g1,g2\na,50,40\nb,30,20\nc,10,5\n"
+# One field longer than the csv module's default limit of 128 KiB.
+BIG_FIELD = "x" * (128 * 1024 + 1)
 # sha256 of every file `compute` writes for the bundled dataset, recorded
 # from the code before any rewrite of the scoring or emit paths.
 FIXTURE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -30,6 +34,13 @@ def write(tmp_path, name, text):
 
 def read_csv(path):
     return [line.split(",") for line in path.read_text().strip().split("\n")]
+
+
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so stderr is exactly what a
+    user would see."""
+    return subprocess.run([sys.executable, "-m", "panelrank.cli", *args],
+                          capture_output=True, text=True)
 
 
 class TestCompute:
@@ -98,6 +109,44 @@ class TestCompute:
         assert rc == 0
         assert (tmp_path / "out" / "ranks_D_s_2024.csv").exists()
         assert "did not converge" in capsys.readouterr().err
+
+    def test_structural_zeros_allow_nonconverged_exits_0(self, tmp_path,
+                                                          structural_zeros):
+        panel = write(tmp_path, "p.csv", panel_to_csv(structural_zeros))
+        result = run_cli("compute", "--panel", "2024=" + panel,
+                         "--allow-nonconverged", "--max-steps", "5000",
+                         "--out", str(tmp_path / "out"), "--charts", "none")
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == (
+            "warning: year 2024: fixed-point iteration did not converge; "
+            "using last iterate (--allow-nonconverged)\n")
+        assert (tmp_path / "out" / "ranks_D_s_iterative_2024.csv").exists()
+
+    def test_structural_zeros_exit_3_with_finite_residual(self, tmp_path,
+                                                           structural_zeros):
+        panel = write(tmp_path, "p.csv", panel_to_csv(structural_zeros))
+        result = run_cli("compute", "--panel", "2024=" + panel,
+                         "--max-steps", "5000",
+                         "--out", str(tmp_path / "out"), "--charts", "none")
+        assert result.returncode == 3
+        assert "RuntimeWarning" not in result.stderr
+        found = re.search(r"after (\d+) steps \(last residual (\S+?)[;)]",
+                          result.stderr)
+        assert found, result.stderr
+        assert int(found[1]) < 5000
+        assert math.isfinite(float(found[2]))
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--panel", f"entity,g1,g2\n{BIG_FIELD},1,2\nb,3,4\n"),
+        ("--indicators", "entity,category,indicator,value\n"
+                         f"a,g1,{BIG_FIELD},10\n")], ids=["panel", "indicators"])
+    def test_oversized_csv_field_exits_1(self, tmp_path, capsys, flag, text):
+        path = write(tmp_path, "in.csv", text)
+        rc = main(["compute", flag, "2024=" + path,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1  # main returned: no exception escaped
+        assert capsys.readouterr().err.startswith(
+            "error: unreadable CSV at line 2: field larger")
 
     def test_indicator_input(self, tmp_path, capsys):
         indicators = write(tmp_path, "ind.csv", INDICATORS_2X2)
@@ -296,6 +345,22 @@ class TestValidate:
         rc = main(["validate", "--indicators", "2019=" + indicators])
         assert rc == 1
         assert "2019: error:" in capsys.readouterr().out
+
+    def test_oversized_csv_field_reported_and_next_input_checked(
+            self, tmp_path, capsys, data_dir):
+        panel = write(tmp_path, "p.csv", f"entity,g1,g2\n{BIG_FIELD},1,2\n")
+        indicators = write(tmp_path, "ind.csv",
+                           "entity,category,indicator,value\n"
+                           f"a,g1,k1,{BIG_FIELD}\n")
+        rc = main(["validate", "--panel", "2022=" + panel,
+                   "--indicators", "2023=" + indicators,
+                   "--panel", f"2024={data_dir / 'panel_2024.csv'}"])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[:2] for line in lines] == [
+            ["2022", "error"], ["2023", "error"], ["2024", "ok"]]
+        assert all("field larger than field limit" in line
+                   for line in lines[:2])
 
     def test_no_inputs_exit_1(self, capsys):
         rc = main(["validate"])

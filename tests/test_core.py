@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,17 @@ class TestFitnessStep:
 
 
 class TestRunFitness:
+    def test_stops_before_scores_leave_the_positive_floats(self,
+                                                           structural_zeros):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores, trace = run_fitness(structural_zeros, max_steps=5000)
+        assert not trace.converged
+        assert trace.steps == len(trace.residuals) < 5000
+        assert np.isfinite(trace.final_residual)
+        for values in (scores.entity_scores, scores.category_scores):
+            assert np.isfinite(values).all() and (values > 0).all()
+
     def test_uniform_converges_one_step(self):
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],
                            np.full((3, 2), 7.0))

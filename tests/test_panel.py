@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from panelrank import (EntityMap, InputError, aggregate_indicators,
-                       align_panels, align_rosters, make_panel, panel_to_csv,
-                       parse_indicator_csv, parse_panel, validate_panel)
-from panelrank.panel import IndicatorRecord, IndicatorTable
+from panelrank import (EntityMap, IndicatorTable, InputError,
+                       aggregate_indicators, align_rosters, make_panel,
+                       panel_to_csv, parse_indicator_csv, parse_panel,
+                       validate_panel)
 
 from conftest import random_panel
 
@@ -103,8 +103,7 @@ class TestRoundTrip:
 
 class TestAggregateIndicators:
     def make_table(self, rows):
-        return IndicatorTable("2024", tuple(
-            IndicatorRecord(e, c, k, v) for e, c, k, v in rows))
+        return IndicatorTable("2024", *zip(*rows))
 
     def test_two_point_mean(self):
         table = self.make_table([
@@ -212,7 +211,7 @@ class TestValidatePanel:
 
 class TestAlignment:
     def test_identity(self, worked_3x2):
-        alignment = align_panels(worked_3x2, worked_3x2)
+        alignment = align_rosters(worked_3x2.entities, worked_3x2.entities)
         assert {l.entity: l.kind for l in alignment.links} == {
             "a": "unchanged", "b": "unchanged", "c": "unchanged"}
         assert alignment.retired == ()

@@ -400,7 +400,7 @@ def recorded_outputs() -> dict[str, str]:
 
     values = (row[:, 0] * 37 % 60).astype(float)  # tied rank values
     table = rank_entities(entities, values, "k_s", "2024")
-    bottom = set(table.entities()[-tertile_sizes(n)[2]:])
+    bottom = set(table.entities[-tertile_sizes(n)[2]:])
     scores = ((row * 37 + col * 11) % 101).astype(float)
     mask = (row * 13 + col * 7) % 20 == 0
     mask[:, 0] = False
