@@ -8,7 +8,6 @@ by every mean.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,12 +127,18 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
         raise InputError("entities and values must have equal length")
     if not np.isfinite(values).all():
         raise InputError("rank values must be finite")
-    scores = values.tolist()
-    order = sorted(range(len(entities)), key=lambda i: (-scores[i], entities[i]))
-    counts = Counter(scores)
-    return RankTable(year, basis, tuple(entities[i] for i in order),
-                     tuple(scores[i] for i in order),
-                     tuple(counts[scores[i]] > 1 for i in order))
+    # Each id's position in Python string order (a numpy "U" array would
+    # drop trailing NULs), then one sort by descending value, ties by id.
+    # Sorting and np.unique both treat 0.0 and -0.0 as equal.
+    n = len(entities)
+    pos = np.empty(n, dtype=np.intp)
+    pos[sorted(range(n), key=entities.__getitem__)] = np.arange(n)
+    order = np.lexsort((pos, -values))
+    _, inverse, counts = np.unique(values, return_inverse=True,
+                                   return_counts=True)
+    return RankTable(year, basis, tuple([entities[i] for i in order.tolist()]),
+                     tuple(values[order].tolist()),
+                     tuple((counts[inverse] > 1)[order].tolist()))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

@@ -247,25 +247,25 @@ def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
 
 def _entity_table(result: YearResult) -> report.TableData:
     deg = result.degree
-    columns = ["entity", "total_score", "applicable_count", "composite_mean"]
-    values = [result.panel.entities, deg.totals.tolist(),
-              deg.applicable_counts.tolist(), deg.composite_means.tolist()]
+    header = ["entity", "total_score", "applicable_count", "composite_mean"]
+    columns = [result.panel.entities, deg.totals, deg.applicable_counts,
+               deg.composite_means]
     for scores in (result.spectral, result.iterative):
         if scores is not None:
-            columns.append(f"complexity_{scores.method}")
-            values.append(scores.entity_scores.tolist())
-    return report.TableData(tuple(columns), tuple(zip(*values)))
+            header.append(f"complexity_{scores.method}")
+            columns.append(scores.entity_scores)
+    return report.TableData(tuple(header), tuple(columns))
 
 
 def _category_table(result: YearResult) -> report.TableData:
-    columns = ["category", "adjusted_ubiquity"]
-    values = [result.panel.categories, result.ubiquity.values.tolist()]
+    header = ["category", "adjusted_ubiquity"]
+    columns = [result.panel.categories, result.ubiquity.values]
     for scores in (result.spectral, result.iterative):
         if scores is not None:
             weights = analytics.goal_weights(scores, result.ubiquity)
-            columns += [f"complexity_{scores.method}", f"weight_{scores.method}"]
-            values += [scores.category_scores.tolist(), weights.values.tolist()]
-    return report.TableData(tuple(columns), tuple(zip(*values)))
+            header += [f"complexity_{scores.method}", f"weight_{scores.method}"]
+            columns += [scores.category_scores, weights.values]
+    return report.TableData(tuple(header), tuple(columns))
 
 
 def _basis_values(result: YearResult, basis: str) -> np.ndarray:
@@ -318,7 +318,8 @@ def cmd_compute(config: RunConfig) -> int:
 
     results = [compute_year(panel, config, warn) for panel in panels]
 
-    agreement_rows = []
+    agreement_years: list[str] = []
+    agreement_rhos: list[float] = []
     rank_history: list[analytics.RankTable] = []
     rank_history_ds: list[analytics.RankTable] = []
     weights_history: list[analytics.GoalWeights] = []
@@ -336,9 +337,9 @@ def cmd_compute(config: RunConfig) -> int:
             write(f"ranks_{key}_{label}.csv", report.emit_table(table))
 
         if result.spectral is not None and result.iterative is not None:
-            agreement_rows.append(
-                (panel.year, analytics.spearman(result.spectral.entity_scores,
-                                                result.iterative.entity_scores)))
+            agreement_years.append(panel.year)
+            agreement_rhos.append(analytics.spearman(
+                result.spectral.entity_scores, result.iterative.entity_scores))
 
         weights = analytics.goal_weights(result.primary, result.ubiquity)
         weights_history.append(weights)
@@ -373,9 +374,9 @@ def cmd_compute(config: RunConfig) -> int:
                     report.ChartSpec("weighted_lines",
                                      title=f"Weighted performance {panel.year}")))
 
-    if agreement_rows:
+    if agreement_years:
         write("method_agreement.csv", report.emit_table(report.TableData(
-            ("year", "spearman_rho"), tuple(agreement_rows))))
+            ("year", "spearman_rho"), (agreement_years, agreement_rhos))))
 
     if "rank_bump" in config.charts:
         write("rank_bump_k_s.svg", report.emit_rank_bump(
@@ -440,13 +441,12 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     rank_b = table_b.rank_of()
     score_b = table_b.score_of()
     partner = dict(pairs)
+    partners = [partner[entity] for entity in table_a.entities]
     side_by_side = report.TableData(
         ("entity", f"score_{basis_a}", f"rank_{basis_a}",
          f"score_{basis_b}", f"rank_{basis_b}"),
-        tuple((entity, score, rank,
-               score_b[partner[entity]], rank_b[partner[entity]])
-              for rank, (entity, score) in enumerate(
-                  zip(table_a.entities, table_a.scores), start=1)))
+        (table_a.entities, table_a.scores, range(1, len(pairs) + 1),
+         [score_b[b] for b in partners], [rank_b[b] for b in partners]))
 
     text = report.emit_table(side_by_side)
     print(f"spearman rho ({basis_a} vs {basis_b}) = {rho:.6f}")

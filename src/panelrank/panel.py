@@ -164,9 +164,9 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
                scores: np.ndarray, missing_mask: np.ndarray | None = None) -> ScorePanel:
     """Build a validated, immutable ScorePanel.
 
-    Enforces the structural invariants: unique ids, at least a 2x2 shape,
-    present scores within [0, 100], no all-missing row or column, and at
-    least one row with a nonzero total.
+    Enforces the structural invariants: unique ids without a carriage
+    return, at least a 2x2 shape, present scores within [0, 100], no
+    all-missing row or column, and at least one row with a nonzero total.
     """
     entities = tuple(str(e) for e in entities)
     categories = tuple(str(c) for c in categories)
@@ -190,6 +190,11 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
         raise InputError(f"duplicate category ids: {', '.join(dupes)}")
     if len(entities) < 2 or len(categories) < 2:
         raise InputError("a panel needs at least 2 entities and 2 categories")
+    # No file input can hold one (reading translates newlines), and the
+    # CSV writer would leave it unquoted.
+    bad = [name for name in (*entities, *categories) if "\r" in name]
+    if bad:
+        raise InputError(f"id {bad[0]!r} contains a carriage return")
 
     present = ~missing_mask
     if not np.isfinite(scores[present]).all():
@@ -285,8 +290,8 @@ def panel_to_csv(panel: ScorePanel) -> str:
     Floats are written with shortest round-trip precision, so
     ``parse_panel(panel_to_csv(p), p.year)`` reproduces ``p`` exactly
     whenever no entity or category id has leading or trailing whitespace
-    (the parser strips cells) or contains a carriage return (which the
-    writer leaves unquoted).
+    (the parser strips cells). ``make_panel`` rejects ids holding a
+    carriage return, which the writer would leave unquoted.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

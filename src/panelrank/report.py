@@ -15,7 +15,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from html import escape
 from typing import Sequence
@@ -53,10 +53,21 @@ class ChartSpec:
 
 @dataclass(frozen=True)
 class TableData:
-    """Generic rectangular table for emit_table."""
+    """Generic table for emit_table: a header and one column per name.
 
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...] = field(default_factory=tuple)
+    ``columns[k]`` holds the cells under ``header[k]``, top to bottom, as
+    a tuple, list or 1-D numpy array; all columns have equal length.
+    """
+
+    header: tuple[str, ...]
+    columns: tuple[Sequence, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.columns) != len(self.header):
+            raise InputError(f"table has {len(self.header)} names but "
+                             f"{len(self.columns)} columns")
+        if len({len(column) for column in self.columns}) > 1:
+            raise InputError("table columns must have equal lengths")
 
 
 # Parsed once per colour string: ChartSpec validation fills the cache and
@@ -128,12 +139,12 @@ def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
 
 
 def _cell_text(value) -> str:
-    # Floats first: they are most cells, and no bool is a float.
+    # No bool is a float, so floats can be tested first.
     if isinstance(value, (float, np.floating)):
         return "" if math.isnan(value) else f"{float(value):.6f}"
     if type(value) is str:
         return value
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -143,8 +154,8 @@ def _cell_text(value) -> str:
 
 
 def _cell_json(value):
-    if isinstance(value, bool):
-        return value
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
@@ -152,28 +163,67 @@ def _cell_json(value):
     return value
 
 
+# Element type of a single-typed column -> its kind; exact types, so a
+# bool is not an int and a numpy scalar or a str subclass is "mixed".
+_KIND_OF_TYPE = {float: "f", bool: "b", int: "i", str: "U"}
+
+
+def _column_kind(column) -> tuple[str, Sequence]:
+    """The column's element kind and its cells.
+
+    Kinds are "f" (float), "b" (bool), "i" (int) and "U" (str), whose cells
+    come back as Python values, and "O" for mixed, object or other
+    columns, whose cells keep their own types.
+    """
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind in "fbiu":
+            return kind.replace("u", "i"), column.tolist()
+        return "O", column
+    types = set(map(type, column))
+    return (_KIND_OF_TYPE.get(types.pop(), "O") if len(types) == 1 else "O",
+            column)
+
+
+def _text_column(column) -> Sequence[str]:
+    kind, cells = _column_kind(column)
+    if kind == "f":
+        return ["" if v != v else f"{v:.6f}" for v in cells]
+    if kind == "U":
+        return cells
+    if kind == "b":
+        return ["true" if v else "false" for v in cells]
+    if kind == "i":
+        return list(map(str, cells))
+    return list(map(_cell_text, cells))
+
+
+def _json_column(column) -> Sequence:
+    kind, cells = _column_kind(column)
+    if kind == "f":
+        return [None if v != v else round(v, 6) for v in cells]
+    if kind == "O":
+        return list(map(_cell_json, cells))
+    return cells
+
+
 def to_table(data) -> TableData:
     """Normalize a supported result type into a generic table."""
     if isinstance(data, TableData):
         return data
     if isinstance(data, RankTable):
-        return TableData(
-            ("entity", "score", "rank", "tied"),
-            tuple(zip(data.entities, data.scores,
-                      range(1, len(data.entities) + 1), data.tied)))
+        return TableData(("entity", "score", "rank", "tied"),
+                         (data.entities, data.scores,
+                          range(1, len(data.entities) + 1), data.tied))
     if isinstance(data, GoalWeights):
-        return TableData(
-            ("category", "weight"),
-            tuple(zip(data.categories, data.values.tolist())))
+        return TableData(("category", "weight"), (data.categories, data.values))
     if isinstance(data, WeightsEvolution):
-        return TableData(
-            ("category", *data.years),
-            tuple((c, *row) for c, row in zip(data.categories, data.values.tolist())))
+        return TableData(("category", *data.years),
+                         (data.categories, *data.values.T))
     if isinstance(data, Sequence) and all(isinstance(x, Finding) for x in data):
-        return TableData(
-            ("severity", "code", "message", "entity", "category"),
-            tuple((f.severity, f.code, f.message, f.entity, f.category)
-                  for f in data))
+        header = ("severity", "code", "message", "entity", "category")
+        return TableData(header, tuple(tuple(getattr(f, name) for f in data)
+                                       for name in header))
     raise InputError(f"cannot serialize {type(data).__name__} as a table")
 
 
@@ -182,19 +232,19 @@ def emit_table(data, format: str = "csv") -> str:
 
     Column order is fixed by the input type; floats are written with six
     decimal places ('.' separator); missing values are empty cells (CSV)
-    or null (JSON).
+    or null (JSON). Each column is formatted once by its element type;
+    only mixed or object columns are formatted cell by cell.
     """
     table = to_table(data)
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(table.columns)
-        for row in table.rows:
-            writer.writerow([_cell_text(v) for v in row])
+        writer.writerow(table.header)
+        writer.writerows(zip(*map(_text_column, table.columns)))
         return out.getvalue()
     if format == "json":
-        doc = {"columns": list(table.columns),
-               "rows": [[_cell_json(v) for v in row] for row in table.rows]}
+        doc = {"columns": list(table.header),
+               "rows": list(zip(*map(_json_column, table.columns)))}
         return json.dumps(doc, indent=2) + "\n"
     raise InputError(f"unknown table format {format!r}")
 

@@ -3,13 +3,18 @@
 Everything in this module is deliberately written without touching the
 package under test (and without numpy.linalg eigensolvers), so agreement
 between the two is meaningful: a brute-force Jacobi eigensolver, a
-closed-form 2x2 eigenpair from the characteristic polynomial, and the
-textbook Spearman formula for tie-free rankings.
+closed-form 2x2 eigenpair from the characteristic polynomial, the
+textbook Spearman formula for tie-free rankings, and the row-by-row table
+writer and sort-based ranker that the columnar ones replaced.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -99,3 +104,55 @@ def direction_gap(u, v) -> float:
     v = v / np.linalg.norm(v)
     sign = 1.0 if float(u @ v) >= 0 else -1.0
     return float(np.max(np.abs(u - sign * v)))
+
+
+def _cell_text(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return "" if math.isnan(value) else f"{float(value):.6f}"
+    if type(value) is str:
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return ""
+    return str(value)
+
+
+def _cell_json(value):
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return None if math.isnan(value) else round(float(value), 6)
+    return value
+
+
+def table_by_rows(header, rows, format: str = "csv") -> str:
+    """CSV or JSON text of a table, formatted one cell at a time."""
+    if format == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell_text(v) for v in row])
+        return out.getvalue()
+    doc = {"columns": list(header),
+           "rows": [[_cell_json(v) for v in row] for row in rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def rank_by_sort(entities, values):
+    """(entities, scores, tied) in rank order: descending value, ties by id.
+
+    A score is tied when another entity has an equal one (so 0.0 and -0.0
+    tie).
+    """
+    entities = [str(e) for e in entities]
+    scores = [float(v) for v in values]
+    order = sorted(range(len(entities)), key=lambda i: (-scores[i], entities[i]))
+    counts = Counter(scores)
+    return (tuple(entities[i] for i in order), tuple(scores[i] for i in order),
+            tuple(counts[scores[i]] > 1 for i in order))

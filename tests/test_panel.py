@@ -71,6 +71,14 @@ class TestParsePanel:
         with pytest.raises(InputError, match="at least 2"):
             parse_panel("entity,c1,c2\na,10,20\n", "y")
 
+    @pytest.mark.parametrize("text", [
+        'entity,c1,c2\n"a\rb",10,20\nz,30,40\n',
+        'entity,"c\r1",c2\na,10,20\nz,30,40\n'])
+    def test_carriage_return_in_id(self, text):
+        # panel_to_csv would write it unquoted, which the reader rejects.
+        with pytest.raises(InputError, match="carriage return"):
+            parse_panel(text, "y")
+
     def test_bundled_fixture_parses(self, data_dir):
         text = (data_dir / "panel_2024.csv").read_text()
         panel = parse_panel(text, "2024")

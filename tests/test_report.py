@@ -1,9 +1,11 @@
 import hashlib
+import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from panelrank import cli, report
 from panelrank import (ChartSpec, GoalWeights, InputError, TableData,
                        degree_index, emit_bipartite, emit_grouped_bars,
                        emit_heatmap, emit_rank_bump, emit_table,
@@ -50,8 +52,7 @@ class TestEmitTable:
         assert lines[1] == "warning,x,msg,e,"
 
     def test_json_format(self):
-        import json
-        table = TableData(("a", "b"), ((1, 2 / 3), (2, float("nan"))))
+        table = TableData(("a", "b"), ((1, 2), (2 / 3, float("nan"))))
         doc = json.loads(emit_table(table, "json"))
         assert doc["columns"] == ["a", "b"]
         assert doc["rows"][0] == [1, 0.666667]
@@ -63,7 +64,37 @@ class TestEmitTable:
 
     def test_unknown_format(self):
         with pytest.raises(InputError, match="format"):
-            emit_table(TableData(("a",), ()), "xml")
+            emit_table(TableData(("a",), ((),)), "xml")
+
+    @pytest.mark.parametrize("column, text, rows", [
+        ((np.True_,), "a\ntrue\n", [[True]]),
+        (np.array([True, False]), "a\ntrue\nfalse\n", [[True], [False]])])
+    def test_numpy_bools(self, column, text, rows):
+        table = TableData(("a",), (column,))
+        assert emit_table(table) == text
+        assert json.loads(emit_table(table, "json"))["rows"] == rows
+
+    @pytest.mark.parametrize("header, columns", [
+        (("a", "b"), (("x",),)),
+        (("a", "b"), (("x",), ("y", "z")))])
+    def test_malformed_columns_rejected(self, header, columns):
+        with pytest.raises(InputError, match="columns"):
+            TableData(header, columns)
+
+    def test_typed_columns_not_formatted_per_cell(self, monkeypatch):
+        # Rank tables, weights and the CLI's entity-score table hold only
+        # single-typed columns, so no cell goes through the per-cell path.
+        calls = []
+        monkeypatch.setattr(report, "_cell_text", calls.append)
+        monkeypatch.setattr(report, "_cell_json", calls.append)
+        panel = random_panel(np.random.default_rng(3), 9, 4)
+        result = cli.compute_year(panel, cli.RunConfig(method="both"), print)
+        for data in (cli._rank_tables(result)["D_s"],
+                     weights_for(panel.categories, [0.5, 1.0, 1.5, 2.0]),
+                     cli._entity_table(result)):
+            for fmt in ("csv", "json"):
+                emit_table(data, fmt)
+        assert calls == []
 
 
 class TestChartSpec:
@@ -423,9 +454,9 @@ def recorded_outputs() -> dict[str, str]:
         weights_for(categories, weights.values * 1.1, "2023"), weights])
     mixed = TableData(
         ("entity", "score", "np_score", "rank", "tied", "note"),
-        tuple((e, float(v) if i % 17 else float("nan"), np.float64(v / 7),
-               np.int64(i), i % 2 == 0, None if i % 3 else "x,y")
-              for i, (e, v) in enumerate(zip(entities, values))))
+        tuple(zip(*((e, float(v) if i % 17 else float("nan"), np.float64(v / 7),
+                     np.int64(i), i % 2 == 0, None if i % 3 else "x,y")
+                    for i, (e, v) in enumerate(zip(entities, values))))))
 
     outputs = {
         "heatmap": emit_heatmap(panel, ChartSpec("heatmap", title='T & <"q">')),
