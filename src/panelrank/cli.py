@@ -193,8 +193,9 @@ def _parse_charts(raw: str) -> tuple[str, ...]:
 
 
 def _read_text(path: Path) -> str:
+    """The file's UTF-8 text, without the byte-order mark some tools write."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -313,7 +314,7 @@ def cmd_compute(config: RunConfig) -> int:
 
     def write(name: str, text: str) -> None:
         path = out / name
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="\n")
         written.append(path)
 
     results = [compute_year(panel, config, warn) for panel in panels]
@@ -458,7 +459,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
                 + ("" if first is last else f"_{_safe_label(last.panel.year)}")
                 + ".csv")
         path = config.out_dir / name
-        path.write_text(text, encoding="utf-8")
+        path.write_text(text, encoding="utf-8", newline="\n")
         print(path)
     return 0
 

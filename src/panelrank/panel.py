@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -164,9 +165,10 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
                scores: np.ndarray, missing_mask: np.ndarray | None = None) -> ScorePanel:
     """Build a validated, immutable ScorePanel.
 
-    Enforces the structural invariants: unique ids without a carriage
-    return, at least a 2x2 shape, present scores within [0, 100], no
-    all-missing row or column, and at least one row with a nonzero total.
+    Enforces the structural invariants: non-empty unique ids without a
+    carriage return, at least a 2x2 shape, present scores within [0, 100],
+    no all-missing row or column, and at least one row with a nonzero
+    total.
     """
     entities = tuple(str(e) for e in entities)
     categories = tuple(str(c) for c in categories)
@@ -182,6 +184,10 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
         raise InputError(
             f"scores shape {scores.shape} does not match "
             f"{len(entities)} entities x {len(categories)} categories")
+    if "" in entities:
+        raise InputError("an entity id is empty")
+    if "" in categories:
+        raise InputError("a category id is empty")
     if len(set(entities)) != len(entities):
         dupes = sorted({e for e in entities if entities.count(e) > 1})
         raise InputError(f"duplicate entity ids: {', '.join(dupes)}")
@@ -234,8 +240,9 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     """Parse a wide-form panel CSV into a validated ScorePanel.
 
     Expected layout: header ``entity,<cat1>,<cat2>,...``, one row per
-    entity, empty cells meaning missing. Raises InputError with row/column
-    coordinates for any malformed cell.
+    entity. Cells are stripped, and empty or whitespace-only cells mean
+    missing. Raises InputError with row/column coordinates for the first
+    malformed row or cell in row-major order.
     """
     rows = _csv_rows(csv_text)
     if not rows:
@@ -246,42 +253,58 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     if header[0].lower() != "entity":
         raise InputError(f"first header column must be 'entity', got {header[0]!r}")
     categories = header[1:]
+    body = rows[1:]
+    if not body:
+        raise InputError("panel file has a header but no data rows")
+    columns = _panel_columns(body, len(header))
+    if columns is None:
+        raise InputError(next(_panel_faults(body, header)))
+    entities, scores, missing = columns
+    return make_panel(year, entities, categories, scores, missing)
 
-    entities: list[str] = []
-    scores: list[list[float]] = []
-    missing: list[list[bool]] = []
-    for r, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
-            raise InputError(
-                f"row {r} has {len(cells)} cells, expected {len(header)}")
-        entities.append(cells[0])
-        score_row: list[float] = []
-        miss_row: list[bool] = []
-        for c, cell in enumerate(cells[1:]):
+
+def _panel_columns(body: list[list[str]], width: int):
+    """Entity ids, scores and missing mask of a panel's data rows, or None.
+
+    Every cell is stripped, converted and range-checked as part of one
+    flat column; None means some row or cell is malformed.
+    """
+    if set(map(len, body)) != {width}:
+        return None
+    cells = [cell.strip() for row in body for cell in row]
+    entities = cells[::width]
+    del cells[::width]
+    missing = np.fromiter(map(operator.not_, cells), bool, len(cells))
+    try:
+        values = np.fromiter(map(float, filter(None, cells)), float)
+    except ValueError:
+        return None
+    if not ((values >= 0) & (values <= 100)).all():
+        return None
+    scores = np.zeros(len(cells))
+    scores[~missing] = values
+    shape = (len(entities), width - 1)
+    return entities, scores.reshape(shape), missing.reshape(shape)
+
+
+def _panel_faults(body: list[list[str]], header: list[str]):
+    """Messages naming each malformed row or cell, in row-major order."""
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            yield f"row {r} has {len(row)} cells, expected {len(header)}"
+            continue
+        for category, cell in zip(header[1:], row[1:]):
+            cell = cell.strip()
             if cell == "":
-                score_row.append(0.0)
-                miss_row.append(True)
                 continue
             try:
                 value = float(cell)
             except ValueError:
-                raise InputError(
-                    f"non-numeric cell {cell!r} at row {r}, "
-                    f"column {categories[c]!r}") from None
-            if not math.isfinite(value) or value < 0 or value > 100:
-                raise InputError(
-                    f"score {value} out of range [0, 100] at row {r}, "
-                    f"column {categories[c]!r}")
-            score_row.append(value)
-            miss_row.append(False)
-        scores.append(score_row)
-        missing.append(miss_row)
-
-    if not entities:
-        raise InputError("panel file has a header but no data rows")
-    return make_panel(year, entities, categories,
-                      np.array(scores, dtype=float), np.array(missing, dtype=bool))
+                yield f"non-numeric cell {cell!r} at row {r}, column {category!r}"
+                continue
+            if not 0 <= value <= 100:
+                yield (f"score {value} out of range [0, 100] at row {r}, "
+                       f"column {category!r}")
 
 
 def panel_to_csv(panel: ScorePanel) -> str:
@@ -296,19 +319,18 @@ def panel_to_csv(panel: ScorePanel) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["entity", *panel.categories])
-    for i, entity in enumerate(panel.entities):
-        row: list[str] = [entity]
-        for j in range(panel.n_categories):
-            if panel.missing_mask[i, j]:
-                row.append("")
-            else:
-                row.append(repr(float(panel.scores[i, j])))
-        writer.writerow(row)
+    for entity, values, gaps in zip(panel.entities, panel.scores.tolist(),
+                                    panel.missing_mask.tolist()):
+        writer.writerow([entity, *("" if gap else repr(value)
+                                   for value, gap in zip(values, gaps))])
     return out.getvalue()
 
 
 def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
-    """Parse a long-form indicator CSV (``entity,category,indicator,value``)."""
+    """Parse a long-form indicator CSV (``entity,category,indicator,value``).
+
+    Cells are stripped; the value column is converted as one column.
+    """
     rows = _csv_rows(csv_text)
     if not rows:
         raise InputError("empty indicator file")
@@ -317,18 +339,39 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
         raise InputError(
             "indicator header must be 'entity,category,indicator,value', "
             f"got {','.join(header)!r}")
-    records: list[tuple[str, str, str, float]] = []
-    for r, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != 4:
-            raise InputError(f"row {r} has {len(cells)} cells, expected 4")
+    body = rows[1:]
+    if not body:
+        return IndicatorTable(str(year))
+    if set(map(len, body)) != {4}:
+        raise InputError(next(_indicator_row_faults(body)))
+    entities, categories, indicators, values = (
+        tuple(map(str.strip, column)) for column in zip(*body))
+    try:
+        values = tuple(map(float, values))
+    except ValueError:
+        raise InputError(next(_indicator_row_faults(body))) from None
+    return IndicatorTable(str(year), entities, categories, indicators, values)
+
+
+def _indicator_row_faults(body: list[list[str]]):
+    """Messages naming each malformed indicator row, in row order."""
+    for r, row in enumerate(body, start=2):
+        if len(row) != 4:
+            yield f"row {r} has {len(row)} cells, expected 4"
+            continue
+        value = row[3].strip()
         try:
-            value = float(cells[3])
+            float(value)
         except ValueError:
-            raise InputError(f"non-numeric value {cells[3]!r} at row {r}") from None
-        records.append((cells[0], cells[1], cells[2], value))
-    # Rows to columns; with no rows the columns keep their empty defaults.
-    return IndicatorTable(str(year), *zip(*records))
+            yield f"non-numeric value {value!r} at row {r}"
+
+
+def _factorize(column: Sequence) -> tuple[np.ndarray, tuple]:
+    """Integer codes of a column's values, numbered by first appearance,
+    and the distinct values in that order."""
+    code_of = {value: code for code, value in enumerate(dict.fromkeys(column))}
+    return (np.fromiter(map(code_of.__getitem__, column), np.intp, len(column)),
+            tuple(code_of))
 
 
 def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
@@ -337,38 +380,56 @@ def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
     Each (entity, category) cell becomes the arithmetic mean of its
     indicators; pairs with no indicators are treated as not applicable and
     become missing cells. The mean uses an exactly rounded sum, so the
-    result does not depend on indicator order.
+    result does not depend on indicator order. Entities and categories
+    keep their order of first appearance. A duplicate or out-of-range
+    record raises InputError naming the first such record.
     """
     if not table.values:
         raise InputError("indicator table is empty")
+    columns = (table.entities, table.categories, table.indicators, table.values)
+    if len(set(map(len, columns))) != 1:
+        raise InputError("indicator table columns differ in length")
+    entity_codes, entities = _factorize(table.entities)
+    category_codes, categories = _factorize(table.categories)
+    indicator_codes, _ = _factorize(table.indicators)
+    values = np.array(table.values, dtype=float)
+
+    # Records sorted by cell, then indicator: a duplicate is a repeat of
+    # the previous record's pair of codes.
+    n, m = len(entities), len(categories)
+    cell = entity_codes * m + category_codes
+    order = np.lexsort((indicator_codes, cell))
+    cell, indicator = cell[order], indicator_codes[order]
+    repeated = (cell[1:] == cell[:-1]) & (indicator[1:] == indicator[:-1])
+    if repeated.any() or not ((values >= 0) & (values <= 100)).all():
+        raise InputError(next(_indicator_record_faults(table)))
+
+    starts = np.flatnonzero(np.diff(cell, prepend=-1))
+    bounds = [*starts.tolist(), len(cell)]
+    ordered = values[order].tolist()
+    sums = [math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
+    scores = np.zeros(n * m)
+    missing = np.ones(n * m, dtype=bool)
+    scores[cell[starts]] = np.array(sums) / np.diff(bounds)
+    missing[cell[starts]] = False
+    return make_panel(table.year, entities, categories,
+                      scores.reshape(n, m), missing.reshape(n, m))
+
+
+def _indicator_record_faults(table: IndicatorTable):
+    """Messages naming each duplicate or out-of-range record, in record order."""
     seen: set[tuple[str, str, str]] = set()
-    cells: dict[tuple[str, str], list[float]] = {}
     for entity, category, indicator, value in zip(
-            table.entities, table.categories, table.indicators, table.values,
-            strict=True):
+            table.entities, table.categories, table.indicators, table.values):
         key = (entity, category, indicator)
         if key in seen:
-            raise InputError(
-                f"duplicate indicator {indicator!r} for entity "
-                f"{entity!r}, category {category!r}")
+            yield (f"duplicate indicator {indicator!r} for entity "
+                   f"{entity!r}, category {category!r}")
         seen.add(key)
-        if not math.isfinite(value) or value < 0 or value > 100:
-            raise InputError(
-                f"indicator value {value} out of range [0, 100] for "
-                f"entity {entity!r}, category {category!r}, "
-                f"indicator {indicator!r}")
-        cells.setdefault((entity, category), []).append(value)
-
-    # Positions in order of first appearance.
-    row_of = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in cells))}
-    col_of = {c: j for j, c in enumerate(dict.fromkeys(c for _, c in cells))}
-    scores = np.zeros((len(row_of), len(col_of)))
-    missing = np.ones((len(row_of), len(col_of)), dtype=bool)
-    for (entity, category), values in cells.items():
-        i, j = row_of[entity], col_of[category]
-        scores[i, j] = math.fsum(values) / len(values)
-        missing[i, j] = False
-    return make_panel(table.year, tuple(row_of), tuple(col_of), scores, missing)
+        if not 0 <= value <= 100:
+            yield (f"indicator value {value} out of range [0, 100] for "
+                   f"entity {entity!r}, category {category!r}, "
+                   f"indicator {indicator!r}")
 
 
 def validate_panel(panel: ScorePanel) -> list[Finding]:

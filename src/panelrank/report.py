@@ -159,7 +159,7 @@ def _cell_json(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return None if math.isnan(value) else round(float(value), 6)
+        return round(float(value), 6) if math.isfinite(value) else None
     return value
 
 
@@ -201,7 +201,7 @@ def _text_column(column) -> Sequence[str]:
 def _json_column(column) -> Sequence:
     kind, cells = _column_kind(column)
     if kind == "f":
-        return [None if v != v else round(v, 6) for v in cells]
+        return [round(v, 6) if math.isfinite(v) else None for v in cells]
     if kind == "O":
         return list(map(_cell_json, cells))
     return cells
@@ -232,21 +232,41 @@ def emit_table(data, format: str = "csv") -> str:
 
     Column order is fixed by the input type; floats are written with six
     decimal places ('.' separator); missing values are empty cells (CSV)
-    or null (JSON). Each column is formatted once by its element type;
-    only mixed or object columns are formatted cell by cell.
+    or null (JSON), and so are non-finite floats in JSON. A CSV cell is
+    quoted when it holds a comma, a quote, a newline or a carriage return,
+    so ``csv.reader`` reads back the same cells. Each column is
+    formatted once by its element type; only mixed or object columns are
+    formatted cell by cell.
     """
     table = to_table(data)
     if format == "csv":
+        columns = list(map(_text_column, table.columns))
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(table.header)
-        writer.writerows(zip(*map(_text_column, table.columns)))
-        return out.getvalue()
+        writer.writerows(zip(*columns))
+        text = out.getvalue()
+        if "\r" in text:
+            text = "".join(map(_record_quoting_cr,
+                               [table.header, *zip(*columns)]))
+        return text
     if format == "json":
         doc = {"columns": list(table.header),
                "rows": list(zip(*map(_json_column, table.columns)))}
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
     raise InputError(f"unknown table format {format!r}")
+
+
+def _record_quoting_cr(row: Sequence[str]) -> str:
+    """One CSV record ending in a newline, with every cell that holds a
+    carriage return quoted.
+
+    csv.writer quotes only the characters of its line terminator, so the
+    record is written ending in CR LF, and that ending is cut back to LF.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(row)
+    return out.getvalue()[:-2] + "\n"
 
 
 # ---------------------------------------------------------------------------

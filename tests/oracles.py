@@ -5,7 +5,10 @@ package under test (and without numpy.linalg eigensolvers), so agreement
 between the two is meaningful: a brute-force Jacobi eigensolver, a
 closed-form 2x2 eigenpair from the characteristic polynomial, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
-writer and sort-based ranker that the columnar ones replaced.
+writer, sort-based ranker and cell-by-cell CSV readers that the columnar
+ones replaced. The readers build their panels through ``make_panel``, the
+one place that builds a panel, so they differ from the package only in
+how cells are converted and checked.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import math
 from collections import Counter
 
 import numpy as np
+
+from panelrank import IndicatorTable, InputError, make_panel
 
 
 def jacobi_eigensystem(matrix, max_sweeps: int = 100,
@@ -106,7 +111,7 @@ def direction_gap(u, v) -> float:
     return float(np.max(np.abs(u - sign * v)))
 
 
-def _cell_text(value) -> str:
+def cell_text(value) -> str:
     if isinstance(value, (float, np.floating)):
         return "" if math.isnan(value) else f"{float(value):.6f}"
     if type(value) is str:
@@ -120,27 +125,39 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _cell_json(value):
+def cell_json(value):
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        return None if math.isnan(value) else round(float(value), 6)
+        return round(float(value), 6) if math.isfinite(value) else None
     return value
 
 
+def _csv_field(text: str) -> str:
+    if any(ch in text for ch in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_line(cells: list[str]) -> str:
+    # A record of one empty cell is quoted, or it would read as no record.
+    return ('""' if cells == [""] else ",".join(map(_csv_field, cells))) + "\n"
+
+
 def table_by_rows(header, rows, format: str = "csv") -> str:
-    """CSV or JSON text of a table, formatted one cell at a time."""
+    """CSV or JSON text of a table, formatted one cell at a time.
+
+    The CSV lines are joined by hand, quoting every cell that holds a
+    comma, a quote, a newline or a carriage return.
+    """
     if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell_text(v) for v in row])
-        return out.getvalue()
+        return "".join([_csv_line(list(header)),
+                        *(_csv_line([cell_text(v) for v in row])
+                          for row in rows)])
     doc = {"columns": list(header),
-           "rows": [[_cell_json(v) for v in row] for row in rows]}
+           "rows": [[cell_json(v) for v in row] for row in rows]}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -156,3 +173,116 @@ def rank_by_sort(entities, values):
     counts = Counter(scores)
     return (tuple(entities[i] for i in order), tuple(scores[i] for i in order),
             tuple(counts[scores[i]] > 1 for i in order))
+
+
+def _csv_rows(csv_text: str) -> list[list[str]]:
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        return [row for row in reader if row]
+    except csv.Error as exc:
+        raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+
+
+def parse_panel_by_cells(csv_text: str, year: str):
+    """Wide-form panel CSV to a panel, converting one cell at a time."""
+    rows = _csv_rows(csv_text)
+    if not rows:
+        raise InputError("empty panel file")
+    header = [cell.strip() for cell in rows[0]]
+    if len(header) < 2:
+        raise InputError("panel header must contain at least one category column")
+    if header[0].lower() != "entity":
+        raise InputError(f"first header column must be 'entity', got {header[0]!r}")
+    categories = header[1:]
+
+    entities: list[str] = []
+    scores: list[list[float]] = []
+    missing: list[list[bool]] = []
+    for r, row in enumerate(rows[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if len(cells) != len(header):
+            raise InputError(
+                f"row {r} has {len(cells)} cells, expected {len(header)}")
+        entities.append(cells[0])
+        score_row: list[float] = []
+        miss_row: list[bool] = []
+        for c, cell in enumerate(cells[1:]):
+            if cell == "":
+                score_row.append(0.0)
+                miss_row.append(True)
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"non-numeric cell {cell!r} at row {r}, "
+                    f"column {categories[c]!r}") from None
+            if not math.isfinite(value) or value < 0 or value > 100:
+                raise InputError(
+                    f"score {value} out of range [0, 100] at row {r}, "
+                    f"column {categories[c]!r}")
+            score_row.append(value)
+            miss_row.append(False)
+        scores.append(score_row)
+        missing.append(miss_row)
+
+    if not entities:
+        raise InputError("panel file has a header but no data rows")
+    return make_panel(year, entities, categories,
+                      np.array(scores, dtype=float), np.array(missing, dtype=bool))
+
+
+def parse_indicator_csv_by_rows(csv_text: str, year: str) -> IndicatorTable:
+    """Long-form indicator CSV to a table, converting one row at a time."""
+    rows = _csv_rows(csv_text)
+    if not rows:
+        raise InputError("empty indicator file")
+    header = [cell.strip().lower() for cell in rows[0]]
+    if header != ["entity", "category", "indicator", "value"]:
+        raise InputError(
+            "indicator header must be 'entity,category,indicator,value', "
+            f"got {','.join(header)!r}")
+    records: list[tuple[str, str, str, float]] = []
+    for r, row in enumerate(rows[1:], start=2):
+        cells = [cell.strip() for cell in row]
+        if len(cells) != 4:
+            raise InputError(f"row {r} has {len(cells)} cells, expected 4")
+        try:
+            value = float(cells[3])
+        except ValueError:
+            raise InputError(f"non-numeric value {cells[3]!r} at row {r}") from None
+        records.append((cells[0], cells[1], cells[2], value))
+    return IndicatorTable(str(year), *zip(*records))
+
+
+def aggregate_indicators_by_records(table: IndicatorTable):
+    """Indicator table to a panel of per-cell means, one record at a time."""
+    if not table.values:
+        raise InputError("indicator table is empty")
+    seen: set[tuple[str, str, str]] = set()
+    cells: dict[tuple[str, str], list[float]] = {}
+    for entity, category, indicator, value in zip(
+            table.entities, table.categories, table.indicators, table.values,
+            strict=True):
+        key = (entity, category, indicator)
+        if key in seen:
+            raise InputError(
+                f"duplicate indicator {indicator!r} for entity "
+                f"{entity!r}, category {category!r}")
+        seen.add(key)
+        if not math.isfinite(value) or value < 0 or value > 100:
+            raise InputError(
+                f"indicator value {value} out of range [0, 100] for "
+                f"entity {entity!r}, category {category!r}, "
+                f"indicator {indicator!r}")
+        cells.setdefault((entity, category), []).append(value)
+
+    row_of = {e: i for i, e in enumerate(dict.fromkeys(e for e, _ in cells))}
+    col_of = {c: j for j, c in enumerate(dict.fromkeys(c for _, c in cells))}
+    scores = np.zeros((len(row_of), len(col_of)))
+    missing = np.ones((len(row_of), len(col_of)), dtype=bool)
+    for (entity, category), values in cells.items():
+        i, j = row_of[entity], col_of[category]
+        scores[i, j] = math.fsum(values) / len(values)
+        missing[i, j] = False
+    return make_panel(table.year, tuple(row_of), tuple(col_of), scores, missing)

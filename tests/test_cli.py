@@ -148,6 +148,44 @@ class TestCompute:
         assert capsys.readouterr().err.startswith(
             "error: unreadable CSV at line 2: field larger")
 
+    @pytest.mark.parametrize("route", ["panel", "indicators", "entity-map"])
+    def test_byte_order_mark_ignored(self, tmp_path, capsys, data_dir, route):
+        # Excel's "CSV UTF-8" export starts the file with one.
+        def outputs(bom):
+            prefix = "\ufeff" if bom else ""
+            label = "bom" if bom else "plain"
+            if route == "panel":
+                args = ["--panel", "2024=" + write(
+                    tmp_path, f"p_{label}.csv", prefix + WORKED_3X2)]
+            elif route == "indicators":
+                args = ["--indicators", "2024=" + write(
+                    tmp_path, f"i_{label}.csv", prefix + INDICATORS_2X2)]
+            else:
+                emap = (data_dir / "map_2019_2020.json").read_text()
+                args = ["--panel", f"2019={data_dir / 'panel_2019.csv'}",
+                        "--panel", f"2020={data_dir / 'panel_2020.csv'}",
+                        "--entity-map", "2019->2020=" + write(
+                            tmp_path, f"m_{label}.json", prefix + emap)]
+            out = tmp_path / label
+            assert main(["compute", *args, "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        assert outputs(bom=True) == outputs(bom=False)
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--panel", "entity,g1,g2\n,1,2\nb,3,4\n"),
+        ("--panel", "entity,,g2\na,1,2\nb,3,4\n"),
+        ("--indicators", "entity,category,indicator,value\n"
+                         "a,g1,k1,10\na,g2,k1,20\n,g1,k1,30\n,g2,k1,40\n")],
+        ids=["entity", "category", "indicators"])
+    def test_empty_id_exits_1(self, tmp_path, capsys, flag, text):
+        path = write(tmp_path, "in.csv", text)
+        rc = main(["compute", flag, "2024=" + path,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1  # main returned: no exception escaped
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: an? (entity|category) id is empty\n", err)
+
     def test_indicator_input(self, tmp_path, capsys):
         indicators = write(tmp_path, "ind.csv", INDICATORS_2X2)
         rc = main(["compute", "--indicators", "2019=" + indicators,

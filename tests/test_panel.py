@@ -79,6 +79,31 @@ class TestParsePanel:
         with pytest.raises(InputError, match="carriage return"):
             parse_panel(text, "y")
 
+    @pytest.mark.parametrize("text, message", [
+        ("entity,a,b\nx,oops,1\ny,2\n",
+         "non-numeric cell 'oops' at row 2, column 'a'"),
+        ("entity,a,b\nx,1\ny,oops,2\n", "row 2 has 2 cells, expected 3"),
+        ("entity,a,b\nx,1,nan\ny,2,x\n",
+         "score nan out of range [0, 100] at row 2, column 'b'")])
+    def test_first_fault_in_row_order_wins(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_panel(text, "y")
+        assert str(exc.value) == message
+
+    def test_cells_stripped_and_whitespace_only_missing(self):
+        panel = parse_panel("entity,c1,c2\n a , 10 ,  \t\nb,-0,30\n", "y")
+        assert panel.entities == ("a", "b")
+        assert panel.missing_mask.tolist() == [[False, True], [False, False]]
+        assert panel.scores.tolist() == [[10.0, 0.0], [0.0, 30.0]]
+
+    @pytest.mark.parametrize("text, message", [
+        ("entity,c1,c2\n,10,20\nb,30,40\n", "an entity id is empty"),
+        ("entity,,c2\na,10,20\nb,30,40\n", "a category id is empty"),
+        ("entity, ,c2\na,10,20\nb,30,40\n", "a category id is empty")])
+    def test_empty_id(self, text, message):
+        with pytest.raises(InputError, match=message):
+            parse_panel(text, "y")
+
     def test_bundled_fixture_parses(self, data_dir):
         text = (data_dir / "panel_2024.csv").read_text()
         panel = parse_panel(text, "2024")
@@ -169,6 +194,27 @@ class TestAggregateIndicators:
     def test_empty_table(self):
         with pytest.raises(InputError, match="empty"):
             aggregate_indicators(IndicatorTable("2024", ()))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("a", "g1", "k1", 40.0), ("b", "g1", "k1", 150.0),
+          ("a", "g1", "k1", 60.0)],
+         "indicator value 150.0 out of range [0, 100] for entity 'b', "
+         "category 'g1', indicator 'k1'"),
+        ([("a", "g1", "k1", 40.0), ("a", "g1", "k1", 60.0),
+          ("b", "g1", "k1", 150.0)],
+         "duplicate indicator 'k1' for entity 'a', category 'g1'"),
+        ([("a", "g1", "k1", 40.0), ("a", "g1", "k1", -1.0)],
+         "duplicate indicator 'k1' for entity 'a', category 'g1'")])
+    def test_first_bad_record_wins(self, rows, message):
+        with pytest.raises(InputError) as exc:
+            aggregate_indicators(self.make_table(rows))
+        assert str(exc.value) == message
+
+    def test_first_bad_row_wins_in_long_form_csv(self):
+        text = "entity,category,indicator,value\na,g1,k1,oops\nb,g1,k1\n"
+        with pytest.raises(InputError) as exc:
+            parse_indicator_csv(text, "y")
+        assert str(exc.value) == "non-numeric value 'oops' at row 2"
 
     def test_long_form_csv(self):
         text = ("entity,category,indicator,value\n"

@@ -2,11 +2,12 @@
 
 Shapes, scores and missing masks are random, and ids mix any characters
 with the ones CSV must quote or keep: ``,``, ``"``, newlines, carriage
-returns and inner spaces. ``make_panel`` rejects an id holding a
-carriage return; every other panel must survive the round trip. Ids with
-leading or trailing whitespace are left out: the parser strips cells, so
-``panel_to_csv`` does not promise those. The profile is derandomized, so
-every run draws the same examples.
+returns and inner spaces, and may be empty. ``make_panel`` rejects an
+empty id and an id holding a carriage return; every other panel must
+survive the round trip. Ids with leading or trailing whitespace are left
+out: the parser strips cells, so ``panel_to_csv`` does not promise
+those. The profile is derandomized, so every run draws the same
+examples.
 """
 
 import numpy as np
@@ -20,24 +21,27 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from panelrank import (InputError, make_panel, panel_to_csv,  # noqa: E402
                        parse_panel)
 
-PROFILE = settings(derandomize=True, max_examples=200, deadline=None,
+PROFILE = settings(derandomize=True, max_examples=320, deadline=None,
                    database=None)
 
 
-def ids(specials: str):
+def ids(specials: str, min_size: int = 1):
     return st.text(st.one_of(st.sampled_from(specials),
                              st.characters(exclude_categories=("Cs",),
                                            exclude_characters="\r")),
-                   max_size=6).filter(lambda s: s == s.strip())
+                   min_size=min_size, max_size=6).filter(
+                       lambda s: s == s.strip())
 
 
 @st.composite
 def panel_args(draw):
     """Arguments of ``make_panel``: year, entities, categories, scores, mask.
 
-    Half the panels draw ids that may hold a carriage return.
+    Half the panels draw ids that may hold a carriage return, and about a
+    quarter ids that may be empty.
     """
-    names = ids(',"\n\r ' if draw(st.booleans()) else ',"\n ')
+    names = ids(',"\n\r ' if draw(st.booleans()) else ',"\n ',
+                min_size=draw(st.sampled_from([1, 1, 1, 0])))
     n, m = draw(st.integers(2, 7)), draw(st.integers(2, 5))
     entities = draw(st.lists(names, min_size=n, max_size=n, unique=True))
     categories = draw(st.lists(names, min_size=m, max_size=m, unique=True))
@@ -53,8 +57,9 @@ def panel_args(draw):
 @PROFILE
 @given(args=panel_args())
 def test_csv_round_trip(args):
-    if any("\r" in name for name in (*args[1], *args[2])):
-        with pytest.raises(InputError, match="carriage return"):
+    names = (*args[1], *args[2])
+    if "" in names or any("\r" in name for name in names):
+        with pytest.raises(InputError, match="is empty|carriage return"):
             make_panel(*args)
         return
     panel = make_panel(*args)

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -57,6 +59,20 @@ class TestEmitTable:
         assert doc["columns"] == ["a", "b"]
         assert doc["rows"][0] == [1, 0.666667]
         assert doc["rows"][1][1] is None
+
+    @pytest.mark.parametrize("column", [
+        [float("inf"), -float("inf")], np.array([np.inf, -np.inf]),
+        [float("inf"), "x"]], ids=["floats", "array", "mixed"])
+    def test_json_infinities_are_null(self, column):
+        text = emit_table(TableData(("a",), (column,)), "json")
+        assert "Infinity" not in text
+        assert json.loads(text)["rows"][0] == [None]
+
+    def test_carriage_return_cell_quoted(self):
+        text = emit_table(TableData(("a", "b"), (["x\ry", "z"], ["p", "q"])))
+        assert text == 'a,b\n"x\ry",p\nz,q\n'
+        assert list(csv.reader(io.StringIO(text))) == [
+            ["a", "b"], ["x\ry", "p"], ["z", "q"]]
 
     def test_deterministic(self):
         table = rank_entities(["a", "b"], [1.0, 2.0], "k_s", "y")
