@@ -8,8 +8,7 @@ by every mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,8 +19,7 @@ from .panel import EntityMap, Lineage, ScorePanel, align_rosters
 RANK_BASES = ("k_s", "composite_mean", "D_s")
 
 
-@dataclass(frozen=True)
-class GoalWeights:
+class GoalWeights(NamedTuple):
     """Per-category importance: category score divided by adjusted ubiquity."""
 
     year: str
@@ -29,8 +27,7 @@ class GoalWeights:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     """Entities of one year ordered by a scoring basis, rank 1 highest.
 
     The columns are parallel and in rank order, so ``entities[i]`` has
@@ -51,8 +48,7 @@ class RankTable:
         return dict(zip(self.entities, self.scores))
 
 
-@dataclass(frozen=True)
-class RankTrajectory:
+class RankTrajectory(NamedTuple):
     """Ranks of one (final-roster) entity across years; None = no rank."""
 
     entity: str
@@ -60,16 +56,14 @@ class RankTrajectory:
     lineage: str  # "own" when uninterrupted, else e.g. "split-derived"
 
 
-@dataclass(frozen=True)
-class RankSeries:
+class RankSeries(NamedTuple):
     """Aligned per-entity rank trajectories across ordered years."""
 
     years: tuple[str, ...]
     trajectories: tuple[RankTrajectory, ...]
 
 
-@dataclass(frozen=True)
-class GroupProfile:
+class GroupProfile(NamedTuple):
     """Three rank-based groups and their mean weighted-performance curves.
 
     ``groups`` partitions the entity set top/middle/bottom (sizes differ by
@@ -83,8 +77,7 @@ class GroupProfile:
     national_curve: np.ndarray   # (n_categories,)
 
 
-@dataclass(frozen=True)
-class WeightsEvolution:
+class WeightsEvolution(NamedTuple):
     """Per-category weights across years; NaN where a category is absent."""
 
     years: tuple[str, ...]

@@ -21,10 +21,12 @@ function of inputs and flags: reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import re
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,8 +67,7 @@ class RunConfig:
             raise InputError("--max-steps must be at least 1")
 
 
-@dataclass
-class YearResult:
+class YearResult(NamedTuple):
     """Computed quantities for one panel year."""
 
     panel: ScorePanel
@@ -506,6 +507,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    # The modules, classes and functions built by the imports live until
+    # exit; frozen, they are skipped by every later collection, the ones at
+    # exit included. Objects the run creates are still collected. Only the
+    # console entry does this, so library callers keep their collector.
+    gc.freeze()
     raise SystemExit(main())
 
 

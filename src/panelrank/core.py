@@ -24,7 +24,7 @@ any of the sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ DEFAULT_MAX_STEPS = 1000
 _DEGENERACY = 1e-12
 
 
-@dataclass(frozen=True)
-class DegreeIndex:
+class DegreeIndex(NamedTuple):
     """Per-entity total score, applicable-cell count, and mean composite.
 
     The total is the weighted degree of the entity node in the bipartite
@@ -56,16 +55,14 @@ class DegreeIndex:
     composite_means: np.ndarray
 
 
-@dataclass(frozen=True)
-class AdjustedUbiquity:
+class AdjustedUbiquity(NamedTuple):
     """Per-category column sums of the row-normalized score matrix."""
 
     categories: tuple[str, ...]
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class ProximityMatrix:
+class ProximityMatrix(NamedTuple):
     """Score matrix rescaled by entity totals and adjusted ubiquities.
 
     Invariant to a global rescaling of all scores; zero exactly where the
@@ -77,8 +74,7 @@ class ProximityMatrix:
     values: np.ndarray
 
 
-@dataclass(frozen=True)
-class SimilarityPair:
+class SimilarityPair(NamedTuple):
     """The two symmetric projections of the proximity matrix.
 
     ``entity_similarity`` compares entities through shared category
@@ -93,8 +89,7 @@ class SimilarityPair:
     category_similarity: np.ndarray
 
 
-@dataclass(frozen=True)
-class ComplexityScores:
+class ComplexityScores(NamedTuple):
     """Entity and category score vectors, both normalized to mean one.
 
     ``method`` records how they were obtained ("spectral" or "iterative");
@@ -111,8 +106,7 @@ class ComplexityScores:
     category_eigenvalue: float | None = None
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """Residual history of a fixed-point run, one entry per step."""
 
     residuals: tuple[float, ...]

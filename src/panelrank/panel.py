@@ -14,8 +14,8 @@ import io
 import json
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections import Counter
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,8 +24,7 @@ from .errors import InputError
 MISSINGNESS_WARNING_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class ScorePanel:
+class ScorePanel(NamedTuple):
     """One year's entity x category score matrix with missing-cell mask."""
 
     year: str
@@ -46,8 +45,7 @@ class ScorePanel:
         return ~self.missing_mask
 
 
-@dataclass(frozen=True)
-class IndicatorTable:
+class IndicatorTable(NamedTuple):
     """Long-form indicator scores for one year, one parallel column each."""
 
     year: str
@@ -57,8 +55,7 @@ class IndicatorTable:
     values: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class MapRule:
+class MapRule(NamedTuple):
     """One alignment rule: ``sources`` ids in the earlier roster map to
     ``targets`` ids in the later roster."""
 
@@ -66,8 +63,7 @@ class MapRule:
     targets: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class EntityMap:
+class EntityMap(NamedTuple):
     """Explicit entity alignment between two consecutive rosters.
 
     Renames are 1 -> 1, splits 1 -> many, merges many -> 1. Ids absent from
@@ -124,8 +120,7 @@ class EntityMap:
         )
 
 
-@dataclass(frozen=True)
-class Lineage:
+class Lineage(NamedTuple):
     """Provenance of one later-roster entity relative to the earlier roster.
 
     ``kind`` is one of: unchanged, renamed, split-derived, merged,
@@ -138,8 +133,7 @@ class Lineage:
     kind: str
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """Correspondence between two rosters: per-entity lineage plus the
     earlier-roster ids with no descendant."""
 
@@ -150,8 +144,7 @@ class Alignment:
         return {link.entity: link for link in self.links}
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One validation result; ``severity`` is "error" or "warning"."""
 
     severity: str
@@ -188,12 +181,10 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
         raise InputError("an entity id is empty")
     if "" in categories:
         raise InputError("a category id is empty")
-    if len(set(entities)) != len(entities):
-        dupes = sorted({e for e in entities if entities.count(e) > 1})
-        raise InputError(f"duplicate entity ids: {', '.join(dupes)}")
-    if len(set(categories)) != len(categories):
-        dupes = sorted({c for c in categories if categories.count(c) > 1})
-        raise InputError(f"duplicate category ids: {', '.join(dupes)}")
+    for kind, ids in (("entity", entities), ("category", categories)):
+        if len(set(ids)) != len(ids):
+            dupes = sorted(i for i, count in Counter(ids).items() if count > 1)
+            raise InputError(f"duplicate {kind} ids: {', '.join(dupes)}")
     if len(entities) < 2 or len(categories) < 2:
         raise InputError("a panel needs at least 2 entities and 2 categories")
     # No file input can hold one (reading translates newlines), and the
@@ -236,13 +227,26 @@ def _csv_rows(csv_text: str) -> list[list[str]]:
         raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
+def _numbered_body(csv_text: str) -> list[tuple[int, list[str]]]:
+    """(line, row) for each non-empty record after the header, where line
+    is the 1-based file line the record starts on, counting blank lines and
+    cells that span lines. Only for texts ``_csv_rows`` has read."""
+    reader = csv.reader(io.StringIO(csv_text))
+    start, records = 1, []
+    for row in reader:
+        if row:
+            records.append((start, row))
+        start = reader.line_num + 1
+    return records[1:]
+
+
 def parse_panel(csv_text: str, year: str) -> ScorePanel:
     """Parse a wide-form panel CSV into a validated ScorePanel.
 
     Expected layout: header ``entity,<cat1>,<cat2>,...``, one row per
     entity. Cells are stripped, and empty or whitespace-only cells mean
-    missing. Raises InputError with row/column coordinates for the first
-    malformed row or cell in row-major order.
+    missing. Raises InputError naming the first malformed row or cell in
+    row-major order by its file line and column.
     """
     rows = _csv_rows(csv_text)
     if not rows:
@@ -258,7 +262,7 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
         raise InputError("panel file has a header but no data rows")
     columns = _panel_columns(body, len(header))
     if columns is None:
-        raise InputError(next(_panel_faults(body, header)))
+        raise InputError(next(_panel_faults(csv_text, header)))
     entities, scores, missing = columns
     return make_panel(year, entities, categories, scores, missing)
 
@@ -287,11 +291,11 @@ def _panel_columns(body: list[list[str]], width: int):
     return entities, scores.reshape(shape), missing.reshape(shape)
 
 
-def _panel_faults(body: list[list[str]], header: list[str]):
+def _panel_faults(csv_text: str, header: list[str]):
     """Messages naming each malformed row or cell, in row-major order."""
-    for r, row in enumerate(body, start=2):
+    for line, row in _numbered_body(csv_text):
         if len(row) != len(header):
-            yield f"row {r} has {len(row)} cells, expected {len(header)}"
+            yield f"row {line} has {len(row)} cells, expected {len(header)}"
             continue
         for category, cell in zip(header[1:], row[1:]):
             cell = cell.strip()
@@ -300,10 +304,10 @@ def _panel_faults(body: list[list[str]], header: list[str]):
             try:
                 value = float(cell)
             except ValueError:
-                yield f"non-numeric cell {cell!r} at row {r}, column {category!r}"
+                yield f"non-numeric cell {cell!r} at row {line}, column {category!r}"
                 continue
             if not 0 <= value <= 100:
-                yield (f"score {value} out of range [0, 100] at row {r}, "
+                yield (f"score {value} out of range [0, 100] at row {line}, "
                        f"column {category!r}")
 
 
@@ -343,27 +347,27 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
     if not body:
         return IndicatorTable(str(year))
     if set(map(len, body)) != {4}:
-        raise InputError(next(_indicator_row_faults(body)))
+        raise InputError(next(_indicator_row_faults(csv_text)))
     entities, categories, indicators, values = (
         tuple(map(str.strip, column)) for column in zip(*body))
     try:
         values = tuple(map(float, values))
     except ValueError:
-        raise InputError(next(_indicator_row_faults(body))) from None
+        raise InputError(next(_indicator_row_faults(csv_text))) from None
     return IndicatorTable(str(year), entities, categories, indicators, values)
 
 
-def _indicator_row_faults(body: list[list[str]]):
+def _indicator_row_faults(csv_text: str):
     """Messages naming each malformed indicator row, in row order."""
-    for r, row in enumerate(body, start=2):
+    for line, row in _numbered_body(csv_text):
         if len(row) != 4:
-            yield f"row {r} has {len(row)} cells, expected 4"
+            yield f"row {line} has {len(row)} cells, expected 4"
             continue
         value = row[3].strip()
         try:
             float(value)
         except ValueError:
-            yield f"non-numeric value {value!r} at row {r}"
+            yield f"non-numeric value {value!r} at row {line}"
 
 
 def _factorize(column: Sequence) -> tuple[np.ndarray, tuple]:

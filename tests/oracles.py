@@ -175,12 +175,29 @@ def rank_by_sort(entities, values):
             tuple(counts[scores[i]] > 1 for i in order))
 
 
-def _csv_rows(csv_text: str) -> list[list[str]]:
-    reader = csv.reader(io.StringIO(csv_text))
+def _csv_rows(csv_text: str) -> list[tuple[int, list[str]]]:
+    """(line, row) for each non-empty record, where line is the 1-based
+    file line the record starts on, counted from the lines fed to the
+    reader."""
+    fed = 0
+
+    def lines():
+        nonlocal fed
+        for line in io.StringIO(csv_text):
+            fed += 1
+            yield line
+
+    numbered = []
+    start = 1
+    reader = csv.reader(lines())
     try:
-        return [row for row in reader if row]
+        for row in reader:
+            if row:
+                numbered.append((start, row))
+            start = fed + 1
     except csv.Error as exc:
         raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+    return numbered
 
 
 def parse_panel_by_cells(csv_text: str, year: str):
@@ -188,7 +205,7 @@ def parse_panel_by_cells(csv_text: str, year: str):
     rows = _csv_rows(csv_text)
     if not rows:
         raise InputError("empty panel file")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in rows[0][1]]
     if len(header) < 2:
         raise InputError("panel header must contain at least one category column")
     if header[0].lower() != "entity":
@@ -198,7 +215,7 @@ def parse_panel_by_cells(csv_text: str, year: str):
     entities: list[str] = []
     scores: list[list[float]] = []
     missing: list[list[bool]] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         cells = [cell.strip() for cell in row]
         if len(cells) != len(header):
             raise InputError(
@@ -237,13 +254,13 @@ def parse_indicator_csv_by_rows(csv_text: str, year: str) -> IndicatorTable:
     rows = _csv_rows(csv_text)
     if not rows:
         raise InputError("empty indicator file")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if header != ["entity", "category", "indicator", "value"]:
         raise InputError(
             "indicator header must be 'entity,category,indicator,value', "
             f"got {','.join(header)!r}")
     records: list[tuple[str, str, str, float]] = []
-    for r, row in enumerate(rows[1:], start=2):
+    for r, row in rows[1:]:
         cells = [cell.strip() for cell in row]
         if len(cells) != 4:
             raise InputError(f"row {r} has {len(cells)} cells, expected 4")

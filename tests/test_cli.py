@@ -4,12 +4,14 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from panelrank import panel_to_csv
+from panelrank import cli, make_panel, panel_to_csv
 from panelrank.cli import main
 
 WORKED_3X2 = "entity,g1,g2\na,2,0\nb,1,1\nc,0,2\n"
@@ -419,3 +421,35 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert "compute" in result.stdout
+
+    @pytest.mark.parametrize("code", [0, 3])
+    def test_run_freezes_collector_then_exits_with_main_code(self, monkeypatch,
+                                                             code):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+        with pytest.raises(SystemExit) as exc:
+            cli.run()
+        assert calls == ["freeze", "main"]
+        assert exc.value.code == code
+
+
+class TestFootprint:
+    def test_memory_peak_is_a_small_multiple_of_the_panel(self):
+        # A deterministic gate instead of a timing one: solving and ranking
+        # a 20,000 x 17 panel peaks at about 2.4 x n m 8 bytes. Any n x n
+        # array or extra full copy breaks the 4x bound.
+        n, m = 20_000, 17
+        row, col = np.arange(n)[:, None], np.arange(m)
+        panel = make_panel("y", [f"e{i:05d}" for i in range(n)],
+                           [f"c{j:02d}" for j in range(m)],
+                           1.0 + (row * 37 + col * 11) % 97)
+        tracemalloc.start()
+        try:
+            result = cli.compute_year(panel, cli.RunConfig(), lambda m: None)
+            cli._rank_tables(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.trace.converged
+        assert peak < 4 * n * m * 8

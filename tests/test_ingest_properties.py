@@ -5,8 +5,10 @@ convert and check whole columns, and walk the rows only to name the
 first fault. On valid CSVs of both forms, mutated by up to three drawn
 faults in any order, they must agree with the cell-by-cell readers in
 ``oracles``: the same panel (ids, and scores down to the sign of zero,
-and mask), or an ``InputError`` with the same text. The profile is
-derandomized, so every run draws the same examples.
+and mask), or an ``InputError`` with the same text, whose row numbers
+are file lines. Blank lines, before the header too, and cells spanning
+lines are drawn, so those numbers drift from a count of records. The
+profile is derandomized, so every run draws the same examples.
 """
 
 import csv
@@ -59,13 +61,15 @@ def outcome(read, *args):
 
 
 # A mutation's kind and the text it writes: mostly a bad cell, else a
-# good or blank one, a row cut short, lengthened or emptied, or a row
-# whose ids are copied from another row and whose last cell is replaced.
+# good or blank one, a row cut short, lengthened or emptied, a row whose
+# ids are copied from another row and whose last cell is replaced, a
+# blank line inserted before a row, or a cell continued on a new line.
 MUTATIONS = st.one_of(st.tuples(st.just("cell"), BAD),
                       st.tuples(st.just("cell"), st.one_of(GOOD, BLANK)),
                       st.tuples(st.sampled_from(["short", "long", "empty"]),
                                 GOOD),
-                      st.tuples(st.just("dup"), st.one_of(GOOD, BAD)))
+                      st.tuples(st.just("dup"), st.one_of(GOOD, BAD)),
+                      st.tuples(st.sampled_from(["blank", "wrap"]), GOOD))
 
 
 def faults(n_rows: int, columns):
@@ -93,7 +97,15 @@ def mutate(rows, faults, key: int):
         elif kind == "dup":
             row[:key] = rows[c % len(rows)][:key]
             row[-1:] = [text]
+        elif kind == "blank":
+            rows.insert(r, [])
+        elif kind == "wrap" and c < len(row):
+            row[c] += "\n" + text
     return rows
+
+
+def leading_blank_lines(draw):
+    return [[]] * draw(st.sampled_from([0, 0, 1, 2]))
 
 
 @st.composite
@@ -103,7 +115,8 @@ def wide_csvs(draw):
     rows = [[f"e{i}", *draw(st.lists(st.one_of(GOOD, GOOD, GOOD, BLANK),
                                      min_size=m, max_size=m))]
             for i in range(n)]
-    return csv_text([header, *mutate(rows, draw(faults(n, st.integers(0, m))), 1)])
+    return csv_text([*leading_blank_lines(draw), header,
+                     *mutate(rows, draw(faults(n, st.integers(0, m))), 1)])
 
 
 @PROFILE
@@ -123,7 +136,8 @@ def long_csvs(draw):
     rows = [[*triple, draw(GOOD)] for triple in chosen]
     # Mostly the value column; a bad id is just another id.
     columns = st.one_of(st.just(3), st.integers(0, 3))
-    return csv_text([["entity", "category", "indicator", "value"],
+    return csv_text([*leading_blank_lines(draw),
+                     ["entity", "category", "indicator", "value"],
                      *mutate(rows, draw(faults(len(rows), columns)), 3)])
 
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -84,11 +86,34 @@ class TestParsePanel:
          "non-numeric cell 'oops' at row 2, column 'a'"),
         ("entity,a,b\nx,1\ny,oops,2\n", "row 2 has 2 cells, expected 3"),
         ("entity,a,b\nx,1,nan\ny,2,x\n",
-         "score nan out of range [0, 100] at row 2, column 'b'")])
+         "score nan out of range [0, 100] at row 2, column 'b'"),
+        # Rows are named by file line: blank lines and a quoted id
+        # spanning two lines are counted.
+        ("entity,a,b\n\n\nx,oops,1\ny,1,2\n",
+         "non-numeric cell 'oops' at row 4, column 'a'"),
+        ('entity,a,b\n"x\ny",1,2\nz,1,oops\n',
+         "non-numeric cell 'oops' at row 4, column 'b'"),
+        ("\nentity,a,b\nx,1,2\n\ny,1\n", "row 5 has 2 cells, expected 3")])
     def test_first_fault_in_row_order_wins(self, text, message):
         with pytest.raises(InputError) as exc:
             parse_panel(text, "y")
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("axis", ["entity", "category"])
+    def test_duplicate_ids_named_in_linear_time(self, axis):
+        # Counting each id's copies one id at a time took about 19 s here.
+        n = 30_000
+        ids = [f"E{i:05d}" for i in range(n)]
+        ids[-1], ids[-2] = ids[7], ids[3]
+        other = ["a", "b"]
+        start = time.process_time()
+        with pytest.raises(InputError) as exc:
+            if axis == "entity":
+                make_panel("y", ids, other, np.ones((n, 2)))
+            else:
+                make_panel("y", other, ids, np.ones((2, n)))
+        assert time.process_time() - start < 3.0
+        assert str(exc.value) == f"duplicate {axis} ids: E00003, E00007"
 
     def test_cells_stripped_and_whitespace_only_missing(self):
         panel = parse_panel("entity,c1,c2\n a , 10 ,  \t\nb,-0,30\n", "y")
@@ -215,6 +240,16 @@ class TestAggregateIndicators:
         with pytest.raises(InputError) as exc:
             parse_indicator_csv(text, "y")
         assert str(exc.value) == "non-numeric value 'oops' at row 2"
+
+    @pytest.mark.parametrize("text, message", [
+        ("entity,category,indicator,value\n\na,g1,k1,40\n\nb,g1,k1,oops\n",
+         "non-numeric value 'oops' at row 5"),
+        ('entity,category,indicator,value\n"a\nb",g1,k1,40\nc,g1,k1\n',
+         "row 4 has 3 cells, expected 4")])
+    def test_fault_rows_are_file_lines_in_long_form_csv(self, text, message):
+        with pytest.raises(InputError) as exc:
+            parse_indicator_csv(text, "y")
+        assert str(exc.value) == message
 
     def test_long_form_csv(self):
         text = ("entity,category,indicator,value\n"
