@@ -24,14 +24,14 @@ from .panel import (Alignment, EntityMap, Finding, IndicatorTable, Lineage,
                     MapRule, ScorePanel, aggregate_indicators, align_rosters,
                     make_panel, panel_to_csv, parse_indicator_csv,
                     parse_panel, validate_panel)
-from .report import (ChartSpec, TableData, emit_bipartite, emit_grouped_bars,
+from .report import (TableData, emit_bipartite, emit_grouped_bars,
                      emit_heatmap, emit_rank_bump, emit_table,
                      emit_weight_bars, emit_weighted_lines, ramp_color)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustedUbiquity", "Alignment", "ChartSpec", "ComplexityScores",
+    "AdjustedUbiquity", "Alignment", "ComplexityScores",
     "DegeneratePanelError", "DegreeIndex", "EntityMap", "Finding",
     "GoalWeights", "GroupProfile", "IndicatorTable", "InputError",
     "IterationTrace", "Lineage", "MapRule", "NonConvergenceError",

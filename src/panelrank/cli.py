@@ -24,7 +24,7 @@ import argparse
 import gc
 import re
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,8 +32,11 @@ import numpy as np
 
 from . import analytics, core, report
 from .errors import DegeneratePanelError, InputError, NonConvergenceError
-from .panel import EntityMap, ScorePanel, aggregate_indicators, parse_indicator_csv, \
-    parse_panel, validate_panel
+from .panel import EntityMap, ScorePanel, aggregate_indicators, align_rosters, \
+    parse_indicator_csv, parse_panel, validate_panel
+
+CHART_KINDS = ("heatmap", "bipartite", "weight_bars", "weighted_lines",
+               "rank_bump", "grouped_bars")
 
 
 @dataclass
@@ -44,11 +47,11 @@ class RunConfig:
     # "panel" or "indicators".
     inputs: list[tuple[str, str, Path]] = field(default_factory=list)
     entity_maps: dict[tuple[str, str], Path] = field(default_factory=dict)
-    method: str = "both"  # spectral, iterative, both, or none (no solver)
+    method: str = "both"  # solvers that run: spectral, iterative, both, none
     tol: float = 1e-10
     max_steps: int = 1000
     out_dir: Path | None = None
-    charts: tuple[str, ...] = report.CHART_KINDS
+    charts: tuple[str, ...] = CHART_KINDS
     allow_nonconverged: bool = False
 
     def validate(self) -> None:
@@ -61,6 +64,20 @@ class RunConfig:
                 raise InputError(f"year labels {seen[label]!r} and {year!r} "
                                  f"both write outputs labelled {label!r}")
             seen[label] = year
+        if self.method == "both":
+            # Year X's iterative table and year iterative_X's D_s table
+            # would share the name ranks_D_s_iterative_X.csv.
+            for label, year in seen.items():
+                other = seen.get(f"iterative_{label}")
+                if other is not None:
+                    raise InputError(
+                        f"year labels {year!r} and {other!r} both write "
+                        f"ranks_D_s_iterative_{label}.csv")
+        years = [year for _, year, _ in self.inputs]
+        for a, b in self.entity_maps:
+            if (a, b) not in zip(years, years[1:]):
+                raise InputError(f"--entity-map {a}->{b} does not name two "
+                                 "consecutive inputs")
         if self.tol <= 0:
             raise InputError("--tol must be positive")
         if self.max_steps < 1:
@@ -129,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output directory")
     compute.add_argument("--charts", default="all",
                          help="'all', 'none', or a comma list of: "
-                              + ", ".join(report.CHART_KINDS))
+                              + ", ".join(CHART_KINDS))
 
     compare = sub.add_parser("compare", help="Spearman rho between two bases")
     compare.add_argument("basis_a", choices=analytics.RANK_BASES)
@@ -165,6 +182,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if "->" not in key:
             raise InputError(f"--entity-map key must be 'A->B', got {key!r}")
         a, _, b = key.partition("->")
+        if (a, b) in config.entity_maps:
+            raise InputError(f"--entity-map {key} is given twice")
         config.entity_maps[(a, b)] = Path(path)
 
     if hasattr(args, "method"):
@@ -172,6 +191,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         config.tol = args.tol
         config.max_steps = args.max_steps
         config.allow_nonconverged = args.allow_nonconverged
+    else:
+        config.method = "none"
+    if args.command == "compare":
+        # Run only the solver the bases read: D_s reads the primary scores
+        # (spectral unless --method iterative), k_s and composite_mean none.
+        if "D_s" not in (args.basis_a, args.basis_b):
+            config.method = "none"
+        elif config.method == "both":
+            config.method = "spectral"
     if getattr(args, "out", None) is not None:
         config.out_dir = Path(args.out)
     if hasattr(args, "charts"):
@@ -182,14 +210,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _parse_charts(raw: str) -> tuple[str, ...]:
     if raw == "all":
-        return report.CHART_KINDS
+        return CHART_KINDS
     if raw == "none":
         return ()
     kinds = tuple(k.strip() for k in raw.split(",") if k.strip())
     for kind in kinds:
-        if kind not in report.CHART_KINDS:
+        if kind not in CHART_KINDS:
             raise InputError(f"unknown chart kind {kind!r} (choose from "
-                             + ", ".join(report.CHART_KINDS) + ")")
+                             + ", ".join(CHART_KINDS) + ")")
     return kinds
 
 
@@ -214,11 +242,16 @@ def load_panels(config: RunConfig) -> list[ScorePanel]:
     return [load_input(*item) for item in config.inputs]
 
 
-def load_entity_map(config: RunConfig, year_a: str, year_b: str) -> EntityMap:
-    path = config.entity_maps.get((year_a, year_b))
+def load_entity_map(config: RunConfig, earlier: ScorePanel,
+                    later: ScorePanel) -> EntityMap:
+    """The map given for two consecutive panels, checked against both
+    rosters; an empty map when none was given."""
+    path = config.entity_maps.get((earlier.year, later.year))
     if path is None:
         return EntityMap()
-    return EntityMap.from_json(_read_text(path))
+    emap = EntityMap.from_json(_read_text(path))
+    align_rosters(earlier.entities, later.entities, emap)
+    return emap
 
 
 def _safe_label(year: str) -> str:
@@ -308,6 +341,9 @@ def cmd_compute(config: RunConfig) -> int:
         print(f"warning: {message}", file=sys.stderr)
 
     panels = load_panels(config)
+    # Maps are read and checked before anything is written.
+    maps = [load_entity_map(config, earlier, later)
+            for earlier, later in zip(panels, panels[1:])]
     out = config.out_dir
     assert out is not None
     out.mkdir(parents=True, exist_ok=True)
@@ -325,9 +361,8 @@ def cmd_compute(config: RunConfig) -> int:
     rank_history: list[analytics.RankTable] = []
     rank_history_ds: list[analytics.RankTable] = []
     weights_history: list[analytics.GoalWeights] = []
-    maps: list[EntityMap] = []
 
-    for index, result in enumerate(results):
+    for result in results:
         panel = result.panel
         label = _safe_label(panel.year)
         tables = _rank_tables(result)
@@ -347,23 +382,17 @@ def cmd_compute(config: RunConfig) -> int:
         weights_history.append(weights)
         rank_history.append(tables["k_s"])
         rank_history_ds.append(tables["D_s"])
-        if index > 0:
-            maps.append(load_entity_map(config, results[index - 1].panel.year,
-                                        panel.year))
 
         if "heatmap" in config.charts:
             write(f"heatmap_{label}.svg", report.emit_heatmap(
-                panel, report.ChartSpec("heatmap",
-                                        title=f"Scores {panel.year}")))
+                panel, f"Scores {panel.year}"))
         if "bipartite" in config.charts:
             write(f"bipartite_{label}.svg", report.emit_bipartite(
                 panel, _bipartite_subset(tables["k_s"]),
-                report.ChartSpec("bipartite",
-                                 title=f"Score network {panel.year}")))
+                f"Score network {panel.year}"))
         if "weight_bars" in config.charts:
             write(f"weight_bars_{label}.svg", report.emit_weight_bars(
-                weights, report.ChartSpec(
-                    "weight_bars", title=f"Category weights {panel.year}")))
+                weights, f"Category weights {panel.year}"))
         if "weighted_lines" in config.charts:
             if panel.n_entities < 3:
                 warn(f"year {panel.year}: skipping weighted_lines chart "
@@ -373,8 +402,7 @@ def cmd_compute(config: RunConfig) -> int:
                 performance = analytics.weighted_performance(panel, weights)
                 write(f"weighted_lines_{label}.svg", report.emit_weighted_lines(
                     performance, profile, panel.entities,
-                    report.ChartSpec("weighted_lines",
-                                     title=f"Weighted performance {panel.year}")))
+                    f"Weighted performance {panel.year}"))
 
     if agreement_years:
         write("method_agreement.csv", report.emit_table(report.TableData(
@@ -383,14 +411,13 @@ def cmd_compute(config: RunConfig) -> int:
     if "rank_bump" in config.charts:
         write("rank_bump_k_s.svg", report.emit_rank_bump(
             analytics.rank_evolution(rank_history, maps),
-            report.ChartSpec("rank_bump", title="Rank evolution (totals)")))
+            "Rank evolution (totals)"))
         write("rank_bump_D_s.svg", report.emit_rank_bump(
             analytics.rank_evolution(rank_history_ds, maps),
-            report.ChartSpec("rank_bump", title="Rank evolution (complexity)")))
+            "Rank evolution (complexity)"))
     if "grouped_bars" in config.charts:
         write("grouped_bars_weights.svg", report.emit_grouped_bars(
-            analytics.weights_evolution(weights_history),
-            report.ChartSpec("grouped_bars", title="Weight evolution")))
+            analytics.weights_evolution(weights_history), "Weight evolution"))
 
     for path in written:
         print(path)
@@ -403,12 +430,6 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     if len(panels) > 2:
         raise InputError("compare takes one panel (within-year) or two "
                          "(across years)")
-    # Run only the solver the bases read: D_s reads the primary scores
-    # (spectral unless --method iterative), k_s and composite_mean none.
-    if "D_s" not in (basis_a, basis_b):
-        config = replace(config, method="none")
-    elif config.method == "both":
-        config = replace(config, method="spectral")
     results = [compute_year(p, config, lambda m: print(f"warning: {m}",
                                                        file=sys.stderr))
                for p in panels]
@@ -417,9 +438,9 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     if first is last:
         pairs = [(e, e) for e in first.panel.entities]
     else:
-        emap = load_entity_map(config, first.panel.year, last.panel.year)
-        alignment = analytics.align_rosters(first.panel.entities,
-                                            last.panel.entities, emap)
+        emap = load_entity_map(config, first.panel, last.panel)
+        alignment = align_rosters(first.panel.entities, last.panel.entities,
+                                  emap)
         moved = [link for link in alignment.links
                  if link.kind not in ("unchanged", "renamed")]
         if moved or alignment.retired:

@@ -5,8 +5,8 @@ give byte-identical output. Charts are assembled by hand so the output
 stays dependency-free and diffable; elements carry stable classes and
 ``data-*`` attributes, which also makes them machine-checkable.
 
-Numeric labels use 3 decimals in figures and 6 in tables. The default
-color ramp runs yellow (low) to green (high).
+Numeric labels use 3 decimals in figures and 6 in tables. Charts are
+960 x 600 and their color ramp runs yellow (low) to green (high).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from html import escape
 from typing import Sequence
 
@@ -27,28 +26,10 @@ from .analytics import (GoalWeights, GroupProfile, RankSeries, RankTable,
 from .errors import InputError
 from .panel import Finding, ScorePanel
 
-CHART_KINDS = ("heatmap", "bipartite", "weight_bars", "weighted_lines",
-               "rank_bump", "grouped_bars")
-
-
-@dataclass(frozen=True)
-class ChartSpec:
-    """Rendering parameters shared by all chart emitters."""
-
-    kind: str
-    title: str = ""
-    width: int = 960
-    height: int = 600
-    color_low: str = "#ffff00"
-    color_high: str = "#008000"
-
-    def __post_init__(self) -> None:
-        if self.kind not in CHART_KINDS:
-            raise InputError(f"unknown chart kind {self.kind!r}")
-        if self.width <= 0 or self.height <= 0:
-            raise InputError("chart dimensions must be positive")
-        _hex_rgb(self.color_low)
-        _hex_rgb(self.color_high)
+# Every chart is drawn at this size, in pixels.
+WIDTH, HEIGHT = 960, 600
+# Colour ramp endpoints as (r, g, b): yellow for low values, green for high.
+RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
 
 
 @dataclass(frozen=True)
@@ -70,59 +51,36 @@ class TableData:
             raise InputError("table columns must have equal lengths")
 
 
-# Parsed once per colour string: ChartSpec validation fills the cache and
-# every colour computed for that spec reads it. Results are immutable tuples.
-@lru_cache(maxsize=256)
-def _hex_rgb(color: str) -> tuple[int, int, int]:
-    if not (len(color) == 7 and color.startswith("#")):
-        raise InputError(f"colors must be '#rrggbb', got {color!r}")
-    try:
-        return tuple(int(color[i:i + 2], 16) for i in (1, 3, 5))
-    except ValueError:
-        raise InputError(f"colors must be '#rrggbb', got {color!r}") from None
+def ramp_color(t) -> list[str]:
+    """``#rrggbb`` colours for the values of ``t``, flattened in C order.
 
-
-def _ramp_colors(spec: ChartSpec, t) -> list[str]:
-    """Colours for the values of ``t``, flattened in C order.
-
-    Each channel is ``lo + t * (hi - lo)`` between the spec's endpoints,
-    rounded half to even, with t clamped to [0, 1]; NaN maps to the low
-    end. Emitters call this once per chart, never per element.
+    Each channel is ``low + t * (high - low)`` between ``RAMP_LOW`` and
+    ``RAMP_HIGH``, rounded half to even, with t clamped to [0, 1]; NaN maps
+    to the low end. Emitters call this once per chart, never per element.
     """
     t = np.minimum(1.0, np.fmax(0.0, np.ravel(t)))
-    low = np.array(_hex_rgb(spec.color_low))
-    high = np.array(_hex_rgb(spec.color_high))
+    low, high = np.array(RAMP_LOW), np.array(RAMP_HIGH)
     channels = np.rint(low + t[:, None] * (high - low)).astype(np.int64)
     return [f"#{c:06x}" for c in (channels @ (65536, 256, 1)).tolist()]
-
-
-def ramp_color(spec: ChartSpec, t: float) -> str:
-    """Linear interpolation between the spec's endpoints, t in [0, 1]."""
-    return _ramp_colors(spec, [t])[0]
-
-
-def _require_kind(spec: ChartSpec, kind: str) -> None:
-    if spec.kind != kind:
-        raise InputError(f"chart spec kind {spec.kind!r} does not match {kind!r}")
 
 
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _svg_open(spec: ChartSpec, extra_defs: str = "") -> list[str]:
+def _svg_open(title: str, extra_defs: str = "") -> list[str]:
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">']
+        f'width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">']
     if extra_defs:
         parts.append(f"<defs>{extra_defs}</defs>")
-    parts.append(f'<rect x="0" y="0" width="{spec.width}" '
-                 f'height="{spec.height}" fill="#ffffff"/>')
-    if spec.title:
-        parts.append(f'<text class="title" x="{spec.width / 2:.2f}" y="18" '
+    parts.append(f'<rect x="0" y="0" width="{WIDTH}" '
+                 f'height="{HEIGHT}" fill="#ffffff"/>')
+    if title:
+        parts.append(f'<text class="title" x="{WIDTH / 2:.2f}" y="18" '
                      f'text-anchor="middle" font-size="14" '
-                     f'font-family="sans-serif">{escape(spec.title)}</text>')
+                     f'font-family="sans-serif">{escape(title)}</text>')
     return parts
 
 
@@ -273,12 +231,11 @@ def _record_quoting_cr(row: Sequence[str]) -> str:
 # charts
 
 
-def emit_heatmap(panel: ScorePanel, spec: ChartSpec) -> str:
+def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
     """Score matrix as a colored grid; one rect per cell, missing hatched."""
-    _require_kind(spec, "heatmap")
     margin_left, margin_top, margin_right, margin_bottom = 110, 80, 20, 20
-    plot_w = spec.width - margin_left - margin_right
-    plot_h = spec.height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
     cell_w = plot_w / panel.n_categories
     cell_h = plot_h / panel.n_entities
 
@@ -287,7 +244,7 @@ def emit_heatmap(panel: ScorePanel, spec: ChartSpec) -> str:
              '<rect width="6" height="6" fill="#f2f2f2"/>'
              '<path d="M0,6 L6,0" stroke="#999999" stroke-width="1"/>'
              '</pattern>')
-    parts = _svg_open(spec, extra_defs=hatch)
+    parts = _svg_open(title, extra_defs=hatch)
 
     for j, category in enumerate(panel.categories):
         x = margin_left + (j + 0.5) * cell_w
@@ -305,7 +262,7 @@ def emit_heatmap(panel: ScorePanel, spec: ChartSpec) -> str:
     xs = [_fmt(margin_left + j * cell_w) for j in range(m)]
     size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
     categories = [escape(c) for c in panel.categories]
-    colors = _ramp_colors(spec, panel.scores / 100.0)
+    colors = ramp_color(panel.scores / 100.0)
     rows = zip(panel.entities, panel.scores.tolist(),
                panel.missing_mask.tolist())
     for i, (entity, values, missing) in enumerate(rows):
@@ -327,9 +284,8 @@ def emit_heatmap(panel: ScorePanel, spec: ChartSpec) -> str:
 
 
 def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
-                   spec: ChartSpec) -> str:
+                   title: str = "") -> str:
     """Entity-category bipartite subgraph; edge width and color follow scores."""
-    _require_kind(spec, "bipartite")
     subset = tuple(subset)
     if not subset:
         raise InputError("bipartite subset must be nonempty")
@@ -340,18 +296,18 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
 
     margin = 60
     left_x = margin + 60
-    right_x = spec.width - margin - 60
-    usable_h = spec.height - 2 * margin
+    right_x = WIDTH - margin - 60
+    usable_h = HEIGHT - 2 * margin
 
     def y_pos(index: int, count: int) -> float:
         if count == 1:
             return margin + usable_h / 2
         return margin + usable_h * index / (count - 1)
 
-    parts = _svg_open(spec)
+    parts = _svg_open(title)
     min_w, max_w = 0.5, 4.0
     m = panel.n_categories
-    colors = _ramp_colors(spec, panel.scores[[row_of[e] for e in subset]] / 100.0)
+    colors = ramp_color(panel.scores[[row_of[e] for e in subset]] / 100.0)
     for i, entity in enumerate(subset):
         ey = y_pos(i, len(subset))
         for j, category in enumerate(panel.categories):
@@ -382,20 +338,19 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
     return "\n".join(parts) + "\n"
 
 
-def emit_weight_bars(weights: GoalWeights, spec: ChartSpec) -> str:
+def emit_weight_bars(weights: GoalWeights, title: str = "") -> str:
     """Horizontal bar per category, length proportional to its weight."""
-    _require_kind(spec, "weight_bars")
     if len(weights.categories) == 0:
         raise InputError("no categories to draw")
     margin_left, margin_top, margin_right, margin_bottom = 110, 40, 80, 20
-    plot_w = spec.width - margin_left - margin_right
-    plot_h = spec.height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
     slot_h = plot_h / len(weights.categories)
     bar_h = slot_h * 0.7
     top = float(np.max(weights.values))
 
-    colors = _ramp_colors(spec, weights.values / top)
-    parts = _svg_open(spec)
+    colors = ramp_color(weights.values / top)
+    parts = _svg_open(title)
     for i, category in enumerate(weights.categories):
         value = float(weights.values[i])
         length = plot_w * value / top
@@ -432,19 +387,18 @@ def _path_from_points(points: list[tuple[str, float] | None]) -> str:
 
 
 def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
-                        entities: Sequence[str], spec: ChartSpec) -> str:
+                        entities: Sequence[str], title: str = "") -> str:
     """Weighted-performance curves: one thin line per entity colored by
     group, thick group means, a thick national mean, and best/worst
     annotations per category."""
-    _require_kind(spec, "weighted_lines")
     performance = np.asarray(performance, dtype=float)
     entities = tuple(entities)
     if performance.shape != (len(entities), len(profile.categories)):
         raise InputError("performance matrix does not match entities x categories")
 
     margin_left, margin_top, margin_right, margin_bottom = 60, 40, 20, 90
-    plot_w = spec.width - margin_left - margin_right
-    plot_h = spec.height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
     n_cat = len(profile.categories)
 
     stacked = np.vstack([performance, profile.group_curves,
@@ -467,17 +421,17 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
         return _path_from_points([(x, y) if math.isfinite(y) else None
                                   for x, y in zip(x_text, curve)])
 
-    group_colors = _ramp_colors(spec, [1.0, 0.5, 0.0])
+    group_colors = ramp_color([1.0, 0.5, 0.0])
     group_of = {e: g for g, members in enumerate(profile.groups) for e in members}
     ungrouped = [e for e in entities if e not in group_of]
     if ungrouped:
         raise InputError("entities missing from the group profile: "
                          + ", ".join(ungrouped))
 
-    parts = _svg_open(spec)
-    tick_y = _fmt(spec.height - margin_bottom + 16)
+    parts = _svg_open(title)
+    tick_y = _fmt(HEIGHT - margin_bottom + 16)
     for j, category in enumerate(profile.categories):
-        parts.append(_text(xs[j], spec.height - margin_bottom + 16, category,
+        parts.append(_text(xs[j], HEIGHT - margin_bottom + 16, category,
                            cls="x-tick", anchor="end",
                            extra=f' transform="rotate(-60 {x_text[j]} {tick_y})"'))
 
@@ -515,15 +469,14 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     return "\n".join(parts) + "\n"
 
 
-def emit_rank_bump(series: RankSeries, spec: ChartSpec) -> str:
+def emit_rank_bump(series: RankSeries, title: str = "") -> str:
     """Rank trajectories over years; rank 1 at the top, colors keyed to the
     final year's rank."""
-    _require_kind(spec, "rank_bump")
     if not series.trajectories:
         raise InputError("rank series is empty")
     margin_left, margin_top, margin_right, margin_bottom = 60, 40, 120, 40
-    plot_w = spec.width - margin_left - margin_right
-    plot_h = spec.height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
     n_years = len(series.years)
     max_rank = max(r for t in series.trajectories for r in t.ranks if r is not None)
 
@@ -537,9 +490,9 @@ def emit_rank_bump(series: RankSeries, spec: ChartSpec) -> str:
             return margin_top + plot_h / 2
         return margin_top + plot_h * (rank - 1) / (max_rank - 1)
 
-    parts = _svg_open(spec)
+    parts = _svg_open(title)
     for t, year in enumerate(series.years):
-        parts.append(_text(x_pos(t), spec.height - margin_bottom + 18, year,
+        parts.append(_text(x_pos(t), HEIGHT - margin_bottom + 18, year,
                            cls="x-tick", anchor="middle", size=11))
     for rank in (1, max_rank):
         parts.append(_text(margin_left - 8, y_pos(rank) + 4, str(rank),
@@ -547,7 +500,7 @@ def emit_rank_bump(series: RankSeries, spec: ChartSpec) -> str:
 
     x_text = [_fmt(x_pos(t)) for t in range(n_years)]
     final_ranks = [trajectory.ranks[-1] for trajectory in series.trajectories]
-    colors = _ramp_colors(spec, [
+    colors = ramp_color([
         1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
         for rank in final_ranks])
     for trajectory, rank, color in zip(series.trajectories, final_ranks, colors):
@@ -567,26 +520,25 @@ def emit_rank_bump(series: RankSeries, spec: ChartSpec) -> str:
     return "\n".join(parts) + "\n"
 
 
-def emit_grouped_bars(evolution: WeightsEvolution, spec: ChartSpec) -> str:
+def emit_grouped_bars(evolution: WeightsEvolution, title: str = "") -> str:
     """Grouped bars: one group per category, one bar per year with data.
 
     Years a category is absent leave a visible gap in its group.
     """
-    _require_kind(spec, "grouped_bars")
     if len(evolution.categories) == 0:
         raise InputError("no categories to draw")
     margin_left, margin_top, margin_right, margin_bottom = 60, 40, 20, 90
-    plot_w = spec.width - margin_left - margin_right
-    plot_h = spec.height - margin_top - margin_bottom
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
     n_cat = len(evolution.categories)
     n_years = len(evolution.years)
     group_w = plot_w / n_cat
     bar_w = group_w / (n_years + 1)
     top = float(np.nanmax(evolution.values))
-    year_color = dict(zip(evolution.years, _ramp_colors(
-        spec, [t / max(1, n_years - 1) for t in range(n_years)])))
+    year_color = dict(zip(evolution.years, ramp_color(
+        [t / max(1, n_years - 1) for t in range(n_years)])))
 
-    parts = _svg_open(spec)
+    parts = _svg_open(title)
     baseline = margin_top + plot_h
     for i, category in enumerate(evolution.categories):
         group_x = margin_left + i * group_w

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelrank import (ChartSpec, degree_index, emit_bipartite,
+from panelrank import (degree_index, emit_bipartite,
                        emit_grouped_bars, emit_heatmap, emit_rank_bump,
                        emit_weight_bars, emit_weighted_lines, make_panel,
                        rank_entities, rank_evolution, tertile_groups,
@@ -78,16 +78,12 @@ def all_charts(panel, weights, title: str = "") -> dict[str, str]:
     table = rank_entities(panel.entities, degree_index(panel).totals,
                           "k_s", panel.year)
     return {
-        "heatmap": emit_heatmap(panel, ChartSpec("heatmap", title=title)),
-        "bipartite": emit_bipartite(panel, panel.entities,
-                                    ChartSpec("bipartite")),
-        "weight_bars": emit_weight_bars(weights, ChartSpec("weight_bars")),
+        "heatmap": emit_heatmap(panel, title),
+        "bipartite": emit_bipartite(panel, panel.entities),
+        "weight_bars": emit_weight_bars(weights),
         "weighted_lines": emit_weighted_lines(
             weighted_performance(panel, weights),
-            tertile_groups(table, panel, weights), panel.entities,
-            ChartSpec("weighted_lines")),
-        "rank_bump": emit_rank_bump(rank_evolution([table]),
-                                    ChartSpec("rank_bump")),
-        "grouped_bars": emit_grouped_bars(weights_evolution([weights]),
-                                          ChartSpec("grouped_bars")),
+            tertile_groups(table, panel, weights), panel.entities),
+        "rank_bump": emit_rank_bump(rank_evolution([table])),
+        "grouped_bars": emit_grouped_bars(weights_evolution([weights])),
     }

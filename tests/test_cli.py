@@ -208,7 +208,10 @@ class TestCompute:
         ticks = [el.text for el in bump.iter() if el.get("class") == "x-tick"]
         assert ticks == ["2024", "2018"]
 
-    @pytest.mark.parametrize("labels", [("2019", "2019"), ("2019/a", "2019_a")])
+    # The last pair collides through output names: 2019's iterative table
+    # and iterative_2019's D_s table are both ranks_D_s_iterative_2019.csv.
+    @pytest.mark.parametrize("labels", [("2019", "2019"), ("2019/a", "2019_a"),
+                                        ("2019", "iterative_2019")])
     def test_colliding_year_labels_exit_1(self, tmp_path, capsys, labels):
         panel = write(tmp_path, "p.csv", WORKED_3X2)
         rc = main(["compute", "--panel", f"{labels[0]}={panel}",
@@ -216,6 +219,25 @@ class TestCompute:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "year labels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("maps", [
+        [("2019->2020", '{"renames": [{"from": ["AA"], "to": ["AA", "AZ"]}]}')],
+        [("2019->2020", '{"renames": [{"from": ["nope"], "to": ["zzz"]}]}')],
+        [("2019->2021", "{}")],
+        [("2019->2020", "{}"), ("2019->2020", "{}")]],
+        ids=["bad-shape", "unknown-ids", "not-consecutive", "same-key-twice"])
+    def test_bad_entity_map_writes_nothing(self, tmp_path, capsys, data_dir,
+                                           maps):
+        args = [arg for i, (key, text) in enumerate(maps)
+                for arg in ("--entity-map",
+                            f"{key}={write(tmp_path, f'm{i}.json', text)}")]
+        rc = main(["compute",
+                   "--panel", f"2019={data_dir / 'panel_2019.csv'}",
+                   "--panel", f"2020={data_dir / 'panel_2020.csv'}",
+                   *args, "--charts", "none", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
     def test_near_block_fixed_point_exits_3(self, tmp_path, capsys,
@@ -346,6 +368,20 @@ class TestCompare:
                    "--entity-map", "2018->2024=" + emap])
         assert rc == 0
         assert "= 1.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("years", [("2024",), ("2024", "2018")])
+    def test_map_must_name_first_and_last_input(self, tmp_path, capsys,
+                                                years):
+        panel = write(tmp_path, "p.csv", DISTINCT_3X2)
+        emap = write(tmp_path, "map.json", "{}")
+        rc = main(["compare", "k_s", "k_s",
+                   *[arg for year in years for arg in ("--panel",
+                                                       f"{year}={panel}")],
+                   "--entity-map", "2018->2024=" + emap,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "consecutive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_three_panels_rejected(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_3X2)

@@ -1,7 +1,7 @@
 """The result records: immutable named tuples, built without dataclasses.
 
-Only ``ChartSpec`` and ``TableData``, which check their arguments when
-built, and the mutable ``RunConfig`` stay dataclasses.
+Only ``TableData``, which checks its arguments when built, and the
+mutable ``RunConfig`` stay dataclasses.
 """
 
 import os
@@ -110,9 +110,11 @@ print(" ".join(sorted(built)))
 
 
 def test_import_builds_only_three_dataclasses():
-    # Each dataclass compiles its generated methods on every import.
+    # Each dataclass compiles its generated methods on every import. (The
+    # name counts an earlier chart-settings class too; it is kept so that
+    # the test id stays stable.)
     src = str(Path(panelrank.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", COUNT_DATACLASSES],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.split() == ["ChartSpec", "RunConfig", "TableData"]
+    assert done.stdout.split() == ["RunConfig", "TableData"]
