@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import AdjustedUbiquity, ComplexityScores
 from .errors import InputError
-from .panel import EntityMap, Lineage, ScorePanel, align_rosters
+from .panel import Alignment, Lineage, ScorePanel
+from .panel import align_rosters  # noqa: F401 - perfbench/tracer.py wraps it here
 
 RANK_BASES = ("k_s", "composite_mean", "D_s")
 
@@ -222,26 +223,24 @@ def tertile_groups(table: RankTable, panel: ScorePanel,
 
 
 def rank_evolution(tables: Sequence[RankTable],
-                   maps: Sequence[EntityMap | None] | None = None) -> RankSeries:
+                   alignments: Sequence[Alignment]) -> RankSeries:
     """Per-entity rank trajectories across chronologically ordered tables.
 
-    ``maps[i]`` aligns the roster of ``tables[i]`` with ``tables[i + 1]``.
-    Trajectories are keyed to the final-year roster (the color key of the
-    bump chart). Split children inherit the parent's earlier ranks and are
-    flagged; merged and introduced entities start where they first appear.
+    ``alignments[i]`` is ``align_rosters`` of the rosters of ``tables[i]``
+    and ``tables[i + 1]``. Trajectories are keyed to the final-year roster
+    (the color key of the bump chart). Split children inherit the parent's
+    earlier ranks and are flagged; merged and introduced entities start
+    where they first appear.
     """
     if not tables:
         raise InputError("rank evolution needs at least one rank table")
-    if maps is None:
-        maps = [None] * (len(tables) - 1)
-    if len(maps) != len(tables) - 1:
+    if len(alignments) != len(tables) - 1:
         raise InputError(
-            f"need {len(tables) - 1} entity maps for {len(tables)} tables, "
-            f"got {len(maps)}")
+            f"need {len(tables) - 1} roster alignments for {len(tables)} "
+            f"tables, got {len(alignments)}")
 
     links_by_year: list[dict[str, Lineage]] = [
-        align_rosters(tables[i].entities, tables[i + 1].entities, maps[i]).by_entity()
-        for i in range(len(tables) - 1)]
+        alignment.by_entity() for alignment in alignments]
 
     years = tuple(t.year for t in tables)
     rank_of = [t.rank_of() for t in tables]

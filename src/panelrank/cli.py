@@ -10,7 +10,8 @@ Three subcommands:
     Spearman rho between two scoring bases, either on one panel or
     across two panels with matching (or explicitly mapped) rosters.
 ``validate``
-    Panel diagnostics; exits nonzero only on errors, not warnings.
+    Panel and entity-map diagnostics; exits nonzero only on errors, not
+    warnings.
 
 Exit codes: 0 success, 1 input error, 2 degenerate panel, 3 fixed-point
 non-convergence (suppressed by ``--allow-nonconverged``). The spectral
@@ -32,8 +33,8 @@ import numpy as np
 
 from . import analytics, core, report
 from .errors import DegeneratePanelError, InputError, NonConvergenceError
-from .panel import EntityMap, ScorePanel, aggregate_indicators, align_rosters, \
-    parse_indicator_csv, parse_panel, validate_panel
+from .panel import Alignment, EntityMap, ScorePanel, aggregate_indicators, \
+    align_rosters, parse_indicator_csv, parse_panel, validate_panel
 
 CHART_KINDS = ("heatmap", "bipartite", "weight_bars", "weighted_lines",
                "rank_bump", "grouped_bars")
@@ -194,6 +195,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         config.method = "none"
     if args.command == "compare":
+        if len(config.inputs) > 2:
+            raise InputError("compare takes one panel (within-year) or two "
+                             "(across years)")
         # Run only the solver the bases read: D_s reads the primary scores
         # (spectral unless --method iterative), k_s and composite_mean none.
         if "D_s" not in (args.basis_a, args.basis_b):
@@ -237,21 +241,21 @@ def load_input(kind: str, year: str, path: Path) -> ScorePanel:
     return aggregate_indicators(parse_indicator_csv(text, year))
 
 
-def load_panels(config: RunConfig) -> list[ScorePanel]:
-    """Parse all configured inputs, in the order they were given."""
-    return [load_input(*item) for item in config.inputs]
-
-
-def load_entity_map(config: RunConfig, earlier: ScorePanel,
-                    later: ScorePanel) -> EntityMap:
-    """The map given for two consecutive panels, checked against both
-    rosters; an empty map when none was given."""
+def align_pair(config: RunConfig, earlier: ScorePanel,
+               later: ScorePanel) -> Alignment:
+    """The rosters of two consecutive panels aligned under the map given
+    for them, or by identity when none was given."""
     path = config.entity_maps.get((earlier.year, later.year))
-    if path is None:
-        return EntityMap()
-    emap = EntityMap.from_json(_read_text(path))
-    align_rosters(earlier.entities, later.entities, emap)
-    return emap
+    emap = None if path is None else EntityMap.from_json(_read_text(path))
+    return align_rosters(earlier.entities, later.entities, emap)
+
+
+def load_inputs(config: RunConfig) -> tuple[list[ScorePanel], list[Alignment]]:
+    """Every input parsed, in command-line order, and one checked
+    alignment per consecutive pair, before anything is solved or written."""
+    panels = [load_input(*item) for item in config.inputs]
+    return panels, [align_pair(config, *pair)
+                    for pair in zip(panels, panels[1:])]
 
 
 def _safe_label(year: str) -> str:
@@ -340,10 +344,7 @@ def cmd_compute(config: RunConfig) -> int:
         warnings.append(message)
         print(f"warning: {message}", file=sys.stderr)
 
-    panels = load_panels(config)
-    # Maps are read and checked before anything is written.
-    maps = [load_entity_map(config, earlier, later)
-            for earlier, later in zip(panels, panels[1:])]
+    panels, alignments = load_inputs(config)
     out = config.out_dir
     assert out is not None
     out.mkdir(parents=True, exist_ok=True)
@@ -355,69 +356,58 @@ def cmd_compute(config: RunConfig) -> int:
         written.append(path)
 
     results = [compute_year(panel, config, warn) for panel in panels]
+    tables = [_rank_tables(result) for result in results]
+    weights = [analytics.goal_weights(result.primary, result.ubiquity)
+               for result in results]
 
-    agreement_years: list[str] = []
-    agreement_rhos: list[float] = []
-    rank_history: list[analytics.RankTable] = []
-    rank_history_ds: list[analytics.RankTable] = []
-    weights_history: list[analytics.GoalWeights] = []
-
-    for result in results:
+    for result, year_tables, year_weights in zip(results, tables, weights):
         panel = result.panel
         label = _safe_label(panel.year)
-        tables = _rank_tables(result)
 
         write(f"scores_entities_{label}.csv", report.emit_table(_entity_table(result)))
         write(f"scores_categories_{label}.csv",
               report.emit_table(_category_table(result)))
-        for key, table in tables.items():
+        for key, table in year_tables.items():
             write(f"ranks_{key}_{label}.csv", report.emit_table(table))
-
-        if result.spectral is not None and result.iterative is not None:
-            agreement_years.append(panel.year)
-            agreement_rhos.append(analytics.spearman(
-                result.spectral.entity_scores, result.iterative.entity_scores))
-
-        weights = analytics.goal_weights(result.primary, result.ubiquity)
-        weights_history.append(weights)
-        rank_history.append(tables["k_s"])
-        rank_history_ds.append(tables["D_s"])
 
         if "heatmap" in config.charts:
             write(f"heatmap_{label}.svg", report.emit_heatmap(
                 panel, f"Scores {panel.year}"))
         if "bipartite" in config.charts:
             write(f"bipartite_{label}.svg", report.emit_bipartite(
-                panel, _bipartite_subset(tables["k_s"]),
+                panel, _bipartite_subset(year_tables["k_s"]),
                 f"Score network {panel.year}"))
         if "weight_bars" in config.charts:
             write(f"weight_bars_{label}.svg", report.emit_weight_bars(
-                weights, f"Category weights {panel.year}"))
+                year_weights, f"Category weights {panel.year}"))
         if "weighted_lines" in config.charts:
             if panel.n_entities < 3:
                 warn(f"year {panel.year}: skipping weighted_lines chart "
                      "(needs at least 3 entities)")
             else:
-                profile = analytics.tertile_groups(tables["k_s"], panel, weights)
-                performance = analytics.weighted_performance(panel, weights)
+                profile = analytics.tertile_groups(year_tables["k_s"], panel,
+                                                   year_weights)
+                performance = analytics.weighted_performance(panel, year_weights)
                 write(f"weighted_lines_{label}.svg", report.emit_weighted_lines(
                     performance, profile, panel.entities,
                     f"Weighted performance {panel.year}"))
 
-    if agreement_years:
+    if config.method == "both":
         write("method_agreement.csv", report.emit_table(report.TableData(
-            ("year", "spearman_rho"), (agreement_years, agreement_rhos))))
+            ("year", "spearman_rho"),
+            ([panel.year for panel in panels],
+             [analytics.spearman(result.spectral.entity_scores,
+                                 result.iterative.entity_scores)
+              for result in results]))))
 
     if "rank_bump" in config.charts:
-        write("rank_bump_k_s.svg", report.emit_rank_bump(
-            analytics.rank_evolution(rank_history, maps),
-            "Rank evolution (totals)"))
-        write("rank_bump_D_s.svg", report.emit_rank_bump(
-            analytics.rank_evolution(rank_history_ds, maps),
-            "Rank evolution (complexity)"))
+        for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
+            write(f"rank_bump_{basis}.svg", report.emit_rank_bump(
+                analytics.rank_evolution([t[basis] for t in tables], alignments),
+                f"Rank evolution ({title})"))
     if "grouped_bars" in config.charts:
         write("grouped_bars_weights.svg", report.emit_grouped_bars(
-            analytics.weights_evolution(weights_history), "Weight evolution"))
+            analytics.weights_evolution(weights), "Weight evolution"))
 
     for path in written:
         print(path)
@@ -426,41 +416,33 @@ def cmd_compute(config: RunConfig) -> int:
 
 def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     """Spearman rho between two scoring bases, printed and optionally written."""
-    panels = load_panels(config)
-    if len(panels) > 2:
-        raise InputError("compare takes one panel (within-year) or two "
-                         "(across years)")
+    panels, alignments = load_inputs(config)
+    first, last = panels[0], panels[-1]
+    pairs = [(e, e) for e in first.entities]
+    if alignments:
+        links, retired = alignments[0]
+        if retired or any(link.kind not in ("unchanged", "renamed")
+                          for link in links):
+            raise InputError(
+                f"rosters of {first.year} and {last.year} do not "
+                "correspond one-to-one; provide --entity-map rename rules")
+        pairs = [(link.parents[0], link.entity) for link in links]
     results = [compute_year(p, config, lambda m: print(f"warning: {m}",
                                                        file=sys.stderr))
                for p in panels]
-    first, last = results[0], results[-1]
 
-    if first is last:
-        pairs = [(e, e) for e in first.panel.entities]
-    else:
-        emap = load_entity_map(config, first.panel, last.panel)
-        alignment = align_rosters(first.panel.entities, last.panel.entities,
-                                  emap)
-        moved = [link for link in alignment.links
-                 if link.kind not in ("unchanged", "renamed")]
-        if moved or alignment.retired:
-            raise InputError(
-                f"rosters of {first.panel.year} and {last.panel.year} do not "
-                "correspond one-to-one; provide --entity-map rename rules")
-        pairs = [(link.parents[0], link.entity) for link in alignment.links]
-
-    values_a = dict(zip(first.panel.entities, _basis_values(first, basis_a)))
-    values_b = dict(zip(last.panel.entities, _basis_values(last, basis_b)))
+    values_a = dict(zip(first.entities, _basis_values(results[0], basis_a)))
+    values_b = dict(zip(last.entities, _basis_values(results[-1], basis_b)))
     pairs.sort(key=lambda p: p[0])
     rho = analytics.spearman([values_a[a] for a, _ in pairs],
                              [values_b[b] for _, b in pairs])
 
     table_a = analytics.rank_entities([a for a, _ in pairs],
                                       [values_a[a] for a, _ in pairs],
-                                      basis_a, first.panel.year)
+                                      basis_a, first.year)
     table_b = analytics.rank_entities([b for _, b in pairs],
                                       [values_b[b] for _, b in pairs],
-                                      basis_b, last.panel.year)
+                                      basis_b, last.year)
     rank_b = table_b.rank_of()
     score_b = table_b.score_of()
     partner = dict(pairs)
@@ -476,9 +458,8 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     print(text, end="")
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        name = (f"compare_{basis_a}_vs_{basis_b}_"
-                f"{_safe_label(first.panel.year)}"
-                + ("" if first is last else f"_{_safe_label(last.panel.year)}")
+        name = (f"compare_{basis_a}_vs_{basis_b}_{_safe_label(first.year)}"
+                + ("" if first is last else f"_{_safe_label(last.year)}")
                 + ".csv")
         path = config.out_dir / name
         path.write_text(text, encoding="utf-8", newline="\n")
@@ -487,11 +468,13 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    """Print findings for every panel; exit 1 only if any error."""
+    """Print findings for every panel and every given map; exit 1 only if
+    any error."""
     failed = False
+    panels: dict[str, ScorePanel] = {}
     for kind, year, path in config.inputs:
         try:
-            panel = load_input(kind, year, path)
+            panel = panels[year] = load_input(kind, year, path)
         except InputError as exc:
             print(f"{year}: error: {exc}")
             failed = True
@@ -503,6 +486,16 @@ def cmd_validate(config: RunConfig) -> int:
             failed = True
         if not findings:
             print(f"{year}: ok")
+    # A pair whose panel failed to load is skipped: that error is printed.
+    for a, b in config.entity_maps:
+        if a in panels and b in panels:
+            try:
+                align_pair(config, panels[a], panels[b])
+            except InputError as exc:
+                print(f"{a}->{b}: error: {exc}")
+                failed = True
+            else:
+                print(f"{a}->{b}: ok")
     return 1 if failed else 0
 
 

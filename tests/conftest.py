@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelrank import (degree_index, emit_bipartite,
+from panelrank import (align_rosters, degree_index, emit_bipartite,
                        emit_grouped_bars, emit_heatmap, emit_rank_bump,
                        emit_weight_bars, emit_weighted_lines, make_panel,
                        rank_entities, rank_evolution, tertile_groups,
@@ -72,6 +72,14 @@ def random_panel(rng: np.random.Generator, n_entities: int, n_categories: int,
                       [f"c{j:02d}" for j in range(n_categories)], scores)
 
 
+def aligned(tables, maps=None):
+    """The alignments ``rank_evolution`` takes: ``align_rosters`` of each
+    consecutive pair of tables, under ``maps[i]`` or by identity."""
+    maps = maps or [None] * (len(tables) - 1)
+    return [align_rosters(a.entities, b.entities, emap)
+            for a, b, emap in zip(tables, tables[1:], maps)]
+
+
 def all_charts(panel, weights, title: str = "") -> dict[str, str]:
     """The six charts of one panel, by kind: the bipartite chart covers
     every entity and the groups come from the k_s ranking."""
@@ -84,6 +92,6 @@ def all_charts(panel, weights, title: str = "") -> dict[str, str]:
         "weighted_lines": emit_weighted_lines(
             weighted_performance(panel, weights),
             tertile_groups(table, panel, weights), panel.entities),
-        "rank_bump": emit_rank_bump(rank_evolution([table])),
+        "rank_bump": emit_rank_bump(rank_evolution([table], aligned([table]))),
         "grouped_bars": emit_grouped_bars(weights_evolution([weights])),
     }

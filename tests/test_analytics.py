@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from panelrank import (EntityMap, GoalWeights, InputError, RankTable,
-                       adjusted_ubiquity, degree_index, genepy_scores,
-                       goal_weights, make_panel, rank_correlation,
+                       adjusted_ubiquity, align_rosters, degree_index,
+                       genepy_scores, goal_weights, make_panel, rank_correlation,
                        rank_entities, rank_evolution, spearman,
                        tertile_groups, weighted_performance,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
 
-from conftest import random_panel
+from conftest import aligned, random_panel
 from oracles import spearman_no_ties
 
 
@@ -206,7 +206,8 @@ class TestRankEvolution:
         return out
 
     def test_single_year(self):
-        series = rank_evolution(self.tables(("2018", ["a", "b"], [2.0, 1.0])))
+        series = rank_evolution(
+            self.tables(("2018", ["a", "b"], [2.0, 1.0])), [])
         assert series.years == ("2018",)
         assert [t.ranks for t in series.trajectories] == [(1,), (2,)]
 
@@ -216,7 +217,7 @@ class TestRankEvolution:
             ("2019", ["a", "b"], [1.0, 2.0]),
             ("2020", ["a", "b"], [2.0, 1.0]),
             ("2024", ["a", "b"], [1.0, 2.0]))
-        series = rank_evolution(tables, [None, None, None])
+        series = rank_evolution(tables, aligned(tables, [None, None, None]))
         by_entity = {t.entity: t for t in series.trajectories}
         assert by_entity["a"].ranks == (1, 2, 1, 2)
         assert by_entity["b"].ranks == (2, 1, 2, 1)
@@ -228,7 +229,7 @@ class TestRankEvolution:
         tables = self.tables(
             ("2019", ["AP", "x"], [2.0, 1.0]),
             ("2020", ["AP", "TG", "x"], [3.0, 2.0, 1.0]))
-        series = rank_evolution(tables, [emap])
+        series = rank_evolution(tables, aligned(tables, [emap]))
         by_entity = {t.entity: t for t in series.trajectories}
         assert by_entity["TG"].ranks == (1, 2)
         assert by_entity["TG"].lineage == "split-derived"
@@ -241,7 +242,7 @@ class TestRankEvolution:
         tables = self.tables(
             ("2019", ["DN", "DD", "x"], [3.0, 2.0, 1.0]),
             ("2020", ["DNDD", "x"], [2.0, 1.0]))
-        series = rank_evolution(tables, [emap])
+        series = rank_evolution(tables, aligned(tables, [emap]))
         by_entity = {t.entity: t for t in series.trajectories}
         assert by_entity["DNDD"].ranks == (None, 1)
         assert by_entity["DNDD"].lineage == "merged"
@@ -250,7 +251,7 @@ class TestRankEvolution:
         tables = self.tables(
             ("2018", ["a", "b"], [2.0, 1.0]),
             ("2019", ["a", "b"], [1.0, 2.0]))
-        series = rank_evolution(tables)
+        series = rank_evolution(tables, aligned(tables))
         seen = set()
         for trajectory in series.trajectories:
             for year, rank in zip(series.years, trajectory.ranks):
@@ -270,14 +271,14 @@ class TestRankEvolution:
         entities = [f"e{i:02d}" for i in range(20)]
         tables = self.tables(*((year, entities, np.arange(20.0))
                                for year in ("2018", "2019", "2020")))
-        series = rank_evolution(tables)
+        series = rank_evolution(tables, aligned(tables))
         assert sorted(calls) == ["2018", "2019", "2020"]
         assert series.trajectories[0].ranks == (1, 1, 1)
 
     def test_map_count_mismatch(self):
         tables = self.tables(("2018", ["a", "b"], [2.0, 1.0]))
-        with pytest.raises(InputError, match="entity maps"):
-            rank_evolution(tables, [EntityMap()])
+        with pytest.raises(InputError, match="roster alignments"):
+            rank_evolution(tables, [align_rosters(["a", "b"], ["a", "b"])])
 
 
 class TestWeightsEvolution:

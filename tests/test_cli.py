@@ -22,6 +22,14 @@ INDICATORS_2X2 = ("entity,category,indicator,value\n"
 DISTINCT_3X2 = "entity,g1,g2\na,50,40\nb,30,20\nc,10,5\n"
 # One field longer than the csv module's default limit of 128 KiB.
 BIG_FIELD = "x" * (128 * 1024 + 1)
+# Entity maps between the bundled 2019 and 2020 panels that fail, by test id.
+BAD_MAPS = {
+    "bad-shape": [("2019->2020",
+                   '{"renames": [{"from": ["AA"], "to": ["AA", "AZ"]}]}')],
+    "unknown-ids": [("2019->2020",
+                     '{"renames": [{"from": ["nope"], "to": ["zzz"]}]}')],
+    "not-consecutive": [("2019->2021", "{}")],
+    "same-key-twice": [("2019->2020", "{}"), ("2019->2020", "{}")]}
 # sha256 of every file `compute` writes for the bundled dataset, recorded
 # from the code before any rewrite of the scoring or emit paths.
 FIXTURE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -36,6 +44,19 @@ def write(tmp_path, name, text):
 
 def read_csv(path):
     return [line.split(",") for line in path.read_text().strip().split("\n")]
+
+
+def panels_2019_2020(data_dir):
+    return ["--panel", f"2019={data_dir / 'panel_2019.csv'}",
+            "--panel", f"2020={data_dir / 'panel_2020.csv'}"]
+
+
+def map_args(tmp_path, maps):
+    """``--entity-map`` flags for (key, JSON text) pairs, each text
+    written to its own file."""
+    return [arg for i, (key, text) in enumerate(maps)
+            for arg in ("--entity-map",
+                        f"{key}={write(tmp_path, f'm{i}.json', text)}")]
 
 
 def run_cli(*args):
@@ -221,21 +242,12 @@ class TestCompute:
         assert "year labels" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("maps", [
-        [("2019->2020", '{"renames": [{"from": ["AA"], "to": ["AA", "AZ"]}]}')],
-        [("2019->2020", '{"renames": [{"from": ["nope"], "to": ["zzz"]}]}')],
-        [("2019->2021", "{}")],
-        [("2019->2020", "{}"), ("2019->2020", "{}")]],
-        ids=["bad-shape", "unknown-ids", "not-consecutive", "same-key-twice"])
+    @pytest.mark.parametrize("maps", BAD_MAPS.values(), ids=BAD_MAPS.keys())
     def test_bad_entity_map_writes_nothing(self, tmp_path, capsys, data_dir,
                                            maps):
-        args = [arg for i, (key, text) in enumerate(maps)
-                for arg in ("--entity-map",
-                            f"{key}={write(tmp_path, f'm{i}.json', text)}")]
-        rc = main(["compute",
-                   "--panel", f"2019={data_dir / 'panel_2019.csv'}",
-                   "--panel", f"2020={data_dir / 'panel_2020.csv'}",
-                   *args, "--charts", "none", "--out", str(tmp_path / "out")])
+        rc = main(["compute", *panels_2019_2020(data_dir),
+                   *map_args(tmp_path, maps),
+                   "--charts", "none", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
@@ -389,6 +401,16 @@ class TestCompare:
                    "--panel", "2=" + panel, "--panel", "3=" + panel])
         assert rc == 1
 
+    def test_three_inputs_rejected_before_any_is_read(self, tmp_path, capsys):
+        panel = write(tmp_path, "a.csv", WORKED_3X2)
+        rc = main(["compare", "k_s", "k_s", "--panel", "1=" + panel,
+                   "--panel", "2=" + panel,
+                   "--panel", f"3={tmp_path / 'nonexistent.csv'}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "compare takes one panel (within-year) or two" in err
+        assert "cannot read" not in err
+
 
 class TestValidate:
     def test_clean_fixture(self, tmp_path, capsys, data_dir):
@@ -441,6 +463,98 @@ class TestValidate:
     def test_no_inputs_exit_1(self, capsys):
         rc = main(["validate"])
         assert rc == 1
+
+    def test_bundled_map_ok(self, capsys, data_dir):
+        rc = main(["validate", *panels_2019_2020(data_dir), "--entity-map",
+                   f"2019->2020={data_dir / 'map_2019_2020.json'}"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "2019: ok", "2020: ok", "2019->2020: ok"]
+
+    def test_unreadable_map_exit_1(self, tmp_path, capsys, data_dir):
+        rc = main(["validate", *panels_2019_2020(data_dir), "--entity-map",
+                   f"2019->2020={tmp_path / 'nonexistent.json'}"])
+        assert rc == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("2019->2020: error: cannot read")
+
+    @pytest.mark.parametrize("maps", BAD_MAPS.values(), ids=BAD_MAPS.keys())
+    def test_bad_map_exit_1(self, tmp_path, capsys, data_dir, maps):
+        rc = main(["validate", *panels_2019_2020(data_dir),
+                   *map_args(tmp_path, maps)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        # Maps that name no consecutive pair, or one pair twice, are
+        # usage errors; the others are reported beside the panels.
+        assert "2019->2020: error: " in out or err.startswith("error: ")
+
+    def test_map_of_unloadable_panel_skipped(self, tmp_path, capsys,
+                                             data_dir):
+        rc = main(["validate",
+                   "--panel", f"2019={tmp_path / 'nonexistent.csv'}",
+                   "--panel", f"2020={data_dir / 'panel_2020.csv'}",
+                   *map_args(tmp_path, [("2019->2020", "not json")])])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == ["2019", "2020"]
+
+
+class TestLoadingStage:
+    """`compute` and `compare` align each consecutive roster pair once,
+    before anything is solved or written."""
+
+    @pytest.fixture
+    def align_calls(self, monkeypatch):
+        calls = []
+        align_rosters = cli.align_rosters
+
+        def counted(*args):
+            calls.append(args)
+            return align_rosters(*args)
+
+        monkeypatch.setattr(cli, "align_rosters", counted)
+        return calls
+
+    def test_compute_aligns_each_pair_once(self, tmp_path, capsys, data_dir,
+                                           align_calls):
+        panels = [arg for year in ("2018", "2019", "2020", "2024")
+                  for arg in ("--panel",
+                              f"{year}={data_dir / f'panel_{year}.csv'}")]
+        rc = main(["compute", *panels,
+                   "--entity-map", f"2019->2020={data_dir / 'map_2019_2020.json'}",
+                   "--charts", "all", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(align_calls) == 3
+
+    def test_compare_aligns_once(self, tmp_path, capsys, align_calls):
+        a = write(tmp_path, "a.csv", DISTINCT_3X2)
+        b = write(tmp_path, "b.csv", "entity,g1,g2\naa,50,40\nb,30,20\nc,10,5\n")
+        rc = main(["compare", "k_s", "k_s", "--panel", "2018=" + a,
+                   "--panel", "2024=" + b,
+                   *map_args(tmp_path, [("2018->2024", '{"renames": '
+                                         '[{"from": ["a"], "to": ["aa"]}]}')])])
+        assert rc == 0
+        assert len(align_calls) == 1
+
+    def test_compare_checks_rosters_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch, near_block):
+        solves = []
+        run_fitness = cli.core.run_fitness
+
+        def counted(*args):
+            solves.append(args)
+            return run_fitness(*args)
+
+        monkeypatch.setattr(cli.core, "run_fitness", counted)
+        # The fixed point does not converge on near_block: solving it
+        # first would exit 3.
+        a = write(tmp_path, "a.csv", panel_to_csv(near_block))
+        b = write(tmp_path, "b.csv", WORKED_3X2)
+        rc = main(["compare", "D_s", "D_s", "--method", "iterative",
+                   "--panel", "2018=" + a, "--panel", "2024=" + b])
+        assert rc == 1
+        assert "one-to-one" in capsys.readouterr().err
+        assert solves == []
 
 
 class TestEntryPoint:

@@ -35,7 +35,9 @@ def built_records(panel):
     weights = analytics.goal_weights(result.spectral, result.ubiquity)
     emap = EntityMap.from_json(SPLIT)
     alignment = align_rosters(["a", "b", "c"], ["a", "b1", "b2", "c"], emap)
-    series = analytics.rank_evolution([tables["k_s"], tables["D_s"]])
+    series = analytics.rank_evolution(
+        [tables["k_s"], tables["D_s"]],
+        [align_rosters(panel.entities, panel.entities)])
     prox = core.proximity(panel, result.degree, result.ubiquity)
     return [
         result, result.panel, result.degree, result.ubiquity,

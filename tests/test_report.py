@@ -19,7 +19,7 @@ from panelrank import (GoalWeights, InputError, TableData,
 from panelrank.analytics import tertile_sizes
 from panelrank.panel import Finding
 
-from conftest import all_charts, random_panel
+from conftest import aligned, all_charts, random_panel
 
 
 def elements_with_class(svg_text: str, token: str):
@@ -302,7 +302,7 @@ class TestRankBump:
     def series_for(self, rows):
         tables = [rank_entities(entities, values, "k_s", year)
                   for year, entities, values in rows]
-        return rank_evolution(tables)
+        return rank_evolution(tables, aligned(tables))
 
     def test_four_year_ticks(self):
         series = self.series_for([
@@ -337,7 +337,7 @@ class TestRankBump:
             '{"merges": [{"from": ["p", "q"], "to": ["pq"]}]}')
         tables = [rank_entities(["p", "q", "x"], [3.0, 2.0, 1.0], "k_s", "2019"),
                   rank_entities(["pq", "x"], [2.0, 1.0], "k_s", "2020")]
-        series = rank_evolution(tables, [emap])
+        series = rank_evolution(tables, aligned(tables, [emap]))
         svg = emit_rank_bump(series)
         lines = {el.get("data-entity"): el.get("d")
                  for el in elements_with_class(svg, "rank-line")}
@@ -382,7 +382,7 @@ class TestAllEmittersWellFormed:
         table = rank_entities(panel.entities, deg.totals, "k_s", "2024")
         profile = tertile_groups(table, panel, weights)
         performance = weighted_performance(panel, weights)
-        series = rank_evolution([table])
+        series = rank_evolution([table], [])
         evolution = weights_evolution([weights])
         outputs = [
             emit_heatmap(panel, "A & B"),
@@ -473,7 +473,8 @@ def recorded_outputs() -> dict[str, str]:
         "weight_bars": emit_weight_bars(weights),
         "weighted_lines": emit_weighted_lines(
             weighted_performance(panel, weights), profile, panel.entities),
-        "rank_bump": emit_rank_bump(rank_evolution([*early, table])),
+        "rank_bump": emit_rank_bump(rank_evolution([*early, table],
+                                                   aligned([*early, table]))),
         "grouped_bars": emit_grouped_bars(evolution),
     }
     for name, data in (("ranks", table), ("weights", evolution),
