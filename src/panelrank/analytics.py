@@ -169,18 +169,6 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     return float((ra @ rb) / denom)
 
 
-def rank_correlation(a: RankTable, b: RankTable) -> float:
-    """Spearman rho between two rank tables over the same entity set."""
-    if set(a.entities) != set(b.entities):
-        raise InputError(
-            f"entity sets differ between rank tables ({a.basis}/{a.year} "
-            f"vs {b.basis}/{b.year})")
-    ids = sorted(a.entities)
-    score_a = a.score_of()
-    score_b = b.score_of()
-    return spearman([score_a[e] for e in ids], [score_b[e] for e in ids])
-
-
 def tertile_sizes(count: int) -> tuple[int, int, int]:
     """Split ``count`` into three groups, extras going to earlier groups."""
     base, extra = divmod(count, 3)

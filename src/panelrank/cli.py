@@ -79,8 +79,8 @@ class RunConfig:
             if (a, b) not in zip(years, years[1:]):
                 raise InputError(f"--entity-map {a}->{b} does not name two "
                                  "consecutive inputs")
-        if self.tol <= 0:
-            raise InputError("--tol must be positive")
+        if not 0 < self.tol < float("inf"):
+            raise InputError("--tol must be positive and finite")
         if self.max_steps < 1:
             raise InputError("--max-steps must be at least 1")
 
@@ -231,6 +231,21 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte "
+                         f"0x{byte:02x} at offset {exc.start})") from None
+
+
+def _write_text(directory: Path, name: str, text: str) -> Path:
+    """Write one output file, creating its directory first."""
+    path = directory / name
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def load_input(kind: str, year: str, path: Path) -> ScorePanel:
@@ -277,8 +292,7 @@ def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
                 raise NonConvergenceError(
                     f"year {panel.year}: fixed-point iteration did not reach "
                     f"tol={config.tol} after {trace.steps} steps "
-                    f"(last residual {trace.final_residual:.3e}{stopped})",
-                    steps=trace.steps, residual=trace.final_residual)
+                    f"(last residual {trace.final_residual:.3e}{stopped})")
             warn(f"year {panel.year}: fixed-point iteration did not converge; "
                  "using last iterate (--allow-nonconverged)")
     return YearResult(panel, deg, ubiq, spectral, iterative, trace)
@@ -294,6 +308,12 @@ def _entity_table(result: YearResult) -> report.TableData:
             header.append(f"complexity_{scores.method}")
             columns.append(scores.entity_scores)
     return report.TableData(tuple(header), tuple(columns))
+
+
+def _rank_table(table: analytics.RankTable) -> report.TableData:
+    return report.TableData(("entity", "score", "rank", "tied"),
+                            (table.entities, table.scores,
+                             range(1, len(table.entities) + 1), table.tied))
 
 
 def _category_table(result: YearResult) -> report.TableData:
@@ -347,13 +367,10 @@ def cmd_compute(config: RunConfig) -> int:
     panels, alignments = load_inputs(config)
     out = config.out_dir
     assert out is not None
-    out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
     def write(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8", newline="\n")
-        written.append(path)
+        written.append(_write_text(out, name, text))
 
     results = [compute_year(panel, config, warn) for panel in panels]
     tables = [_rank_tables(result) for result in results]
@@ -368,7 +385,8 @@ def cmd_compute(config: RunConfig) -> int:
         write(f"scores_categories_{label}.csv",
               report.emit_table(_category_table(result)))
         for key, table in year_tables.items():
-            write(f"ranks_{key}_{label}.csv", report.emit_table(table))
+            write(f"ranks_{key}_{label}.csv",
+                  report.emit_table(_rank_table(table)))
 
         if "heatmap" in config.charts:
             write(f"heatmap_{label}.svg", report.emit_heatmap(
@@ -457,13 +475,10 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     print(f"spearman rho ({basis_a} vs {basis_b}) = {rho:.6f}")
     print(text, end="")
     if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         name = (f"compare_{basis_a}_vs_{basis_b}_{_safe_label(first.year)}"
                 + ("" if first is last else f"_{_safe_label(last.year)}")
                 + ".csv")
-        path = config.out_dir / name
-        path.write_text(text, encoding="utf-8", newline="\n")
-        print(path)
+        print(_write_text(config.out_dir, name, text))
     return 0
 
 

@@ -125,10 +125,8 @@ def degree_index(panel: ScorePanel) -> DegreeIndex:
     counts = panel.present_mask().sum(axis=1)
     zero = np.flatnonzero(totals == 0)
     if zero.size:
-        names = tuple(panel.entities[i] for i in zero)
-        raise DegeneratePanelError(
-            "zero total score for entity: " + ", ".join(names),
-            entities=names)
+        raise DegeneratePanelError("zero total score for entity: " + ", ".join(
+            panel.entities[i] for i in zero))
     return DegreeIndex(panel.entities, totals, counts, totals / counts)
 
 
@@ -141,10 +139,8 @@ def adjusted_ubiquity(panel: ScorePanel, deg: DegreeIndex) -> AdjustedUbiquity:
     values = (panel.scores / deg.totals[:, None]).sum(axis=0)
     zero = np.flatnonzero(values == 0)
     if zero.size:
-        names = tuple(panel.categories[j] for j in zero)
-        raise DegeneratePanelError(
-            "zero adjusted ubiquity for category: " + ", ".join(names),
-            categories=names)
+        raise DegeneratePanelError("zero adjusted ubiquity for category: "
+                                   + ", ".join(panel.categories[j] for j in zero))
     return AdjustedUbiquity(panel.categories, values)
 
 

@@ -17,25 +17,8 @@ class InputError(PanelRankError):
 
 
 class DegeneratePanelError(PanelRankError):
-    """A panel row or column sums to zero, so the scores are undefined.
-
-    ``entities`` / ``categories`` name the offending ids.
-    """
-
-    def __init__(self, message: str, entities: tuple[str, ...] = (),
-                 categories: tuple[str, ...] = ()) -> None:
-        super().__init__(message)
-        self.entities = entities
-        self.categories = categories
+    """A panel row or column sums to zero, so the scores are undefined."""
 
 
 class NonConvergenceError(PanelRankError):
-    """The fixed-point iteration did not reach its tolerance within max_steps.
-
-    ``steps`` and ``residual`` describe the last iterate.
-    """
-
-    def __init__(self, message: str, steps: int, residual: float) -> None:
-        super().__init__(message)
-        self.steps = steps
-        self.residual = residual
+    """The fixed-point iteration did not reach its tolerance within max_steps."""

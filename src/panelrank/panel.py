@@ -83,8 +83,12 @@ class EntityMap(NamedTuple):
             raise InputError(f"entity map is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise InputError("entity map must be a JSON object")
+        for key in doc:
+            if key not in cls._fields:
+                raise InputError(f"entity map has unknown field {key!r} "
+                                 "(expected renames, splits, merges)")
         rules: dict[str, tuple[MapRule, ...]] = {}
-        for kind in ("renames", "splits", "merges"):
+        for kind in cls._fields:
             entries = doc.get(kind, [])
             if not isinstance(entries, list):
                 raise InputError(f"entity map field {kind!r} must be an array")
@@ -93,9 +97,13 @@ class EntityMap(NamedTuple):
                 if not isinstance(entry, dict) or "from" not in entry or "to" not in entry:
                     raise InputError(
                         f"entity map {kind} entries need 'from' and 'to' arrays")
-                sources = tuple(str(x) for x in entry["from"])
-                targets = tuple(str(x) for x in entry["to"])
-                parsed.append(MapRule(sources, targets))
+                for key in ("from", "to"):
+                    ids = entry[key]
+                    if not (isinstance(ids, list)
+                            and all(isinstance(x, str) for x in ids)):
+                        raise InputError(f"entity map {kind} field {key!r} "
+                                         "must be an array of strings")
+                parsed.append(MapRule(tuple(entry["from"]), tuple(entry["to"])))
             rules[kind] = tuple(parsed)
         emap = cls(**rules)
         emap.check_shapes()
@@ -309,25 +317,6 @@ def _panel_faults(csv_text: str, header: list[str]):
             if not 0 <= value <= 100:
                 yield (f"score {value} out of range [0, 100] at row {line}, "
                        f"column {category!r}")
-
-
-def panel_to_csv(panel: ScorePanel) -> str:
-    """Serialize a panel back to its CSV form.
-
-    Floats are written with shortest round-trip precision, so
-    ``parse_panel(panel_to_csv(p), p.year)`` reproduces ``p`` exactly
-    whenever no entity or category id has leading or trailing whitespace
-    (the parser strips cells). ``make_panel`` rejects ids holding a
-    carriage return, which the writer would leave unquoted.
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["entity", *panel.categories])
-    for entity, values, gaps in zip(panel.entities, panel.scores.tolist(),
-                                    panel.missing_mask.tolist()):
-        writer.writerow([entity, *("" if gap else repr(value)
-                                   for value, gap in zip(values, gaps))])
-    return out.getvalue()
 
 
 def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:

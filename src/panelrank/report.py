@@ -1,4 +1,4 @@
-"""Deterministic table (CSV/JSON) and chart (SVG 1.1) emission.
+"""Deterministic table (CSV) and chart (SVG 1.1) emission.
 
 Every emitter is a pure function from values to text: identical inputs
 give byte-identical output. Charts are assembled by hand so the output
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from html import escape
@@ -21,10 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytics import (GoalWeights, GroupProfile, RankSeries, RankTable,
-                        WeightsEvolution)
+from .analytics import GoalWeights, GroupProfile, RankSeries, WeightsEvolution
 from .errors import InputError
-from .panel import Finding, ScorePanel
+from .panel import ScorePanel
 
 # Every chart is drawn at this size, in pixels.
 WIDTH, HEIGHT = 960, 600
@@ -34,7 +32,7 @@ RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
 
 @dataclass(frozen=True)
 class TableData:
-    """Generic table for emit_table: a header and one column per name.
+    """A table for emit_table: a header and one column per name.
 
     ``columns[k]`` holds the cells under ``header[k]``, top to bottom, as
     a tuple, list or 1-D numpy array; all columns have equal length.
@@ -111,108 +109,54 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def _cell_json(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round(float(value), 6) if math.isfinite(value) else None
-    return value
-
-
 # Element type of a single-typed column -> its kind; exact types, so a
 # bool is not an int and a numpy scalar or a str subclass is "mixed".
 _KIND_OF_TYPE = {float: "f", bool: "b", int: "i", str: "U"}
 
 
-def _column_kind(column) -> tuple[str, Sequence]:
-    """The column's element kind and its cells.
+def _text_column(column) -> Sequence[str]:
+    """The cells of ``column`` as text.
 
-    Kinds are "f" (float), "b" (bool), "i" (int) and "U" (str), whose cells
-    come back as Python values, and "O" for mixed, object or other
-    columns, whose cells keep their own types.
+    A single-typed column (a float, bool or int numpy array, or a sequence
+    of one exact type from ``_KIND_OF_TYPE``) is formatted once as a
+    whole; mixed, object and other columns are formatted cell by cell.
     """
     if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind in "fbiu":
-            return kind.replace("u", "i"), column.tolist()
-        return "O", column
-    types = set(map(type, column))
-    return (_KIND_OF_TYPE.get(types.pop(), "O") if len(types) == 1 else "O",
-            column)
-
-
-def _text_column(column) -> Sequence[str]:
-    kind, cells = _column_kind(column)
+        kind = column.dtype.kind.replace("u", "i")
+        if kind not in "fbi":
+            return list(map(_cell_text, column))
+        column = column.tolist()
+    else:
+        types = set(map(type, column))
+        kind = _KIND_OF_TYPE.get(types.pop()) if len(types) == 1 else None
     if kind == "f":
-        return ["" if v != v else f"{v:.6f}" for v in cells]
+        return ["" if v != v else f"{v:.6f}" for v in column]
     if kind == "U":
-        return cells
+        return column
     if kind == "b":
-        return ["true" if v else "false" for v in cells]
+        return ["true" if v else "false" for v in column]
     if kind == "i":
-        return list(map(str, cells))
-    return list(map(_cell_text, cells))
+        return list(map(str, column))
+    return list(map(_cell_text, column))
 
 
-def _json_column(column) -> Sequence:
-    kind, cells = _column_kind(column)
-    if kind == "f":
-        return [round(v, 6) if math.isfinite(v) else None for v in cells]
-    if kind == "O":
-        return list(map(_cell_json, cells))
-    return cells
+def emit_table(table: TableData) -> str:
+    """The table as CSV, one line per row after the header.
 
-
-def to_table(data) -> TableData:
-    """Normalize a supported result type into a generic table."""
-    if isinstance(data, TableData):
-        return data
-    if isinstance(data, RankTable):
-        return TableData(("entity", "score", "rank", "tied"),
-                         (data.entities, data.scores,
-                          range(1, len(data.entities) + 1), data.tied))
-    if isinstance(data, GoalWeights):
-        return TableData(("category", "weight"), (data.categories, data.values))
-    if isinstance(data, WeightsEvolution):
-        return TableData(("category", *data.years),
-                         (data.categories, *data.values.T))
-    if isinstance(data, Sequence) and all(isinstance(x, Finding) for x in data):
-        header = ("severity", "code", "message", "entity", "category")
-        return TableData(header, tuple(tuple(getattr(f, name) for f in data)
-                                       for name in header))
-    raise InputError(f"cannot serialize {type(data).__name__} as a table")
-
-
-def emit_table(data, format: str = "csv") -> str:
-    """Serialize a tabular result as CSV or JSON.
-
-    Column order is fixed by the input type; floats are written with six
-    decimal places ('.' separator); missing values are empty cells (CSV)
-    or null (JSON), and so are non-finite floats in JSON. A CSV cell is
-    quoted when it holds a comma, a quote, a newline or a carriage return,
-    so ``csv.reader`` reads back the same cells. Each column is
-    formatted once by its element type; only mixed or object columns are
-    formatted cell by cell.
+    Floats are written with six decimal places ('.' separator) and NaN as
+    an empty cell. A cell is quoted when it holds a comma, a quote, a
+    newline or a carriage return, so ``csv.reader`` reads back the same
+    cells.
     """
-    table = to_table(data)
-    if format == "csv":
-        columns = list(map(_text_column, table.columns))
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(zip(*columns))
-        text = out.getvalue()
-        if "\r" in text:
-            text = "".join(map(_record_quoting_cr,
-                               [table.header, *zip(*columns)]))
-        return text
-    if format == "json":
-        doc = {"columns": list(table.header),
-               "rows": list(zip(*map(_json_column, table.columns)))}
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    raise InputError(f"unknown table format {format!r}")
+    columns = list(map(_text_column, table.columns))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(zip(*columns))
+    text = out.getvalue()
+    if "\r" in text:
+        text = "".join(map(_record_quoting_cr, [table.header, *zip(*columns)]))
+    return text
 
 
 def _record_quoting_cr(row: Sequence[str]) -> str:

@@ -6,7 +6,8 @@ between the two is meaningful: a brute-force Jacobi eigensolver, a
 closed-form 2x2 eigenpair from the characteristic polynomial, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
 writer, sort-based ranker and cell-by-cell CSV readers that the columnar
-ones replaced. The readers build their panels through ``make_panel``, the
+ones replaced. ``panel_to_csv`` writes a panel back to the CSV form the
+package reads. The readers build their panels through ``make_panel``, the
 one place that builds a panel, so they differ from the package only in
 how cells are converted and checked.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections import Counter
 
@@ -125,16 +125,6 @@ def cell_text(value) -> str:
     return str(value)
 
 
-def cell_json(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return round(float(value), 6) if math.isfinite(value) else None
-    return value
-
-
 def _csv_field(text: str) -> str:
     if any(ch in text for ch in ',"\n\r'):
         return '"' + text.replace('"', '""') + '"'
@@ -146,19 +136,33 @@ def _csv_line(cells: list[str]) -> str:
     return ('""' if cells == [""] else ",".join(map(_csv_field, cells))) + "\n"
 
 
-def table_by_rows(header, rows, format: str = "csv") -> str:
-    """CSV or JSON text of a table, formatted one cell at a time.
+def table_by_rows(header, rows) -> str:
+    """CSV text of a table, formatted one cell at a time.
 
-    The CSV lines are joined by hand, quoting every cell that holds a
-    comma, a quote, a newline or a carriage return.
+    The lines are joined by hand, quoting every cell that holds a comma,
+    a quote, a newline or a carriage return.
     """
-    if format == "csv":
-        return "".join([_csv_line(list(header)),
-                        *(_csv_line([cell_text(v) for v in row])
-                          for row in rows)])
-    doc = {"columns": list(header),
-           "rows": [[cell_json(v) for v in row] for row in rows]}
-    return json.dumps(doc, indent=2) + "\n"
+    return "".join([_csv_line(list(header)),
+                    *(_csv_line([cell_text(v) for v in row]) for row in rows)])
+
+
+def panel_to_csv(panel) -> str:
+    """A panel written back to its CSV form.
+
+    Floats are written with shortest round-trip precision, so
+    ``parse_panel(panel_to_csv(p), p.year)`` reproduces ``p`` exactly
+    whenever no entity or category id has leading or trailing whitespace
+    (the parser strips cells). ``make_panel`` rejects ids holding a
+    carriage return, which the writer would leave unquoted.
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["entity", *panel.categories])
+    for entity, values, gaps in zip(panel.entities, panel.scores.tolist(),
+                                    panel.missing_mask.tolist()):
+        writer.writerow([entity, *("" if gap else repr(value)
+                                   for value, gap in zip(values, gaps))])
+    return out.getvalue()
 
 
 def rank_by_sort(entities, values):

@@ -3,8 +3,7 @@ import pytest
 
 from panelrank import (EntityMap, GoalWeights, InputError, RankTable,
                        adjusted_ubiquity, align_rosters, degree_index,
-                       genepy_scores, goal_weights, make_panel, rank_correlation,
-                       rank_entities, rank_evolution, spearman,
+                       genepy_scores, goal_weights, make_panel, rank_entities, rank_evolution, spearman,
                        tertile_groups, weighted_performance,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
@@ -104,36 +103,28 @@ class TestRankEntities:
 
 class TestRankCorrelation:
     def test_identical_tables(self):
-        table = rank_entities(["a", "b", "c"], [3.0, 2.0, 1.0], "k_s", "y")
-        assert rank_correlation(table, table) == pytest.approx(1.0)
+        assert spearman([3.0, 2.0, 1.0], [3.0, 2.0, 1.0]) == pytest.approx(1.0)
 
     def test_reversed_tables(self):
-        entities = ["a", "b", "c", "d"]
-        up = rank_entities(entities, [1.0, 2.0, 3.0, 4.0], "k_s", "y")
-        down = rank_entities(entities, [4.0, 3.0, 2.0, 1.0], "D_s", "y")
-        assert rank_correlation(up, down) == pytest.approx(-1.0)
+        up, down = [1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0]
+        assert spearman(up, down) == pytest.approx(-1.0)
 
     def test_textbook_example(self):
         # ranks a=(1,2,3,4) vs b=(2,1,4,3): rho = 1 - 6*4/(4*15) = 0.6
-        entities = ["p", "q", "r", "s"]
-        a = rank_entities(entities, [4.0, 3.0, 2.0, 1.0], "k_s", "y")
-        b = rank_entities(entities, [3.0, 4.0, 1.0, 2.0], "D_s", "y")
         expected = spearman_no_ties([1, 2, 3, 4], [2, 1, 4, 3])
         assert expected == pytest.approx(0.6)
-        assert rank_correlation(a, b) == pytest.approx(expected)
+        assert spearman([4.0, 3.0, 2.0, 1.0],
+                        [3.0, 4.0, 1.0, 2.0]) == pytest.approx(expected)
 
     def test_matches_textbook_on_random_tie_free(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
             n = int(rng.integers(3, 30))
-            entities = [f"e{i:02d}" for i in range(n)]
             va = rng.permutation(n).astype(float)
             vb = rng.permutation(n).astype(float)
-            a = rank_entities(entities, va, "k_s", "y")
-            b = rank_entities(entities, vb, "D_s", "y")
-            ranks_a = [a.rank_of()[e] for e in entities]
-            ranks_b = [b.rank_of()[e] for e in entities]
-            assert rank_correlation(a, b) == pytest.approx(
+            # rank 1 is the highest value, as in a rank table
+            ranks_a, ranks_b = n - va, n - vb
+            assert spearman(va, vb) == pytest.approx(
                 spearman_no_ties(ranks_a, ranks_b), abs=1e-12)
 
     def test_average_rank_tie_handling(self):
@@ -154,12 +145,6 @@ class TestRankCorrelation:
         # a NaN has no rank; before this check, the first two gave 1.0, 0.4
         with pytest.raises(InputError, match="finite"):
             spearman(a, b)
-
-    def test_entity_set_mismatch(self):
-        a = rank_entities(["a", "b"], [1.0, 2.0], "k_s", "y")
-        b = rank_entities(["a", "c"], [1.0, 2.0], "k_s", "y")
-        with pytest.raises(InputError, match="entity sets"):
-            rank_correlation(a, b)
 
 
 class TestTertileGroups:

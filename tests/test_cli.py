@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelrank import cli, make_panel, panel_to_csv
+from panelrank import cli, make_panel
 from panelrank.cli import main
+
+from oracles import panel_to_csv
 
 WORKED_3X2 = "entity,g1,g2\na,2,0\nb,1,1\nc,0,2\n"
 WORKED_2X2 = "entity,g1,g2\na,1,1\nb,1,0\n"
@@ -29,7 +31,14 @@ BAD_MAPS = {
     "unknown-ids": [("2019->2020",
                      '{"renames": [{"from": ["nope"], "to": ["zzz"]}]}')],
     "not-consecutive": [("2019->2021", "{}")],
-    "same-key-twice": [("2019->2020", "{}"), ("2019->2020", "{}")]}
+    "same-key-twice": [("2019->2020", "{}"), ("2019->2020", "{}")],
+    "misspelled-field": [("2019->2020",
+                          '{"rename": [{"from": ["AA"], "to": ["AZ"]}]}')]}
+# Latin-1 text, whose 0xE9 byte is not UTF-8, for each input route.
+NOT_UTF8 = {
+    "panel": b"entity,g1,g2\n\xe9,1,2\nb,3,4\n",
+    "indicators": b"entity,category,indicator,value\n\xe9,g1,k1,10\n",
+    "entity-map": b'{"renames": [{"from": ["\xe9"], "to": ["AA"]}]}'}
 # sha256 of every file `compute` writes for the bundled dataset, recorded
 # from the code before any rewrite of the scoring or emit paths.
 FIXTURE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
@@ -195,6 +204,37 @@ class TestCompute:
 
         assert outputs(bom=True) == outputs(bom=False)
 
+    @pytest.mark.parametrize("route", NOT_UTF8)
+    def test_non_utf8_input_exits_1(self, tmp_path, capsys, data_dir, route):
+        path = tmp_path / "latin1"
+        path.write_bytes(NOT_UTF8[route])
+        args = {"panel": ["--panel", f"2024={path}"],
+                "indicators": ["--indicators", f"2024={path}"],
+                "entity-map": [*panels_2019_2020(data_dir),
+                               "--entity-map", f"2019->2020={path}"]}[route]
+        rc = main(["compute", *args, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read {path}: not UTF-8 text (byte 0xe9 ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        panel = write(tmp_path, "p.csv", WORKED_3X2)
+        rc = main(["compute", "--panel", "2024=" + panel, f"--tol={tol}",
+                   "--max-steps", "50", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --tol must be positive")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        panel = write(tmp_path, "p.csv", WORKED_3X2)
+        out = write(tmp_path, "out", "")
+        rc = main(["compute", "--panel", "2024=" + panel, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
     @pytest.mark.parametrize("flag, text", [
         ("--panel", "entity,g1,g2\n,1,2\nb,3,4\n"),
         ("--panel", "entity,,g2\na,1,2\nb,3,4\n"),
@@ -352,6 +392,14 @@ class TestCompare:
                            "score_composite_mean", "rank_composite_mean"]
         assert len(rows) == 4
 
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys):
+        panel = write(tmp_path, "p.csv", WORKED_3X2)
+        out = write(tmp_path, "out", "")
+        rc = main(["compare", "k_s", "composite_mean",
+                   "--panel", "2024=" + panel, "--out", out])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
     def test_written_file_equals_printed_table(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_3X2)
         rc = main(["compare", "k_s", "composite_mean",
@@ -459,6 +507,17 @@ class TestValidate:
             ["2022", "error"], ["2023", "error"], ["2024", "ok"]]
         assert all("field larger than field limit" in line
                    for line in lines[:2])
+
+    def test_non_utf8_reported_and_next_input_checked(self, tmp_path, capsys,
+                                                      data_dir):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(NOT_UTF8["panel"])
+        rc = main(["validate", "--panel", f"2020={path}",
+                   "--panel", f"2024={data_dir / 'panel_2024.csv'}"])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"2020: error: cannot read {path}: not UTF-8 text "
+            "(byte 0xe9 at offset 13)", "2024: ok"]
 
     def test_no_inputs_exit_1(self, capsys):
         rc = main(["validate"])

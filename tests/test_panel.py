@@ -5,10 +5,10 @@ import pytest
 
 from panelrank import (EntityMap, IndicatorTable, InputError,
                        aggregate_indicators, align_rosters, make_panel,
-                       panel_to_csv, parse_indicator_csv, parse_panel,
-                       validate_panel)
+                       parse_indicator_csv, parse_panel, validate_panel)
 
 from conftest import random_panel
+from oracles import panel_to_csv
 
 
 def panel_csv(n_entities: int, n_categories: int, value=50.0) -> str:
@@ -359,3 +359,13 @@ class TestAlignment:
     def test_bad_json(self):
         with pytest.raises(InputError, match="JSON"):
             EntityMap.from_json("not json")
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"renames": [{"from": "AA", "to": ["B"]}]}', "'from'"),
+        ('{"renames": [{"from": 5, "to": ["B"]}]}', "'from'"),
+        ('{"renames": [{"from": ["a"], "to": [5]}]}', "'to'"),
+        ('{"rename": [{"from": ["a"], "to": ["b"]}]}', "'rename'"),
+    ], ids=["string", "number", "number-in-array", "unknown-field"])
+    def test_fields_read_strictly(self, text, field):
+        with pytest.raises(InputError, match=field):
+            EntityMap.from_json(text)

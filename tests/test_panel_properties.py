@@ -18,8 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from panelrank import (InputError, make_panel, panel_to_csv,  # noqa: E402
-                       parse_panel)
+from panelrank import InputError, make_panel, parse_panel  # noqa: E402
+
+from oracles import panel_to_csv  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=320, deadline=None,
                    database=None)

@@ -1,7 +1,6 @@
 import csv
 import hashlib
 import io
-import json
 import sys
 import xml.etree.ElementTree as ET
 
@@ -17,7 +16,6 @@ from panelrank import (GoalWeights, InputError, TableData,
                        tertile_groups, weighted_performance,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
-from panelrank.panel import Finding
 
 from conftest import aligned, all_charts, random_panel
 
@@ -32,42 +30,35 @@ def weights_for(categories, values, year="y"):
     return GoalWeights(year, tuple(categories), np.asarray(values, dtype=float))
 
 
+def rank_csv(table) -> str:
+    return emit_table(cli._rank_table(table))
+
+
 class TestEmitTable:
     def test_rank_table_rows(self):
         table = rank_entities(["a", "b", "c"], [3.0, 2.0, 1.0], "k_s", "y")
-        text = emit_table(table)
-        lines = text.strip().split("\n")
+        lines = rank_csv(table).strip().split("\n")
         assert lines[0] == "entity,score,rank,tied"
         assert len(lines) == 4
         assert lines[1] == "a,3.000000,1,false"
 
     def test_goal_weights_six_decimals(self):
-        text = emit_table(weights_for(["g1", "g2"], [2 / 3, 2.0]))
+        text = emit_table(TableData(("category", "weight"),
+                                    (("g1", "g2"), np.array([2 / 3, 2.0]))))
         assert "0.666667" in text
         assert "2.000000" in text
 
     def test_empty_findings_header_only(self):
-        assert emit_table([]) == "severity,code,message,entity,category\n"
+        header = ("severity", "code", "message", "entity", "category")
+        table = TableData(header, ((),) * len(header))
+        assert emit_table(table) == "severity,code,message,entity,category\n"
 
     def test_findings_rows(self):
-        findings = [Finding("warning", "x", "msg", entity="e")]
-        lines = emit_table(findings).strip().split("\n")
+        # A None cell, like a finding's absent category, is empty.
+        table = TableData(("severity", "code", "message", "entity", "category"),
+                          (("warning",), ("x",), ("msg",), ("e",), (None,)))
+        lines = emit_table(table).strip().split("\n")
         assert lines[1] == "warning,x,msg,e,"
-
-    def test_json_format(self):
-        table = TableData(("a", "b"), ((1, 2), (2 / 3, float("nan"))))
-        doc = json.loads(emit_table(table, "json"))
-        assert doc["columns"] == ["a", "b"]
-        assert doc["rows"][0] == [1, 0.666667]
-        assert doc["rows"][1][1] is None
-
-    @pytest.mark.parametrize("column", [
-        [float("inf"), -float("inf")], np.array([np.inf, -np.inf]),
-        [float("inf"), "x"]], ids=["floats", "array", "mixed"])
-    def test_json_infinities_are_null(self, column):
-        text = emit_table(TableData(("a",), (column,)), "json")
-        assert "Infinity" not in text
-        assert json.loads(text)["rows"][0] == [None]
 
     def test_carriage_return_cell_quoted(self):
         text = emit_table(TableData(("a", "b"), (["x\ry", "z"], ["p", "q"])))
@@ -77,19 +68,15 @@ class TestEmitTable:
 
     def test_deterministic(self):
         table = rank_entities(["a", "b"], [1.0, 2.0], "k_s", "y")
-        assert emit_table(table) == emit_table(table)
-
-    def test_unknown_format(self):
-        with pytest.raises(InputError, match="format"):
-            emit_table(TableData(("a",), ((),)), "xml")
+        assert rank_csv(table) == rank_csv(table)
 
     @pytest.mark.parametrize("column, text, rows", [
-        ((np.True_,), "a\ntrue\n", [[True]]),
-        (np.array([True, False]), "a\ntrue\nfalse\n", [[True], [False]])])
+        ((np.True_,), "a\ntrue\n", [["true"]]),
+        (np.array([True, False]), "a\ntrue\nfalse\n", [["true"], ["false"]])])
     def test_numpy_bools(self, column, text, rows):
-        table = TableData(("a",), (column,))
-        assert emit_table(table) == text
-        assert json.loads(emit_table(table, "json"))["rows"] == rows
+        emitted = emit_table(TableData(("a",), (column,)))
+        assert emitted == text
+        assert list(csv.reader(io.StringIO(emitted)))[1:] == rows
 
     @pytest.mark.parametrize("header, columns", [
         (("a", "b"), (("x",),)),
@@ -99,24 +86,19 @@ class TestEmitTable:
             TableData(header, columns)
 
     def test_typed_columns_not_formatted_per_cell(self, monkeypatch):
-        # Rank tables, weights and the CLI's entity-score table hold only
+        # The CLI's rank, entity-score and category tables hold only
         # single-typed columns, so no cell goes through the per-cell path.
         calls = []
         monkeypatch.setattr(report, "_cell_text", calls.append)
-        monkeypatch.setattr(report, "_cell_json", calls.append)
         panel = random_panel(np.random.default_rng(3), 9, 4)
         result = cli.compute_year(panel, cli.RunConfig(method="both"), print)
-        for data in (cli._rank_tables(result)["D_s"],
-                     weights_for(panel.categories, [0.5, 1.0, 1.5, 2.0]),
-                     cli._entity_table(result)):
-            for fmt in ("csv", "json"):
-                emit_table(data, fmt)
+        for table in (cli._rank_table(cli._rank_tables(result)["D_s"]),
+                      cli._entity_table(result), cli._category_table(result)):
+            emit_table(table)
         assert calls == []
 
 
-# The class name predates the fixed chart size and colours; it is kept so
-# that the ids of its tests stay stable.
-class TestChartSpec:
+class TestRampColor:
     def test_ramp_endpoints(self):
         assert ramp_color([0.0])[0] == "#ffff00"
         assert ramp_color([1.0])[0] == "#008000"
@@ -467,7 +449,7 @@ def recorded_outputs() -> dict[str, str]:
                      np.int64(i), i % 2 == 0, None if i % 3 else "x,y")
                     for i, (e, v) in enumerate(zip(entities, values))))))
 
-    outputs = {
+    return {
         "heatmap": emit_heatmap(panel, 'T & <"q">'),
         "bipartite": emit_bipartite(panel, entities[:12]),
         "weight_bars": emit_weight_bars(weights),
@@ -476,12 +458,12 @@ def recorded_outputs() -> dict[str, str]:
         "rank_bump": emit_rank_bump(rank_evolution([*early, table],
                                                    aligned([*early, table]))),
         "grouped_bars": emit_grouped_bars(evolution),
+        "ranks.csv": emit_table(cli._rank_table(table)),
+        "weights.csv": emit_table(TableData(
+            ("category", *evolution.years),
+            (evolution.categories, *evolution.values.T))),
+        "mixed.csv": emit_table(mixed),
     }
-    for name, data in (("ranks", table), ("weights", evolution),
-                       ("mixed", mixed)):
-        for fmt in ("csv", "json"):
-            outputs[f"{name}.{fmt}"] = emit_table(data, fmt)
-    return outputs
 
 
 class TestRecordedDigests:
@@ -502,16 +484,10 @@ class TestRecordedDigests:
             "26a2183b0aa3638e1f4e4328818caa93e5f2abd9f9fb0097c017ac45d0cb3a9e",
         "ranks.csv":
             "bae8f7cb13a4c305a5225ab015b03c386ea182e272a3678f77705f4b36d8cb9f",
-        "ranks.json":
-            "78a770435939f37079bd1d8b6c5e8730c256a84467c187365239f9bc8795985a",
         "weights.csv":
             "c75cc8679360206a6afe78bb6a7b420593ce00aa7cd2531023dbb6e714f3bc61",
-        "weights.json":
-            "b7c52816bb9f6f1819f3dfb8583d1426397e7b1e23928d8b3287e634a5e45ed5",
         "mixed.csv":
             "6945b1a4fafc7a05659123e7f76f39f0d39de456a28bae9aee678c37ac077e42",
-        "mixed.json":
-            "de28dee9ffd33072653a64056f3a67ff1c51535d401092571b7d843d99c4619f",
     }
 
     def test_outputs_match_recorded_digests(self):
