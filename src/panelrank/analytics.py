@@ -237,19 +237,17 @@ def rank_evolution(tables: Sequence[RankTable],
         ranks: list[int | None] = [None] * len(tables)
         ranks[-1] = rank_of[-1][entity]
         lineage = "own"
-        current: str | None = entity
+        current = entity
         for i in range(len(tables) - 2, -1, -1):
-            link = links_by_year[i].get(current) if current else None
-            if link is None or link.kind in ("introduced", "merged"):
-                if link is not None and link.kind == "merged":
-                    lineage = "merged"
-                current = None
-            else:
-                if link.kind == "split-derived":
-                    lineage = "split-derived"
-                current = link.parents[0]
-            if current is not None:
-                ranks[i] = rank_of[i].get(current)
+            link = links_by_year[i].get(current)
+            if link is None or link.kind == "introduced":
+                break
+            if link.kind in ("merged", "split-derived"):
+                lineage = link.kind
+            if link.kind == "merged":
+                break
+            current = link.parents[0]
+            ranks[i] = rank_of[i].get(current)
         trajectories.append(RankTrajectory(entity, tuple(ranks), lineage))
     return RankSeries(years, tuple(trajectories))
 

@@ -49,8 +49,8 @@ class RunConfig:
     inputs: list[tuple[str, str, Path]] = field(default_factory=list)
     entity_maps: dict[tuple[str, str], Path] = field(default_factory=dict)
     method: str = "both"  # solvers that run: spectral, iterative, both, none
-    tol: float = 1e-10
-    max_steps: int = 1000
+    tol: float = core.DEFAULT_TOL
+    max_steps: int = core.DEFAULT_MAX_STEPS
     out_dir: Path | None = None
     charts: tuple[str, ...] = CHART_KINDS
     allow_nonconverged: bool = False
@@ -436,7 +436,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     """Spearman rho between two scoring bases, printed and optionally written."""
     panels, alignments = load_inputs(config)
     first, last = panels[0], panels[-1]
-    pairs = [(e, e) for e in first.entities]
+    partner = {e: e for e in first.entities}
     if alignments:
         links, retired = alignments[0]
         if retired or any(link.kind not in ("unchanged", "renamed")
@@ -444,31 +444,26 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
             raise InputError(
                 f"rosters of {first.year} and {last.year} do not "
                 "correspond one-to-one; provide --entity-map rename rules")
-        pairs = [(link.parents[0], link.entity) for link in links]
+        partner = {link.parents[0]: link.entity for link in links}
     results = [compute_year(p, config, lambda m: print(f"warning: {m}",
                                                        file=sys.stderr))
                for p in panels]
 
-    values_a = dict(zip(first.entities, _basis_values(results[0], basis_a)))
-    values_b = dict(zip(last.entities, _basis_values(results[-1], basis_b)))
-    pairs.sort(key=lambda p: p[0])
-    rho = analytics.spearman([values_a[a] for a, _ in pairs],
-                             [values_b[b] for _, b in pairs])
-
-    table_a = analytics.rank_entities([a for a, _ in pairs],
-                                      [values_a[a] for a, _ in pairs],
-                                      basis_a, first.year)
-    table_b = analytics.rank_entities([b for _, b in pairs],
-                                      [values_b[b] for _, b in pairs],
-                                      basis_b, last.year)
+    # Ranks do not depend on input order; rho is summed in id order.
+    table_a = analytics.rank_entities(
+        first.entities, _basis_values(results[0], basis_a), basis_a, first.year)
+    table_b = analytics.rank_entities(
+        last.entities, _basis_values(results[-1], basis_b), basis_b, last.year)
+    score_a, score_b = table_a.score_of(), table_b.score_of()
     rank_b = table_b.rank_of()
-    score_b = table_b.score_of()
-    partner = dict(pairs)
+    ids = sorted(partner)
+    rho = analytics.spearman([score_a[a] for a in ids],
+                             [score_b[partner[a]] for a in ids])
     partners = [partner[entity] for entity in table_a.entities]
     side_by_side = report.TableData(
         ("entity", f"score_{basis_a}", f"rank_{basis_a}",
          f"score_{basis_b}", f"rank_{basis_b}"),
-        (table_a.entities, table_a.scores, range(1, len(pairs) + 1),
+        (table_a.entities, table_a.scores, range(1, len(ids) + 1),
          [score_b[b] for b in partners], [rank_b[b] for b in partners]))
 
     text = report.emit_table(side_by_side)

@@ -468,6 +468,10 @@ def validate_panel(panel: ScorePanel) -> list[Finding]:
     return findings
 
 
+_LINEAGE_KINDS = {"rename": "renamed", "split": "split-derived",
+                  "merge": "merged"}
+
+
 def _check_rule_ids(kind: str, rule: MapRule, earlier: set[str], later: set[str]) -> None:
     for src in rule.sources:
         if src not in earlier:
@@ -486,14 +490,18 @@ def align_rosters(earlier: Sequence[str], later: Sequence[str],
     Ids untouched by any rule match by identity; later-roster ids with no
     rule and no identity match are introductions, earlier-roster ids with
     no rule and no identity match are retirements. Conflicting or dangling
-    rules raise InputError.
+    rules raise InputError. ``links`` holds one lineage per later-roster
+    id, in later-roster order; ``retired`` keeps earlier-roster order.
     """
     emap = emap or EntityMap()
     emap.check_shapes()
     earlier_set, later_set = set(earlier), set(later)
 
+    # Ids and conflicts are checked rule by rule; a consumed source still
+    # present in the later roster is reported only if no rule conflicts.
     sourced: dict[str, str] = {}
-    targeted: dict[str, str] = {}
+    targeted: dict[str, tuple[str, tuple[str, ...]]] = {}
+    still_present = None
     for kind, rule in emap.all_rules():
         _check_rule_ids(kind, rule, earlier_set, later_set)
         for src in rule.sources:
@@ -502,47 +510,32 @@ def align_rosters(earlier: Sequence[str], later: Sequence[str],
                     f"conflicting rules: {src!r} is a source of both a "
                     f"{sourced[src]} and a {kind}")
             sourced[src] = kind
+            if (still_present is None and kind != "split"
+                    and src in later_set and src not in rule.targets):
+                still_present = (f"{kind} rule consumes {src!r}, but it is "
+                                 "still present in the later roster")
         for tgt in rule.targets:
             if tgt in targeted:
                 raise InputError(
                     f"conflicting rules: {tgt!r} is a target of both a "
-                    f"{targeted[tgt]} and a {kind}")
-            targeted[tgt] = kind
+                    f"{targeted[tgt][0]} and a {kind}")
+            targeted[tgt] = (kind, rule.sources)
+    if still_present:
+        raise InputError(still_present)
 
-    for kind, rule in emap.all_rules():
-        if kind in ("rename", "merge"):
-            for src in rule.sources:
-                if src in later_set and src not in rule.targets:
-                    raise InputError(
-                        f"{kind} rule consumes {src!r}, but it is still "
-                        "present in the later roster")
-
-    links: list[Lineage] = []
-    consumed: set[str] = set()
-    for kind, rule in emap.all_rules():
-        consumed.update(rule.sources)
-        if kind == "rename":
-            links.append(Lineage(rule.targets[0], rule.sources, "renamed"))
-        elif kind == "split":
-            for child in rule.targets:
-                links.append(Lineage(child, rule.sources, "split-derived"))
-        else:
-            links.append(Lineage(rule.targets[0], rule.sources, "merged"))
-
+    links = []
     for entity in later:
         if entity in targeted:
-            continue
-        if entity in earlier_set:
-            if entity in consumed:
-                raise InputError(
-                    f"conflicting rules: {entity!r} is consumed by a rule "
-                    "but also matches by identity")
+            kind, sources = targeted[entity]
+            links.append(Lineage(entity, sources, _LINEAGE_KINDS[kind]))
+        elif entity in sourced:
+            raise InputError(
+                f"conflicting rules: {entity!r} is consumed by a rule "
+                "but also matches by identity")
+        elif entity in earlier_set:
             links.append(Lineage(entity, (entity,), "unchanged"))
         else:
             links.append(Lineage(entity, (), "introduced"))
-
-    descended = consumed | {p for link in links for p in link.parents}
-    retired = tuple(e for e in earlier if e not in descended)
-    order = {e: i for i, e in enumerate(later)}
-    links.sort(key=lambda link: order[link.entity])
+    retired = tuple(e for e in earlier if e not in sourced
+                    and (e not in later_set or e in targeted))
     return Alignment(tuple(links), retired)

@@ -6,7 +6,8 @@ between the two is meaningful: a brute-force Jacobi eigensolver, a
 closed-form 2x2 eigenpair from the characteristic polynomial, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
 writer, sort-based ranker and cell-by-cell CSV readers that the columnar
-ones replaced. ``panel_to_csv`` writes a panel back to the CSV form the
+ones replaced, and the rule-by-rule roster aligner that the single walk
+replaced. ``panel_to_csv`` writes a panel back to the CSV form the
 package reads. The readers build their panels through ``make_panel``, the
 one place that builds a panel, so they differ from the package only in
 how cells are converted and checked.
@@ -21,7 +22,8 @@ from collections import Counter
 
 import numpy as np
 
-from panelrank import IndicatorTable, InputError, make_panel
+from panelrank import (Alignment, EntityMap, IndicatorTable, InputError,
+                       Lineage, MapRule, make_panel)
 
 
 def jacobi_eigensystem(matrix, max_sweeps: int = 100,
@@ -307,3 +309,83 @@ def aggregate_indicators_by_records(table: IndicatorTable):
         scores[i, j] = math.fsum(values) / len(values)
         missing[i, j] = False
     return make_panel(table.year, tuple(row_of), tuple(col_of), scores, missing)
+
+
+def _check_rule_ids(kind: str, rule: MapRule, earlier: set[str], later: set[str]) -> None:
+    for src in rule.sources:
+        if src not in earlier:
+            raise InputError(
+                f"{kind} rule references {src!r}, which is not in the earlier roster")
+    for tgt in rule.targets:
+        if tgt not in later:
+            raise InputError(
+                f"{kind} rule references {tgt!r}, which is not in the later roster")
+
+
+def align_by_rules(earlier, later, emap: EntityMap | None = None) -> Alignment:
+    """Resolve the correspondence between two entity rosters, rule by rule:
+    links are built per rule, then sorted into later-roster order.
+
+    Ids untouched by any rule match by identity; later-roster ids with no
+    rule and no identity match are introductions, earlier-roster ids with
+    no rule and no identity match are retirements. Conflicting or dangling
+    rules raise InputError.
+    """
+    emap = emap or EntityMap()
+    emap.check_shapes()
+    earlier_set, later_set = set(earlier), set(later)
+
+    sourced: dict[str, str] = {}
+    targeted: dict[str, str] = {}
+    for kind, rule in emap.all_rules():
+        _check_rule_ids(kind, rule, earlier_set, later_set)
+        for src in rule.sources:
+            if src in sourced:
+                raise InputError(
+                    f"conflicting rules: {src!r} is a source of both a "
+                    f"{sourced[src]} and a {kind}")
+            sourced[src] = kind
+        for tgt in rule.targets:
+            if tgt in targeted:
+                raise InputError(
+                    f"conflicting rules: {tgt!r} is a target of both a "
+                    f"{targeted[tgt]} and a {kind}")
+            targeted[tgt] = kind
+
+    for kind, rule in emap.all_rules():
+        if kind in ("rename", "merge"):
+            for src in rule.sources:
+                if src in later_set and src not in rule.targets:
+                    raise InputError(
+                        f"{kind} rule consumes {src!r}, but it is still "
+                        "present in the later roster")
+
+    links: list[Lineage] = []
+    consumed: set[str] = set()
+    for kind, rule in emap.all_rules():
+        consumed.update(rule.sources)
+        if kind == "rename":
+            links.append(Lineage(rule.targets[0], rule.sources, "renamed"))
+        elif kind == "split":
+            for child in rule.targets:
+                links.append(Lineage(child, rule.sources, "split-derived"))
+        else:
+            links.append(Lineage(rule.targets[0], rule.sources, "merged"))
+
+    for entity in later:
+        if entity in targeted:
+            continue
+        if entity in earlier_set:
+            if entity in consumed:
+                raise InputError(
+                    f"conflicting rules: {entity!r} is consumed by a rule "
+                    "but also matches by identity")
+            links.append(Lineage(entity, (entity,), "unchanged"))
+        else:
+            links.append(Lineage(entity, (), "introduced"))
+
+    descended = consumed | {p for link in links for p in link.parents}
+    retired = tuple(e for e in earlier if e not in descended)
+    order = {e: i for i, e in enumerate(later)}
+    links.sort(key=lambda link: order[link.entity])
+    return Alignment(tuple(links), retired)

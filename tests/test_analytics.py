@@ -232,6 +232,30 @@ class TestRankEvolution:
         assert by_entity["DNDD"].ranks == (None, 1)
         assert by_entity["DNDD"].lineage == "merged"
 
+    def test_lineages_that_start_partway(self):
+        # N is introduced in 2019; P and Q merge into PQ in 2020; S splits
+        # into S1 and S2 in 2019, and S2 is renamed T in 2020.
+        maps = [EntityMap.from_json(
+                    '{"splits": [{"from": ["S"], "to": ["S1", "S2"]}]}'),
+                EntityMap.from_json(
+                    '{"renames": [{"from": ["S2"], "to": ["T"]}],'
+                    ' "merges": [{"from": ["P", "Q"], "to": ["PQ"]}]}'),
+                None]
+        tables = self.tables(
+            ("2018", ["S", "P", "Q", "x"], [4.0, 3.0, 2.0, 1.0]),
+            ("2019", ["S1", "S2", "P", "Q", "x", "N"],
+             [5.0, 4.0, 3.0, 2.0, 1.0, 6.0]),
+            ("2020", ["S1", "T", "PQ", "x", "N"], [3.0, 4.0, 5.0, 2.0, 1.0]),
+            ("2024", ["x", "S1", "PQ", "T", "N"], [1.0, 2.0, 3.0, 4.0, 5.0]))
+        series = rank_evolution(tables, aligned(tables, maps))
+        assert series.years == ("2018", "2019", "2020", "2024")
+        assert [tuple(t) for t in series.trajectories] == [
+            ("N", (None, 1, 5, 1), "own"),
+            ("T", (1, 3, 2, 2), "split-derived"),
+            ("PQ", (None, None, 1, 3), "merged"),
+            ("S1", (1, 2, 3, 4), "split-derived"),
+            ("x", (4, 6, 4, 5), "own")]
+
     def test_entity_year_pairs_unique(self):
         tables = self.tables(
             ("2018", ["a", "b"], [2.0, 1.0]),

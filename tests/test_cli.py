@@ -429,6 +429,30 @@ class TestCompare:
         assert rc == 0
         assert "= 1.000000" in capsys.readouterr().out
 
+    def test_across_years_side_by_side_table(self, tmp_path, capsys):
+        # The later roster is reordered and renames b to bb; k_s ties b
+        # with c in 2018 and bb with c in 2024. Rows follow the 2018 rank
+        # order, and each row carries its partner's 2024 score and rank.
+        a = write(tmp_path, "a.csv",
+                  "entity,g1,g2\na,50,40\nb,30,20\nc,20,30\nd,10,5\n")
+        b = write(tmp_path, "b.csv",
+                  "entity,g1,g2\nd,40,30\nbb,10,10\na,45,35\nc,15,5\n")
+        out = tmp_path / "out"
+        rc = main(["compare", "k_s", "k_s", "--panel", "2018=" + a,
+                   "--panel", "2024=" + b, "--out", str(out),
+                   *map_args(tmp_path, [("2018->2024", '{"renames": '
+                                         '[{"from": ["b"], "to": ["bb"]}]}')])])
+        assert rc == 0
+        table = ("entity,score_k_s,rank_k_s,score_k_s,rank_k_s\n"
+                 "a,90.000000,1,80.000000,1\n"
+                 "b,50.000000,2,20.000000,3\n"
+                 "c,50.000000,3,20.000000,4\n"
+                 "d,15.000000,4,70.000000,2\n")
+        path = out / "compare_k_s_vs_k_s_2018_2024.csv"
+        assert capsys.readouterr().out == (
+            "spearman rho (k_s vs k_s) = 0.333333\n" + table + f"{path}\n")
+        assert path.read_text(encoding="utf-8") == table
+
     @pytest.mark.parametrize("years", [("2024",), ("2024", "2018")])
     def test_map_must_name_first_and_last_input(self, tmp_path, capsys,
                                                 years):
