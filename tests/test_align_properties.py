@@ -72,13 +72,3 @@ def outcome(align, earlier, later, emap):
 def test_align_rosters_matches_rule_by_rule(case):
     assert outcome(align_rosters, *case) == outcome(align_by_rules, *case)
 
-
-def test_links_in_later_order_retired_in_earlier_order():
-    earlier = ("DD", "QQ", "AA", "BB", "CC", "PP")
-    later = ("BC", "AZ", "DD", "AA", "EE")
-    emap = EntityMap(splits=(MapRule(("AA",), ("AA", "AZ")),),
-                     merges=(MapRule(("BB", "CC"), ("BC",)),))
-    alignment = align_rosters(earlier, later, emap)
-    assert [link.entity for link in alignment.links] == list(later)
-    assert alignment.retired == ("QQ", "PP")
-    assert alignment == align_by_rules(earlier, later, emap)

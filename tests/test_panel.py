@@ -333,6 +333,16 @@ class TestAlignment:
         assert alignment.by_entity()["c"].kind == "introduced"
         assert alignment.retired == ("a",)
 
+    def test_links_in_later_order_retired_in_earlier_order(self):
+        emap = EntityMap.from_json(
+            '{"splits": [{"from": ["AA"], "to": ["AA", "AZ"]}],'
+            ' "merges": [{"from": ["BB", "CC"], "to": ["BC"]}]}')
+        later = ["BC", "AZ", "DD", "AA", "EE"]
+        alignment = align_rosters(["DD", "QQ", "AA", "BB", "CC", "PP"],
+                                  later, emap)
+        assert [link.entity for link in alignment.links] == later
+        assert alignment.retired == ("QQ", "PP")
+
     def test_conflicting_rules(self):
         emap = EntityMap.from_json(
             '{"renames": [{"from": ["a"], "to": ["b"]}],'
