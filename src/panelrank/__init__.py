@@ -24,9 +24,9 @@ from .panel import (Alignment, EntityMap, Finding, IndicatorTable, Lineage,
                     MapRule, ScorePanel, aggregate_indicators, align_rosters,
                     make_panel, parse_indicator_csv, parse_panel,
                     validate_panel)
-from .report import (TableData, emit_bipartite, emit_grouped_bars,
-                     emit_heatmap, emit_rank_bump, emit_table,
-                     emit_weight_bars, emit_weighted_lines, ramp_color)
+from .report import (emit_bipartite, emit_grouped_bars, emit_heatmap,
+                     emit_rank_bump, emit_table, emit_weight_bars,
+                     emit_weighted_lines, ramp_color)
 
 __version__ = "0.1.0"
 
@@ -36,14 +36,14 @@ __all__ = [
     "GoalWeights", "GroupProfile", "IndicatorTable", "InputError",
     "IterationTrace", "Lineage", "MapRule", "NonConvergenceError",
     "PanelRankError", "ProximityMatrix", "RankSeries", "RankTable",
-    "RankTrajectory", "ScorePanel", "SimilarityPair", "TableData",
-    "WeightsEvolution", "adjusted_ubiquity", "aggregate_indicators",
-    "align_rosters", "degree_index", "emit_bipartite",
-    "emit_grouped_bars", "emit_heatmap", "emit_rank_bump", "emit_table",
-    "emit_weight_bars", "emit_weighted_lines", "fitness_step",
-    "genepy_scores", "goal_weights", "make_panel", "parse_indicator_csv",
-    "parse_panel", "principal_eigenvector", "proximity", "ramp_color",
-    "rank_entities", "rank_evolution", "run_fitness", "similarity",
-    "spearman", "tertile_groups", "validate_panel", "weighted_performance",
+    "RankTrajectory", "ScorePanel", "SimilarityPair", "WeightsEvolution",
+    "adjusted_ubiquity", "aggregate_indicators", "align_rosters",
+    "degree_index", "emit_bipartite", "emit_grouped_bars", "emit_heatmap",
+    "emit_rank_bump", "emit_table", "emit_weight_bars",
+    "emit_weighted_lines", "fitness_step", "genepy_scores", "goal_weights",
+    "make_panel", "parse_indicator_csv", "parse_panel",
+    "principal_eigenvector", "proximity", "ramp_color", "rank_entities",
+    "rank_evolution", "run_fitness", "similarity", "spearman",
+    "tertile_groups", "validate_panel", "weighted_performance",
     "weights_evolution",
 ]

@@ -58,22 +58,24 @@ class RunConfig:
     def validate(self) -> None:
         if not self.inputs:
             raise InputError("at least one --panel or --indicators input is required")
+        # Keyed ignoring case, since a file system that ignores case would
+        # write outputs labelled "A" and "a" to one file.
         seen: dict[str, str] = {}
         for _, year, _ in self.inputs:
-            label = _safe_label(year)
-            if label in seen:
-                raise InputError(f"year labels {seen[label]!r} and {year!r} "
-                                 f"both write outputs labelled {label!r}")
-            seen[label] = year
+            key = _safe_label(year).lower()
+            if key in seen:
+                raise InputError(f"year labels {seen[key]!r} and {year!r} both "
+                                 f"write outputs labelled {key!r} ignoring case")
+            seen[key] = year
         if self.method == "both":
             # Year X's iterative table and year iterative_X's D_s table
             # would share the name ranks_D_s_iterative_X.csv.
-            for label, year in seen.items():
-                other = seen.get(f"iterative_{label}")
+            for key, year in seen.items():
+                other = seen.get(f"iterative_{key}")
                 if other is not None:
                     raise InputError(
                         f"year labels {year!r} and {other!r} both write "
-                        f"ranks_D_s_iterative_{label}.csv")
+                        f"ranks_D_s_iterative_{_safe_label(year)}.csv")
         years = [year for _, year, _ in self.inputs]
         for a, b in self.entity_maps:
             if (a, b) not in zip(years, years[1:]):
@@ -277,7 +279,11 @@ def _safe_label(year: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]", "_", year)
 
 
-def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
+def _warn(message: str) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def compute_year(panel: ScorePanel, config: RunConfig) -> YearResult:
     deg = core.degree_index(panel)
     ubiq = core.adjusted_ubiquity(panel, deg)
     spectral = iterative = trace = None
@@ -293,12 +299,12 @@ def compute_year(panel: ScorePanel, config: RunConfig, warn) -> YearResult:
                     f"year {panel.year}: fixed-point iteration did not reach "
                     f"tol={config.tol} after {trace.steps} steps "
                     f"(last residual {trace.final_residual:.3e}{stopped})")
-            warn(f"year {panel.year}: fixed-point iteration did not converge; "
-                 "using last iterate (--allow-nonconverged)")
+            _warn(f"year {panel.year}: fixed-point iteration did not converge; "
+                  "using last iterate (--allow-nonconverged)")
     return YearResult(panel, deg, ubiq, spectral, iterative, trace)
 
 
-def _entity_table(result: YearResult) -> report.TableData:
+def _entity_table(result: YearResult) -> tuple[list[str], list]:
     deg = result.degree
     header = ["entity", "total_score", "applicable_count", "composite_mean"]
     columns = [result.panel.entities, deg.totals, deg.applicable_counts,
@@ -307,16 +313,16 @@ def _entity_table(result: YearResult) -> report.TableData:
         if scores is not None:
             header.append(f"complexity_{scores.method}")
             columns.append(scores.entity_scores)
-    return report.TableData(tuple(header), tuple(columns))
+    return header, columns
 
 
-def _rank_table(table: analytics.RankTable) -> report.TableData:
-    return report.TableData(("entity", "score", "rank", "tied"),
-                            (table.entities, table.scores,
-                             range(1, len(table.entities) + 1), table.tied))
+def _rank_table(table: analytics.RankTable) -> tuple[tuple[str, ...], tuple]:
+    return (("entity", "score", "rank", "tied"),
+            (table.entities, table.scores, range(1, len(table.entities) + 1),
+             table.tied))
 
 
-def _category_table(result: YearResult) -> report.TableData:
+def _category_table(result: YearResult) -> tuple[list[str], list]:
     header = ["category", "adjusted_ubiquity"]
     columns = [result.panel.categories, result.ubiquity.values]
     for scores in (result.spectral, result.iterative):
@@ -324,7 +330,7 @@ def _category_table(result: YearResult) -> report.TableData:
             weights = analytics.goal_weights(scores, result.ubiquity)
             header += [f"complexity_{scores.method}", f"weight_{scores.method}"]
             columns += [scores.category_scores, weights.values]
-    return report.TableData(tuple(header), tuple(columns))
+    return header, columns
 
 
 def _basis_values(result: YearResult, basis: str) -> np.ndarray:
@@ -358,12 +364,6 @@ def _bipartite_subset(table: analytics.RankTable, size: int = 8) -> tuple[str, .
 
 def cmd_compute(config: RunConfig) -> int:
     """Run the whole pipeline and write tables plus requested charts."""
-    warnings: list[str] = []
-
-    def warn(message: str) -> None:
-        warnings.append(message)
-        print(f"warning: {message}", file=sys.stderr)
-
     panels, alignments = load_inputs(config)
     out = config.out_dir
     assert out is not None
@@ -372,7 +372,7 @@ def cmd_compute(config: RunConfig) -> int:
     def write(name: str, text: str) -> None:
         written.append(_write_text(out, name, text))
 
-    results = [compute_year(panel, config, warn) for panel in panels]
+    results = [compute_year(panel, config) for panel in panels]
     tables = [_rank_tables(result) for result in results]
     weights = [analytics.goal_weights(result.primary, result.ubiquity)
                for result in results]
@@ -381,12 +381,13 @@ def cmd_compute(config: RunConfig) -> int:
         panel = result.panel
         label = _safe_label(panel.year)
 
-        write(f"scores_entities_{label}.csv", report.emit_table(_entity_table(result)))
+        write(f"scores_entities_{label}.csv",
+              report.emit_table(*_entity_table(result)))
         write(f"scores_categories_{label}.csv",
-              report.emit_table(_category_table(result)))
+              report.emit_table(*_category_table(result)))
         for key, table in year_tables.items():
             write(f"ranks_{key}_{label}.csv",
-                  report.emit_table(_rank_table(table)))
+                  report.emit_table(*_rank_table(table)))
 
         if "heatmap" in config.charts:
             write(f"heatmap_{label}.svg", report.emit_heatmap(
@@ -400,8 +401,8 @@ def cmd_compute(config: RunConfig) -> int:
                 year_weights, f"Category weights {panel.year}"))
         if "weighted_lines" in config.charts:
             if panel.n_entities < 3:
-                warn(f"year {panel.year}: skipping weighted_lines chart "
-                     "(needs at least 3 entities)")
+                _warn(f"year {panel.year}: skipping weighted_lines chart "
+                      "(needs at least 3 entities)")
             else:
                 profile = analytics.tertile_groups(year_tables["k_s"], panel,
                                                    year_weights)
@@ -411,12 +412,12 @@ def cmd_compute(config: RunConfig) -> int:
                     f"Weighted performance {panel.year}"))
 
     if config.method == "both":
-        write("method_agreement.csv", report.emit_table(report.TableData(
+        write("method_agreement.csv", report.emit_table(
             ("year", "spearman_rho"),
             ([panel.year for panel in panels],
              [analytics.spearman(result.spectral.entity_scores,
                                  result.iterative.entity_scores)
-              for result in results]))))
+              for result in results])))
 
     if "rank_bump" in config.charts:
         for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
@@ -445,9 +446,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
                 f"rosters of {first.year} and {last.year} do not "
                 "correspond one-to-one; provide --entity-map rename rules")
         partner = {link.parents[0]: link.entity for link in links}
-    results = [compute_year(p, config, lambda m: print(f"warning: {m}",
-                                                       file=sys.stderr))
-               for p in panels]
+    results = [compute_year(panel, config) for panel in panels]
 
     # Ranks do not depend on input order; rho is summed in id order.
     table_a = analytics.rank_entities(
@@ -460,13 +459,11 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     rho = analytics.spearman([score_a[a] for a in ids],
                              [score_b[partner[a]] for a in ids])
     partners = [partner[entity] for entity in table_a.entities]
-    side_by_side = report.TableData(
+    text = report.emit_table(
         ("entity", f"score_{basis_a}", f"rank_{basis_a}",
          f"score_{basis_b}", f"rank_{basis_b}"),
         (table_a.entities, table_a.scores, range(1, len(ids) + 1),
          [score_b[b] for b in partners], [rank_b[b] for b in partners]))
-
-    text = report.emit_table(side_by_side)
     print(f"spearman rho ({basis_a} vs {basis_b}) = {rho:.6f}")
     print(text, end="")
     if config.out_dir is not None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from html import escape
 from typing import Sequence
 
@@ -28,25 +27,6 @@ from .panel import ScorePanel
 WIDTH, HEIGHT = 960, 600
 # Colour ramp endpoints as (r, g, b): yellow for low values, green for high.
 RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
-
-
-@dataclass(frozen=True)
-class TableData:
-    """A table for emit_table: a header and one column per name.
-
-    ``columns[k]`` holds the cells under ``header[k]``, top to bottom, as
-    a tuple, list or 1-D numpy array; all columns have equal length.
-    """
-
-    header: tuple[str, ...]
-    columns: tuple[Sequence, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.columns) != len(self.header):
-            raise InputError(f"table has {len(self.header)} names but "
-                             f"{len(self.columns)} columns")
-        if len({len(column) for column in self.columns}) > 1:
-            raise InputError("table columns must have equal lengths")
 
 
 def ramp_color(t) -> list[str]:
@@ -82,6 +62,14 @@ def _svg_open(title: str, extra_defs: str = "") -> list[str]:
     return parts
 
 
+def _spread(count: int, start: float, length: float) -> list[float]:
+    """Positions of ``count`` evenly spaced marks from ``start`` over
+    ``length``, ends included; a single mark goes to the middle."""
+    if count == 1:
+        return [start + length / 2]
+    return [start + length * i / (count - 1) for i in range(count)]
+
+
 def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
           anchor: str = "start", extra: str = "") -> str:
     cls_attr = f' class="{cls}"' if cls else ""
@@ -94,68 +82,54 @@ def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
 # tables
 
 
-def _cell_text(value) -> str:
-    # No bool is a float, so floats can be tested first.
-    if isinstance(value, (float, np.floating)):
-        return "" if math.isnan(value) else f"{float(value):.6f}"
-    if type(value) is str:
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    return str(value)
+def _text_column(name: str, column) -> Sequence[str]:
+    """The cells of the column named ``name`` as text.
 
-
-# Element type of a single-typed column -> its kind; exact types, so a
-# bool is not an int and a numpy scalar or a str subclass is "mixed".
-_KIND_OF_TYPE = {float: "f", bool: "b", int: "i", str: "U"}
-
-
-def _text_column(column) -> Sequence[str]:
-    """The cells of ``column`` as text.
-
-    A single-typed column (a float, bool or int numpy array, or a sequence
-    of one exact type from ``_KIND_OF_TYPE``) is formatted once as a
-    whole; mixed, object and other columns are formatted cell by cell.
+    An array is read through ``tolist``. Every cell must then be exactly a
+    float, an int, a bool or a str, all of one type; the column is
+    formatted once as a whole.
     """
     if isinstance(column, np.ndarray):
-        kind = column.dtype.kind.replace("u", "i")
-        if kind not in "fbi":
-            return list(map(_cell_text, column))
         column = column.tolist()
-    else:
-        types = set(map(type, column))
-        kind = _KIND_OF_TYPE.get(types.pop()) if len(types) == 1 else None
-    if kind == "f":
+    types = set(map(type, column))
+    if len(types) > 1 or not types <= {float, int, bool, str}:
+        found = ", ".join(sorted(t.__name__ if t.__module__ == "builtins"
+                                 else f"{t.__module__}.{t.__name__}"
+                                 for t in types))
+        raise InputError(f"table column {name!r} must hold cells of one type "
+                         f"(float, int, bool or str); found {found}")
+    if float in types:
         return ["" if v != v else f"{v:.6f}" for v in column]
-    if kind == "U":
-        return column
-    if kind == "b":
+    if bool in types:
         return ["true" if v else "false" for v in column]
-    if kind == "i":
+    if int in types:
         return list(map(str, column))
-    return list(map(_cell_text, column))
+    return column
 
 
-def emit_table(table: TableData) -> str:
+def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     """The table as CSV, one line per row after the header.
 
+    ``columns[k]`` holds the cells under ``header[k]``, top to bottom, as
+    a tuple, list or 1-D numpy array; all columns have equal length.
     Floats are written with six decimal places ('.' separator) and NaN as
-    an empty cell. A cell is quoted when it holds a comma, a quote, a
-    newline or a carriage return, so ``csv.reader`` reads back the same
-    cells.
+    an empty cell, bools as ``true``/``false``. A cell is quoted when it
+    holds a comma, a quote, a newline or a carriage return, so
+    ``csv.reader`` reads back the same cells.
     """
-    columns = list(map(_text_column, table.columns))
+    if len(columns) != len(header):
+        raise InputError(f"table has {len(header)} names but "
+                         f"{len(columns)} columns")
+    if len({len(column) for column in columns}) > 1:
+        raise InputError("table columns must have equal lengths")
+    columns = list(map(_text_column, header, columns))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(table.header)
+    writer.writerow(header)
     writer.writerows(zip(*columns))
     text = out.getvalue()
     if "\r" in text:
-        text = "".join(map(_record_quoting_cr, [table.header, *zip(*columns)]))
+        text = "".join(map(_record_quoting_cr, [header, *zip(*columns)]))
     return text
 
 
@@ -241,19 +215,14 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
     margin = 60
     left_x = margin + 60
     right_x = WIDTH - margin - 60
-    usable_h = HEIGHT - 2 * margin
-
-    def y_pos(index: int, count: int) -> float:
-        if count == 1:
-            return margin + usable_h / 2
-        return margin + usable_h * index / (count - 1)
+    m = panel.n_categories
+    entity_ys = _spread(len(subset), margin, HEIGHT - 2 * margin)
+    category_ys = _spread(m, margin, HEIGHT - 2 * margin)
 
     parts = _svg_open(title)
     min_w, max_w = 0.5, 4.0
-    m = panel.n_categories
     colors = ramp_color(panel.scores[[row_of[e] for e in subset]] / 100.0)
-    for i, entity in enumerate(subset):
-        ey = y_pos(i, len(subset))
+    for i, (entity, ey) in enumerate(zip(subset, entity_ys)):
         for j, category in enumerate(panel.categories):
             if panel.missing_mask[row_of[entity], j]:
                 continue
@@ -261,20 +230,18 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
             t = value / 100.0
             parts.append(
                 f'<line class="edge" x1="{_fmt(left_x)}" y1="{_fmt(ey)}" '
-                f'x2="{_fmt(right_x)}" y2="{_fmt(y_pos(j, m))}" '
+                f'x2="{_fmt(right_x)}" y2="{_fmt(category_ys[j])}" '
                 f'stroke="{colors[i * m + j]}" '
                 f'stroke-width="{min_w + t * (max_w - min_w):.2f}" '
                 f'stroke-opacity="0.75" data-entity="{escape(entity)}" '
                 f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
 
-    for i, entity in enumerate(subset):
-        ey = y_pos(i, len(subset))
+    for entity, ey in zip(subset, entity_ys):
         parts.append(f'<circle class="node entity-node" cx="{_fmt(left_x)}" '
                      f'cy="{_fmt(ey)}" r="5" fill="#333333"/>')
         parts.append(_text(left_x - 10, ey + 4, entity, cls="node-label",
                            anchor="end"))
-    for j, category in enumerate(panel.categories):
-        cy = y_pos(j, panel.n_categories)
+    for category, cy in zip(panel.categories, category_ys):
         parts.append(f'<circle class="node category-node" cx="{_fmt(right_x)}" '
                      f'cy="{_fmt(cy)}" r="5" fill="#333333"/>')
         parts.append(_text(right_x + 10, cy + 4, category, cls="node-label"))
@@ -343,7 +310,6 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     margin_left, margin_top, margin_right, margin_bottom = 60, 40, 20, 90
     plot_w = WIDTH - margin_left - margin_right
     plot_h = HEIGHT - margin_top - margin_bottom
-    n_cat = len(profile.categories)
 
     stacked = np.vstack([performance, profile.group_curves,
                          profile.national_curve[None, :]])
@@ -352,10 +318,7 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     hi = float(finite.max())
     span = hi - lo if hi > lo else 1.0
 
-    if n_cat == 1:
-        xs = [margin_left + plot_w / 2]
-    else:
-        xs = [margin_left + plot_w * j / (n_cat - 1) for j in range(n_cat)]
+    xs = _spread(len(profile.categories), margin_left, plot_w)
     x_text = [_fmt(x) for x in xs]
     # One y per value of every curve; a finite value always gives a finite
     # y and a non-finite one a non-finite y, which marks the gap.
@@ -421,35 +384,28 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
     margin_left, margin_top, margin_right, margin_bottom = 60, 40, 120, 40
     plot_w = WIDTH - margin_left - margin_right
     plot_h = HEIGHT - margin_top - margin_bottom
-    n_years = len(series.years)
     max_rank = max(r for t in series.trajectories for r in t.ranks if r is not None)
 
-    def x_pos(t: int) -> float:
-        if n_years == 1:
-            return margin_left + plot_w / 2
-        return margin_left + plot_w * t / (n_years - 1)
-
-    def y_pos(rank: int) -> float:
-        if max_rank == 1:
-            return margin_top + plot_h / 2
-        return margin_top + plot_h * (rank - 1) / (max_rank - 1)
+    xs = _spread(len(series.years), margin_left, plot_w)
+    # The y of rank r is ys[r - 1].
+    ys = _spread(max_rank, margin_top, plot_h)
 
     parts = _svg_open(title)
-    for t, year in enumerate(series.years):
-        parts.append(_text(x_pos(t), HEIGHT - margin_bottom + 18, year,
+    for x, year in zip(xs, series.years):
+        parts.append(_text(x, HEIGHT - margin_bottom + 18, year,
                            cls="x-tick", anchor="middle", size=11))
     for rank in (1, max_rank):
-        parts.append(_text(margin_left - 8, y_pos(rank) + 4, str(rank),
+        parts.append(_text(margin_left - 8, ys[rank - 1] + 4, str(rank),
                            cls="y-tick", anchor="end"))
 
-    x_text = [_fmt(x_pos(t)) for t in range(n_years)]
+    x_text = list(map(_fmt, xs))
     final_ranks = [trajectory.ranks[-1] for trajectory in series.trajectories]
     colors = ramp_color([
         1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
         for rank in final_ranks])
     for trajectory, rank, color in zip(series.trajectories, final_ranks, colors):
-        points = [None if r is None else (x_text[t], y_pos(r))
-                  for t, r in enumerate(trajectory.ranks)]
+        points = [None if r is None else (x, ys[r - 1])
+                  for x, r in zip(x_text, trajectory.ranks)]
         parts.append(
             f'<path class="rank-line" d="{_path_from_points(points)}" '
             f'fill="none" stroke="{color}" '
@@ -458,7 +414,7 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
         label = trajectory.entity
         if trajectory.lineage != "own":
             label += f" ({trajectory.lineage})"
-        parts.append(_text(x_pos(n_years - 1) + 8, y_pos(rank) + 4, label,
+        parts.append(_text(xs[-1] + 8, ys[rank - 1] + 4, label,
                            cls="line-label", size=9))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

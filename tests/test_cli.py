@@ -154,6 +154,17 @@ class TestCompute:
             "using last iterate (--allow-nonconverged)\n")
         assert (tmp_path / "out" / "ranks_D_s_iterative_2024.csv").exists()
 
+    def test_skipped_weighted_lines_warning(self, tmp_path, capsys):
+        panel = write(tmp_path, "p.csv", WORKED_2X2)
+        rc = main(["compute", "--panel", "2024=" + panel, "--method",
+                   "spectral", "--charts", "weighted_lines",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: year 2024: skipping weighted_lines chart "
+            "(needs at least 3 entities)\n")
+        assert not (tmp_path / "out" / "weighted_lines_2024.svg").exists()
+
     def test_structural_zeros_exit_3_with_finite_residual(self, tmp_path,
                                                            structural_zeros):
         panel = write(tmp_path, "p.csv", panel_to_csv(structural_zeros))
@@ -269,10 +280,14 @@ class TestCompute:
         ticks = [el.text for el in bump.iter() if el.get("class") == "x-tick"]
         assert ticks == ["2024", "2018"]
 
-    # The last pair collides through output names: 2019's iterative table
-    # and iterative_2019's D_s table are both ranks_D_s_iterative_2019.csv.
+    # Output names are compared ignoring case, as some file systems do.
+    # The last two pairs collide through output names: 2019's iterative
+    # table and iterative_2019's D_s table are both
+    # ranks_D_s_iterative_2019.csv.
     @pytest.mark.parametrize("labels", [("2019", "2019"), ("2019/a", "2019_a"),
-                                        ("2019", "iterative_2019")])
+                                        ("2019", "iterative_2019"),
+                                        ("2019a", "2019A"),
+                                        ("2019", "ITERATIVE_2019")])
     def test_colliding_year_labels_exit_1(self, tmp_path, capsys, labels):
         panel = write(tmp_path, "p.csv", WORKED_3X2)
         rc = main(["compute", "--panel", f"{labels[0]}={panel}",
@@ -380,6 +395,16 @@ class TestCompare:
                    "--method", "iterative"])
         assert rc == 3
         assert "fixed-point iteration did not reach" in capsys.readouterr().err
+
+    def test_ds_iterative_allow_nonconverged_warning(self, tmp_path, capsys,
+                                                     structural_zeros):
+        panel = write(tmp_path, "p.csv", panel_to_csv(structural_zeros))
+        rc = main(["compare", "D_s", "D_s", "--panel", "2024=" + panel,
+                   "--method", "iterative", "--allow-nonconverged"])
+        assert rc == 0
+        assert capsys.readouterr().err == (
+            "warning: year 2024: fixed-point iteration did not converge; "
+            "using last iterate (--allow-nonconverged)\n")
 
     def test_writes_side_by_side(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_3X2)
@@ -679,7 +704,7 @@ class TestFootprint:
                            1.0 + (row * 37 + col * 11) % 97)
         tracemalloc.start()
         try:
-            result = cli.compute_year(panel, cli.RunConfig(), lambda m: None)
+            result = cli.compute_year(panel, cli.RunConfig())
             cli._rank_tables(result)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -1,7 +1,6 @@
 """The result records: immutable named tuples, built without dataclasses.
 
-Only ``TableData``, which checks its arguments when built, and the
-mutable ``RunConfig`` stay dataclasses.
+Only the mutable ``RunConfig`` stays a dataclass.
 """
 
 import os
@@ -30,7 +29,7 @@ SPLIT = '{"splits": [{"from": ["b"], "to": ["b1", "b2"]}]}'
 def built_records(panel):
     """One instance of every record type, from the functions that build
     them."""
-    result = compute_year(panel, RunConfig(), lambda message: None)
+    result = compute_year(panel, RunConfig())
     tables = _rank_tables(result)
     weights = analytics.goal_weights(result.spectral, result.ubiquity)
     emap = EntityMap.from_json(SPLIT)
@@ -111,10 +110,10 @@ print(" ".join(sorted(built)))
 """
 
 
-def test_import_builds_only_two_dataclasses():
+def test_import_builds_only_one_dataclass():
     # Each dataclass compiles its generated methods on every import.
     src = str(Path(panelrank.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", COUNT_DATACLASSES],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
-    assert done.stdout.split() == ["RunConfig", "TableData"]
+    assert done.stdout.split() == ["RunConfig"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from panelrank import cli, report
-from panelrank import (GoalWeights, InputError, TableData,
+from panelrank import (GoalWeights, GroupProfile, InputError,
                        degree_index, emit_bipartite, emit_grouped_bars,
                        emit_heatmap, emit_rank_bump, emit_table,
                        emit_weight_bars, emit_weighted_lines, make_panel,
@@ -31,7 +31,7 @@ def weights_for(categories, values, year="y"):
 
 
 def rank_csv(table) -> str:
-    return emit_table(cli._rank_table(table))
+    return emit_table(*cli._rank_table(table))
 
 
 class TestEmitTable:
@@ -43,25 +43,24 @@ class TestEmitTable:
         assert lines[1] == "a,3.000000,1,false"
 
     def test_goal_weights_six_decimals(self):
-        text = emit_table(TableData(("category", "weight"),
-                                    (("g1", "g2"), np.array([2 / 3, 2.0]))))
+        text = emit_table(("category", "weight"),
+                          (("g1", "g2"), np.array([2 / 3, 2.0])))
         assert "0.666667" in text
         assert "2.000000" in text
 
     def test_empty_findings_header_only(self):
         header = ("severity", "code", "message", "entity", "category")
-        table = TableData(header, ((),) * len(header))
-        assert emit_table(table) == "severity,code,message,entity,category\n"
+        assert (emit_table(header, ((),) * len(header))
+                == "severity,code,message,entity,category\n")
 
     def test_findings_rows(self):
-        # A None cell, like a finding's absent category, is empty.
-        table = TableData(("severity", "code", "message", "entity", "category"),
-                          (("warning",), ("x",), ("msg",), ("e",), (None,)))
-        lines = emit_table(table).strip().split("\n")
-        assert lines[1] == "warning,x,msg,e,"
+        # A None cell, like a finding's absent category, is no str.
+        with pytest.raises(InputError, match="column 'category' .*NoneType"):
+            emit_table(("severity", "code", "message", "entity", "category"),
+                       (("warning",), ("x",), ("msg",), ("e",), (None,)))
 
     def test_carriage_return_cell_quoted(self):
-        text = emit_table(TableData(("a", "b"), (["x\ry", "z"], ["p", "q"])))
+        text = emit_table(("a", "b"), (["x\ry", "z"], ["p", "q"]))
         assert text == 'a,b\n"x\ry",p\nz,q\n'
         assert list(csv.reader(io.StringIO(text))) == [
             ["a", "b"], ["x\ry", "p"], ["z", "q"]]
@@ -70,11 +69,17 @@ class TestEmitTable:
         table = rank_entities(["a", "b"], [1.0, 2.0], "k_s", "y")
         assert rank_csv(table) == rank_csv(table)
 
+    # A numpy bool array is read as Python bools; a numpy bool scalar in a
+    # tuple is no bool, so the column is rejected.
     @pytest.mark.parametrize("column, text, rows", [
-        ((np.True_,), "a\ntrue\n", [["true"]]),
+        ((np.True_,), None, None),
         (np.array([True, False]), "a\ntrue\nfalse\n", [["true"], ["false"]])])
     def test_numpy_bools(self, column, text, rows):
-        emitted = emit_table(TableData(("a",), (column,)))
+        if text is None:
+            with pytest.raises(InputError, match="found numpy.bool_?$"):
+                emit_table(("a",), (column,))
+            return
+        emitted = emit_table(("a",), (column,))
         assert emitted == text
         assert list(csv.reader(io.StringIO(emitted)))[1:] == rows
 
@@ -83,19 +88,7 @@ class TestEmitTable:
         (("a", "b"), (("x",), ("y", "z")))])
     def test_malformed_columns_rejected(self, header, columns):
         with pytest.raises(InputError, match="columns"):
-            TableData(header, columns)
-
-    def test_typed_columns_not_formatted_per_cell(self, monkeypatch):
-        # The CLI's rank, entity-score and category tables hold only
-        # single-typed columns, so no cell goes through the per-cell path.
-        calls = []
-        monkeypatch.setattr(report, "_cell_text", calls.append)
-        panel = random_panel(np.random.default_rng(3), 9, 4)
-        result = cli.compute_year(panel, cli.RunConfig(method="both"), print)
-        for table in (cli._rank_table(cli._rank_tables(result)["D_s"]),
-                      cli._entity_table(result), cli._category_table(result)):
-            emit_table(table)
-        assert calls == []
+            emit_table(header, columns)
 
 
 class TestRampColor:
@@ -187,6 +180,11 @@ class TestBipartite:
         svg = emit_bipartite(panel, [panel.entities[0]])
         assert len(elements_with_class(svg, "edge")) == 7
 
+    def test_single_entity_centred(self, worked_3x2):
+        svg = emit_bipartite(worked_3x2, ["a"])
+        node, = elements_with_class(svg, "entity-node")
+        assert node.get("cy") == "300.00"
+
     def test_missing_cells_skipped(self):
         scores = np.array([[50.0, 0.0], [20.0, 30.0]])
         mask = np.array([[False, True], [False, False]])
@@ -267,6 +265,17 @@ class TestWeightedLines:
             ys = {seg.split(",")[1] for seg in el.get("d").split(" ")}
             assert len(ys) == 1
 
+    def test_single_category_centred(self):
+        curves = np.array([[3.0], [2.0], [1.0]])
+        profile = GroupProfile(("c1",), (("a",), ("b",), ("c",)), curves,
+                               np.array([2.0]))
+        svg = emit_weighted_lines(curves, profile, ["a", "b", "c"])
+        tick, = elements_with_class(svg, "x-tick")
+        assert tick.get("x") == "500.00"
+        lines = {el.get("data-entity"): el.get("d")
+                 for el in elements_with_class(svg, "entity-line")}
+        assert lines["a"] == "M500.00,40.00"
+
     def test_best_worst_annotated(self):
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],
                            np.array([[90.0, 10.0], [50.0, 50.0], [10.0, 90.0]]))
@@ -312,6 +321,13 @@ class TestRankBump:
         b_y = [seg.split(",")[1] for seg in lines["b"].split(" ")]
         assert a_y[0] != a_y[1]
         assert a_y[0] == b_y[1] and a_y[1] == b_y[0]
+
+    def test_single_year_single_entity_centred(self):
+        svg = emit_rank_bump(self.series_for([("2024", ["a"], [1.0])]))
+        tick, = elements_with_class(svg, "x-tick")
+        assert tick.get("x") == "450.00"
+        line, = elements_with_class(svg, "rank-line")
+        assert line.get("d") == "M450.00,300.00"
 
     def test_gap_breaks_path(self):
         from panelrank import EntityMap
@@ -443,11 +459,9 @@ def recorded_outputs() -> dict[str, str]:
     evolution = weights_evolution([
         weights_for(categories[:8], weights.values[:8] * 0.9, "2022"),
         weights_for(categories, weights.values * 1.1, "2023"), weights])
-    mixed = TableData(
-        ("entity", "score", "np_score", "rank", "tied", "note"),
-        tuple(zip(*((e, float(v) if i % 17 else float("nan"), np.float64(v / 7),
-                     np.int64(i), i % 2 == 0, None if i % 3 else "x,y")
-                    for i, (e, v) in enumerate(zip(entities, values))))))
+    typed = tuple(zip(*((e, float(v) if i % 17 else float("nan"), float(v / 7),
+                         i, i % 2 == 0, "" if i % 3 else "x,y")
+                        for i, (e, v) in enumerate(zip(entities, values)))))
 
     return {
         "heatmap": emit_heatmap(panel, 'T & <"q">'),
@@ -458,11 +472,11 @@ def recorded_outputs() -> dict[str, str]:
         "rank_bump": emit_rank_bump(rank_evolution([*early, table],
                                                    aligned([*early, table]))),
         "grouped_bars": emit_grouped_bars(evolution),
-        "ranks.csv": emit_table(cli._rank_table(table)),
-        "weights.csv": emit_table(TableData(
-            ("category", *evolution.years),
-            (evolution.categories, *evolution.values.T))),
-        "mixed.csv": emit_table(mixed),
+        "ranks.csv": emit_table(*cli._rank_table(table)),
+        "weights.csv": emit_table(("category", *evolution.years),
+                                  (evolution.categories, *evolution.values.T)),
+        "typed.csv": emit_table(
+            ("entity", "score", "np_score", "rank", "tied", "note"), typed),
     }
 
 
@@ -486,7 +500,7 @@ class TestRecordedDigests:
             "bae8f7cb13a4c305a5225ab015b03c386ea182e272a3678f77705f4b36d8cb9f",
         "weights.csv":
             "c75cc8679360206a6afe78bb6a7b420593ce00aa7cd2531023dbb6e714f3bc61",
-        "mixed.csv":
+        "typed.csv":
             "6945b1a4fafc7a05659123e7f76f39f0d39de456a28bae9aee678c37ac077e42",
     }
 

@@ -5,8 +5,9 @@
 with the cell-by-cell writer and the ``sorted`` + ``Counter`` ranker in
 ``oracles``: byte for byte in CSV, and in rank order, scores (down to the
 sign of zero) and tie flags. Cells include carriage returns and +-inf:
-the CSV must read back to the same cells through ``csv.reader``. The
-profile is derandomized, so every run draws the same examples.
+the CSV must read back to the same cells through ``csv.reader``. A column
+that is not all floats, all ints, all bools or all strings is rejected.
+The profile is derandomized, so every run draws the same examples.
 """
 
 import csv
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from panelrank import InputError, TableData, emit_table, rank_entities  # noqa: E402
+from panelrank import InputError, emit_table, rank_entities  # noqa: E402
 
 from oracles import cell_text, rank_by_sort, table_by_rows  # noqa: E402
 
@@ -42,21 +43,41 @@ numpy_scalars = st.one_of(floats.map(np.float64),
                           st.booleans().map(np.bool_))
 cells = st.one_of(floats, ints, st.booleans(), st.none(), texts, numpy_scalars)
 DTYPES = (np.float64, np.float32, np.int64, np.uint8, np.bool_)
+TYPED = (float, int, bool, str)
 
 
-def columns(n: int):
-    """One column of ``n`` cells: typed or mixed, as a list, tuple or array."""
+def typed_columns(n: int):
+    """One column of ``n`` cells of one type, as a list, tuple or array."""
     lists = [st.lists(c, min_size=n, max_size=n)
-             for c in (floats, ints, st.booleans(), texts, numpy_scalars, cells)]
+             for c in (floats, ints, st.booleans(), texts)]
     return st.one_of(*lists, *(s.map(tuple) for s in lists),
                      *(arrays(dtype, n) for dtype in DTYPES))
+
+
+def untyped_columns(n: int):
+    """One column of ``n`` >= 1 cells that are numpy scalars, or of mixed
+    or other types, as a list or tuple."""
+    lists = [st.lists(c, min_size=n, max_size=n) for c in (numpy_scalars, cells)]
+    return st.one_of(*lists, *(s.map(tuple) for s in lists)).filter(
+        lambda column: len(set(map(type, column))) > 1
+        or type(column[0]) not in TYPED)
 
 
 @st.composite
 def tables(draw):
     n, k = draw(st.integers(0, 6)), draw(st.integers(1, 4))
     header = tuple(draw(st.lists(texts, min_size=k, max_size=k)))
-    return header, tuple(draw(columns(n)) for _ in range(k))
+    return header, tuple(draw(typed_columns(n)) for _ in range(k))
+
+
+@st.composite
+def tables_with_untyped_column(draw):
+    """A table, and the index of its one column that is not typed."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    header = tuple(draw(st.lists(texts, min_size=k, max_size=k)))
+    bad = draw(st.integers(0, k - 1))
+    return header, tuple(draw(untyped_columns(n) if j == bad else
+                              typed_columns(n)) for j in range(k)), bad
 
 
 @PROFILE
@@ -64,10 +85,24 @@ def tables(draw):
 def test_emit_table_matches_row_writer(table):
     header, cols = table
     rows = list(zip(*cols))
-    text = emit_table(TableData(header, cols))
+    text = emit_table(header, cols)
     assert text == table_by_rows(header, rows)
     assert list(csv.reader(io.StringIO(text))) == [
         list(header), *([cell_text(v) for v in row] for row in rows)]
+
+
+@PROFILE
+@given(table=tables_with_untyped_column())
+def test_untyped_column_rejected(table):
+    header, cols, bad = table
+    found = ", ".join(sorted({type(v).__name__ if v is None or type(v) in TYPED
+                              else f"numpy.{type(v).__name__}"
+                              for v in cols[bad]}))
+    with pytest.raises(InputError) as exc:
+        emit_table(header, cols)
+    assert str(exc.value) == (
+        f"table column {header[bad]!r} must hold cells of one type "
+        f"(float, int, bool or str); found {found}")
 
 
 # Shared prefixes, NULs (also trailing), and characters outside ASCII and
