@@ -184,8 +184,9 @@ def _present_mean(values: np.ndarray) -> np.ndarray:
 
 
 def tertile_groups(table: RankTable, panel: ScorePanel,
-                   weights: GoalWeights) -> GroupProfile:
-    """Three rank groups with mean weighted-performance curves.
+                   performance: np.ndarray) -> GroupProfile:
+    """Three rank groups with mean curves of ``performance``, the panel's
+    ``weighted_performance`` matrix.
 
     Groups are consecutive slices of the rank table (best ranks first);
     curves average over present cells, with the national curve taken over
@@ -195,8 +196,9 @@ def tertile_groups(table: RankTable, panel: ScorePanel,
         raise InputError("tertile grouping needs at least 3 entities")
     if set(table.entities) != set(panel.entities):
         raise InputError("rank table and panel entity sets differ")
-
-    performance = weighted_performance(panel, weights)
+    if performance.shape != panel.scores.shape:
+        raise InputError(f"performance matrix has shape {performance.shape}, "
+                         f"the panel {panel.scores.shape}")
     row_of = {e: i for i, e in enumerate(panel.entities)}
     ordered = table.entities
     sizes = tertile_sizes(len(ordered))

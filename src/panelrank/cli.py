@@ -93,15 +93,9 @@ class YearResult(NamedTuple):
     panel: ScorePanel
     degree: core.DegreeIndex
     ubiquity: core.AdjustedUbiquity
-    spectral: core.ComplexityScores | None
-    iterative: core.ComplexityScores | None
+    solved: tuple[core.ComplexityScores, ...]  # solvers that ran, spectral first
+    weights: tuple[analytics.GoalWeights, ...]  # goal weights of each
     trace: core.IterationTrace | None
-
-    @property
-    def primary(self) -> core.ComplexityScores:
-        scores = self.spectral or self.iterative
-        assert scores is not None
-        return scores
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,11 +233,15 @@ def _read_text(path: Path) -> str:
                          f"0x{byte:02x} at offset {exc.start})") from None
 
 
-def _write_text(directory: Path, name: str, text: str) -> Path:
-    """Write one output file, creating its directory first."""
-    path = directory / name
+def _write_text(config: RunConfig, name: str, text: str) -> Path:
+    """Write one output file under ``--out``, creating the directory first.
+    A file the run reads, input or entity map, is never overwritten."""
+    path = config.out_dir / name
+    sources = [p for _, _, p in config.inputs] + [*config.entity_maps.values()]
     try:
-        directory.mkdir(parents=True, exist_ok=True)
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+        if path.exists() and any(path.samefile(src) for src in sources):
+            raise InputError(f"cannot write {path}: it is an input of this run")
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
@@ -286,11 +284,12 @@ def _warn(message: str) -> None:
 def compute_year(panel: ScorePanel, config: RunConfig) -> YearResult:
     deg = core.degree_index(panel)
     ubiq = core.adjusted_ubiquity(panel, deg)
-    spectral = iterative = trace = None
+    solved, trace = [], None
     if config.method in ("spectral", "both"):
-        spectral = core.genepy_scores(panel)
+        solved.append(core.genepy_scores(panel))
     if config.method in ("iterative", "both"):
-        iterative, trace = core.run_fitness(panel, config.tol, config.max_steps)
+        scores, trace = core.run_fitness(panel, config.tol, config.max_steps)
+        solved.append(scores)
         if not trace.converged:
             if not config.allow_nonconverged:
                 stopped = ("" if trace.steps == config.max_steps else
@@ -301,7 +300,9 @@ def compute_year(panel: ScorePanel, config: RunConfig) -> YearResult:
                     f"(last residual {trace.final_residual:.3e}{stopped})")
             _warn(f"year {panel.year}: fixed-point iteration did not converge; "
                   "using last iterate (--allow-nonconverged)")
-    return YearResult(panel, deg, ubiq, spectral, iterative, trace)
+    return YearResult(panel, deg, ubiq, tuple(solved),
+                      tuple(analytics.goal_weights(s, ubiq) for s in solved),
+                      trace)
 
 
 def _entity_table(result: YearResult) -> tuple[list[str], list]:
@@ -309,10 +310,9 @@ def _entity_table(result: YearResult) -> tuple[list[str], list]:
     header = ["entity", "total_score", "applicable_count", "composite_mean"]
     columns = [result.panel.entities, deg.totals, deg.applicable_counts,
                deg.composite_means]
-    for scores in (result.spectral, result.iterative):
-        if scores is not None:
-            header.append(f"complexity_{scores.method}")
-            columns.append(scores.entity_scores)
+    for scores in result.solved:
+        header.append(f"complexity_{scores.method}")
+        columns.append(scores.entity_scores)
     return header, columns
 
 
@@ -325,31 +325,26 @@ def _rank_table(table: analytics.RankTable) -> tuple[tuple[str, ...], tuple]:
 def _category_table(result: YearResult) -> tuple[list[str], list]:
     header = ["category", "adjusted_ubiquity"]
     columns = [result.panel.categories, result.ubiquity.values]
-    for scores in (result.spectral, result.iterative):
-        if scores is not None:
-            weights = analytics.goal_weights(scores, result.ubiquity)
-            header += [f"complexity_{scores.method}", f"weight_{scores.method}"]
-            columns += [scores.category_scores, weights.values]
+    for scores, weights in zip(result.solved, result.weights):
+        header += [f"complexity_{scores.method}", f"weight_{scores.method}"]
+        columns += [scores.category_scores, weights.values]
     return header, columns
 
 
-def _basis_values(result: YearResult, basis: str) -> np.ndarray:
-    """Entity values of a rank basis; only ``D_s`` reads a solver."""
-    if basis == "k_s":
-        return result.degree.totals
-    if basis == "composite_mean":
-        return result.degree.composite_means
-    return result.primary.entity_scores
+def _rank(result: YearResult, basis: str, solver: int = 0) -> analytics.RankTable:
+    """The year's entities ranked by a basis; only ``D_s`` reads a solver,
+    ``result.solved[solver]``."""
+    panel, deg = result.panel, result.degree
+    values = (deg.totals if basis == "k_s"
+              else deg.composite_means if basis == "composite_mean"
+              else result.solved[solver].entity_scores)
+    return analytics.rank_entities(panel.entities, values, basis, panel.year)
 
 
 def _rank_tables(result: YearResult) -> dict[str, analytics.RankTable]:
-    panel = result.panel
-    tables = {basis: analytics.rank_entities(
-                  panel.entities, _basis_values(result, basis), basis, panel.year)
-              for basis in analytics.RANK_BASES}
-    if result.spectral is not None and result.iterative is not None:
-        tables["D_s_iterative"] = analytics.rank_entities(
-            panel.entities, result.iterative.entity_scores, "D_s", panel.year)
+    tables = {basis: _rank(result, basis) for basis in analytics.RANK_BASES}
+    if len(result.solved) == 2:
+        tables["D_s_iterative"] = _rank(result, "D_s", 1)
     return tables
 
 
@@ -365,20 +360,16 @@ def _bipartite_subset(table: analytics.RankTable, size: int = 8) -> tuple[str, .
 def cmd_compute(config: RunConfig) -> int:
     """Run the whole pipeline and write tables plus requested charts."""
     panels, alignments = load_inputs(config)
-    out = config.out_dir
-    assert out is not None
     written: list[Path] = []
 
     def write(name: str, text: str) -> None:
-        written.append(_write_text(out, name, text))
+        written.append(_write_text(config, name, text))
 
     results = [compute_year(panel, config) for panel in panels]
     tables = [_rank_tables(result) for result in results]
-    weights = [analytics.goal_weights(result.primary, result.ubiquity)
-               for result in results]
 
-    for result, year_tables, year_weights in zip(results, tables, weights):
-        panel = result.panel
+    for result, year_tables in zip(results, tables):
+        panel, year_weights = result.panel, result.weights[0]
         label = _safe_label(panel.year)
 
         write(f"scores_entities_{label}.csv",
@@ -404,9 +395,9 @@ def cmd_compute(config: RunConfig) -> int:
                 _warn(f"year {panel.year}: skipping weighted_lines chart "
                       "(needs at least 3 entities)")
             else:
-                profile = analytics.tertile_groups(year_tables["k_s"], panel,
-                                                   year_weights)
                 performance = analytics.weighted_performance(panel, year_weights)
+                profile = analytics.tertile_groups(year_tables["k_s"], panel,
+                                                   performance)
                 write(f"weighted_lines_{label}.svg", report.emit_weighted_lines(
                     performance, profile, panel.entities,
                     f"Weighted performance {panel.year}"))
@@ -415,8 +406,7 @@ def cmd_compute(config: RunConfig) -> int:
         write("method_agreement.csv", report.emit_table(
             ("year", "spearman_rho"),
             ([panel.year for panel in panels],
-             [analytics.spearman(result.spectral.entity_scores,
-                                 result.iterative.entity_scores)
+             [analytics.spearman(*(s.entity_scores for s in result.solved))
               for result in results])))
 
     if "rank_bump" in config.charts:
@@ -426,7 +416,8 @@ def cmd_compute(config: RunConfig) -> int:
                 f"Rank evolution ({title})"))
     if "grouped_bars" in config.charts:
         write("grouped_bars_weights.svg", report.emit_grouped_bars(
-            analytics.weights_evolution(weights), "Weight evolution"))
+            analytics.weights_evolution([r.weights[0] for r in results]),
+            "Weight evolution"))
 
     for path in written:
         print(path)
@@ -449,10 +440,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     results = [compute_year(panel, config) for panel in panels]
 
     # Ranks do not depend on input order; rho is summed in id order.
-    table_a = analytics.rank_entities(
-        first.entities, _basis_values(results[0], basis_a), basis_a, first.year)
-    table_b = analytics.rank_entities(
-        last.entities, _basis_values(results[-1], basis_b), basis_b, last.year)
+    table_a, table_b = _rank(results[0], basis_a), _rank(results[-1], basis_b)
     score_a, score_b = table_a.score_of(), table_b.score_of()
     rank_b = table_b.rank_of()
     ids = sorted(partner)
@@ -470,7 +458,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
         name = (f"compare_{basis_a}_vs_{basis_b}_{_safe_label(first.year)}"
                 + ("" if first is last else f"_{_safe_label(last.year)}")
                 + ".csv")
-        print(_write_text(config.out_dir, name, text))
+        print(_write_text(config, name, text))
     return 0
 
 

@@ -81,6 +81,8 @@ class EntityMap(NamedTuple):
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"entity map is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise InputError("entity map is nested too deeply") from None
         if not isinstance(doc, dict):
             raise InputError("entity map must be a JSON object")
         for key in doc:

@@ -85,13 +85,13 @@ def all_charts(panel, weights, title: str = "") -> dict[str, str]:
     every entity and the groups come from the k_s ranking."""
     table = rank_entities(panel.entities, degree_index(panel).totals,
                           "k_s", panel.year)
+    performance = weighted_performance(panel, weights)
     return {
         "heatmap": emit_heatmap(panel, title),
         "bipartite": emit_bipartite(panel, panel.entities),
         "weight_bars": emit_weight_bars(weights),
         "weighted_lines": emit_weighted_lines(
-            weighted_performance(panel, weights),
-            tertile_groups(table, panel, weights), panel.entities),
+            performance, tertile_groups(table, panel, performance), panel.entities),
         "rank_bump": emit_rank_bump(rank_evolution([table], aligned([table]))),
         "grouped_bars": emit_grouped_bars(weights_evolution([weights])),
     }

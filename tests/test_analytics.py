@@ -159,8 +159,8 @@ class TestTertileGroups:
         panel = random_panel(rng, 11, 5)
         deg = degree_index(panel)
         table = rank_entities(panel.entities, deg.totals, "k_s", panel.year)
-        profile = tertile_groups(table, panel,
-                                 weights_for(panel.categories, np.ones(5)))
+        profile = tertile_groups(table, panel, weighted_performance(
+            panel, weights_for(panel.categories, np.ones(5))))
         members = [e for group in profile.groups for e in group]
         assert sorted(members) == sorted(panel.entities)
         assert [len(g) for g in profile.groups] == [4, 4, 3]
@@ -170,8 +170,8 @@ class TestTertileGroups:
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],
                            np.array([[50.0, 60.0]] * 3))
         table = rank_entities(panel.entities, [3.0, 2.0, 1.0], "k_s", "y")
-        profile = tertile_groups(table, panel,
-                                 weights_for(panel.categories, [1.0, 1.0]))
+        profile = tertile_groups(table, panel, weighted_performance(
+            panel, weights_for(panel.categories, [1.0, 1.0])))
         for g in range(3):
             assert np.allclose(profile.group_curves[g], [50.0, 60.0])
         assert np.allclose(profile.national_curve, [50.0, 60.0])
@@ -179,8 +179,17 @@ class TestTertileGroups:
     def test_too_few_entities(self, worked_2x2):
         table = rank_entities(worked_2x2.entities, [2.0, 1.0], "k_s", "y")
         with pytest.raises(InputError, match="at least 3"):
-            tertile_groups(table, worked_2x2,
-                           weights_for(worked_2x2.categories, [1.0, 1.0]))
+            tertile_groups(table, worked_2x2, weighted_performance(
+                worked_2x2, weights_for(worked_2x2.categories, [1.0, 1.0])))
+
+    def test_performance_shape_must_match_panel(self, worked_3x2):
+        table = rank_entities(worked_3x2.entities, [3.0, 2.0, 1.0], "k_s", "y")
+        performance = weighted_performance(
+            worked_3x2, weights_for(worked_3x2.categories, [1.0, 1.0]))
+        with pytest.raises(InputError, match="shape"):
+            tertile_groups(table, worked_3x2, performance[:, :1])
+        with pytest.raises(InputError, match="shape"):
+            tertile_groups(table, worked_3x2, performance.T)
 
 
 class TestRankEvolution:

@@ -24,6 +24,8 @@ INDICATORS_2X2 = ("entity,category,indicator,value\n"
 DISTINCT_3X2 = "entity,g1,g2\na,50,40\nb,30,20\nc,10,5\n"
 # One field longer than the csv module's default limit of 128 KiB.
 BIG_FIELD = "x" * (128 * 1024 + 1)
+# JSON nested deeper than the parser's recursion limit.
+NESTED_MAP = "[" * 100000 + "]" * 100000
 # Entity maps between the bundled 2019 and 2020 panels that fail, by test id.
 BAD_MAPS = {
     "bad-shape": [("2019->2020",
@@ -33,7 +35,8 @@ BAD_MAPS = {
     "not-consecutive": [("2019->2021", "{}")],
     "same-key-twice": [("2019->2020", "{}"), ("2019->2020", "{}")],
     "misspelled-field": [("2019->2020",
-                          '{"rename": [{"from": ["AA"], "to": ["AZ"]}]}')]}
+                          '{"rename": [{"from": ["AA"], "to": ["AZ"]}]}')],
+    "nested-too-deeply": [("2019->2020", NESTED_MAP)]}
 # Latin-1 text, whose 0xE9 byte is not UTF-8, for each input route.
 NOT_UTF8 = {
     "panel": b"entity,g1,g2\n\xe9,1,2\nb,3,4\n",
@@ -307,6 +310,25 @@ class TestCompute:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source, name", [
+        ("panel_2019.csv", "ranks_k_s_2019.csv"),
+        ("map_2019_2020.json", "method_agreement.csv")])
+    def test_never_overwrites_an_input(self, tmp_path, capsys, data_dir,
+                                       source, name):
+        target = tmp_path / name
+        target.write_bytes((data_dir / source).read_bytes())
+        path = {f: data_dir / f for f in ("panel_2019.csv", "panel_2020.csv",
+                                          "map_2019_2020.json")}
+        path[source] = target
+        rc = main(["compute", "--panel", f"2019={path['panel_2019.csv']}",
+                   "--panel", f"2020={path['panel_2020.csv']}",
+                   "--entity-map", f"2019->2020={path['map_2019_2020.json']}",
+                   "--charts", "none", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {target}: it is an input of this run\n")
+        assert target.read_bytes() == (data_dir / source).read_bytes()
+
     def test_near_block_fixed_point_exits_3(self, tmp_path, capsys,
                                              near_block):
         panel = write(tmp_path, "p.csv", panel_to_csv(near_block))
@@ -424,6 +446,15 @@ class TestCompare:
                    "--panel", "2024=" + panel, "--out", out])
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+    def test_never_overwrites_its_input(self, tmp_path, capsys):
+        panel = write(tmp_path, "compare_k_s_vs_D_s_2019.csv", WORKED_3X2)
+        rc = main(["compare", "k_s", "D_s", "--panel", "2019=" + panel,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {panel}: it is an input of this run\n")
+        assert Path(panel).read_text(encoding="utf-8") == WORKED_3X2
 
     def test_written_file_equals_printed_table(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_3X2)
@@ -596,6 +627,14 @@ class TestValidate:
         # usage errors; the others are reported beside the panels.
         assert "2019->2020: error: " in out or err.startswith("error: ")
 
+    def test_nested_map_exit_1(self, tmp_path, capsys, data_dir):
+        rc = main(["validate", *panels_2019_2020(data_dir),
+                   *map_args(tmp_path, [("2019->2020", NESTED_MAP)])])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "2019: ok", "2020: ok",
+            "2019->2020: error: entity map is nested too deeply"]
+
     def test_map_of_unloadable_panel_skipped(self, tmp_path, capsys,
                                              data_dir):
         rc = main(["validate",
@@ -663,6 +702,29 @@ class TestLoadingStage:
         assert rc == 1
         assert "one-to-one" in capsys.readouterr().err
         assert solves == []
+
+
+class TestYearlyWork:
+    """`compute` builds each year's goal weights once per solver and its
+    weighted-performance matrix once."""
+
+    def test_bundled_run_call_counts(self, tmp_path, capsys, data_dir,
+                                     monkeypatch):
+        calls = {"goal_weights": 0, "weighted_performance": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(cli.analytics, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(cli.analytics, name, counted)
+        panels = [arg for year in ("2018", "2019", "2020", "2024")
+                  for arg in ("--panel",
+                              f"{year}={data_dir / f'panel_{year}.csv'}")]
+        rc = main(["compute", *panels,
+                   "--entity-map", f"2019->2020={data_dir / 'map_2019_2020.json'}",
+                   "--method", "both", "--charts", "all",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert calls == {"goal_weights": 8, "weighted_performance": 4}
 
 
 class TestEntryPoint:

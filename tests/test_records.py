@@ -31,7 +31,7 @@ def built_records(panel):
     them."""
     result = compute_year(panel, RunConfig())
     tables = _rank_tables(result)
-    weights = analytics.goal_weights(result.spectral, result.ubiquity)
+    weights = result.weights[0]
     emap = EntityMap.from_json(SPLIT)
     alignment = align_rosters(["a", "b", "c"], ["a", "b1", "b2", "c"], emap)
     series = analytics.rank_evolution(
@@ -40,10 +40,11 @@ def built_records(panel):
     prox = core.proximity(panel, result.degree, result.ubiquity)
     return [
         result, result.panel, result.degree, result.ubiquity,
-        result.spectral, result.iterative, result.trace,
+        result.solved[0], result.solved[1], result.trace,
         prox, core.similarity(prox),
         tables["k_s"], weights, series, series.trajectories[0],
-        analytics.tertile_groups(tables["k_s"], panel, weights),
+        analytics.tertile_groups(
+            tables["k_s"], panel, analytics.weighted_performance(panel, weights)),
         analytics.weights_evolution([weights]),
         emap, emap.splits[0], alignment, alignment.links[0],
         validate_panel(make_panel("y", ["a", "b"], ["g1", "g2"],

@@ -230,7 +230,8 @@ class TestWeightedLines:
     def profile_for(self, panel, weights):
         deg = degree_index(panel)
         table = rank_entities(panel.entities, deg.totals, "k_s", panel.year)
-        return tertile_groups(table, panel, weights)
+        return tertile_groups(table, panel,
+                              weighted_performance(panel, weights))
 
     def test_line_count_paper_scale(self):
         rng = np.random.default_rng(34)
@@ -378,8 +379,8 @@ class TestAllEmittersWellFormed:
                               year="2024")
         deg = degree_index(panel)
         table = rank_entities(panel.entities, deg.totals, "k_s", "2024")
-        profile = tertile_groups(table, panel, weights)
         performance = weighted_performance(panel, weights)
+        profile = tertile_groups(table, panel, performance)
         series = rank_evolution([table], [])
         evolution = weights_evolution([weights])
         outputs = [
@@ -452,7 +453,8 @@ def recorded_outputs() -> dict[str, str]:
 
     weights = weights_for(categories, 0.5 + 1.5 * (col * 5 % m) / (m - 1),
                           "2024")
-    profile = tertile_groups(table, panel, weights)
+    performance = weighted_performance(panel, weights)
+    profile = tertile_groups(table, panel, performance)
     assert np.isnan(profile.group_curves[2, 6])
     early = [rank_entities(entities[:150 + 20 * k], values[:150 + 20 * k],
                            "k_s", str(2022 + k)) for k in range(2)]
@@ -467,8 +469,8 @@ def recorded_outputs() -> dict[str, str]:
         "heatmap": emit_heatmap(panel, 'T & <"q">'),
         "bipartite": emit_bipartite(panel, entities[:12]),
         "weight_bars": emit_weight_bars(weights),
-        "weighted_lines": emit_weighted_lines(
-            weighted_performance(panel, weights), profile, panel.entities),
+        "weighted_lines": emit_weighted_lines(performance, profile,
+                                              panel.entities),
         "rank_bump": emit_rank_bump(rank_evolution([*early, table],
                                                    aligned([*early, table]))),
         "grouped_bars": emit_grouped_bars(evolution),
