@@ -218,7 +218,8 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
         idx = int(np.argmax((~present).all(axis=0)))
         raise InputError(f"category {categories[idx]!r} has no reported scores")
 
-    scores = np.where(missing_mask, 0.0, scores)
+    # Adding +0.0 turns -0.0 into 0.0, so no score prints as "-0.000".
+    scores = np.where(missing_mask, 0.0, scores) + 0.0
     totals = scores.sum(axis=1)
     if (totals == 0).all():
         raise InputError("all rows degenerate: every entity total is zero")

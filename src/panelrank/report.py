@@ -34,12 +34,17 @@ def ramp_color(t) -> list[str]:
 
     Each channel is ``low + t * (high - low)`` between ``RAMP_LOW`` and
     ``RAMP_HIGH``, rounded half to even, with t clamped to [0, 1]; NaN maps
-    to the low end. Emitters call this once per chart, never per element.
+    to the low end. Red takes at most 256 values and green at most 128,
+    both monotone in t, so there are at most 384 distinct colours; each is
+    formatted once. Emitters call this once per chart, never per element.
     """
     t = np.minimum(1.0, np.fmax(0.0, np.ravel(t)))
     low, high = np.array(RAMP_LOW), np.array(RAMP_HIGH)
     channels = np.rint(low + t[:, None] * (high - low)).astype(np.int64)
-    return [f"#{c:06x}" for c in (channels @ (65536, 256, 1)).tolist()]
+    codes, index = np.unique(channels @ (65536, 256, 1), return_inverse=True)
+    names = [f"#{c:06x}" for c in codes.tolist()]
+    # The inverse is ravelled: its shape differs across numpy versions.
+    return list(map(names.__getitem__, index.ravel().tolist()))
 
 
 def _fmt(value: float) -> str:
@@ -174,24 +179,26 @@ def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
         parts.append(_text(margin_left - 6, margin_top + (i + 0.7) * cell_h,
                            entity, cls="row-label", anchor="end"))
 
-    # Everything shared by a row or a column is formatted once; colours
-    # come from one call for the whole matrix.
-    m = panel.n_categories
-    xs = [_fmt(margin_left + j * cell_w) for j in range(m)]
+    # Everything shared by a row or a column is formatted once, and so is
+    # each distinct score, keyed by bit pattern so -0.0 and 0.0 stay apart;
+    # colours come from one call for the whole matrix.
+    xs = [_fmt(margin_left + j * cell_w) for j in range(panel.n_categories)]
     size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
     categories = [escape(c) for c in panel.categories]
-    colors = ramp_color(panel.scores / 100.0)
-    rows = zip(panel.entities, panel.scores.tolist(),
+    bits, index = np.unique(panel.scores.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    fills = ramp_color(values / 100.0)
+    labels = [f' data-value="{v:.3f}"' for v in values.tolist()]
+    rows = zip(panel.entities, index.reshape(panel.scores.shape).tolist(),
                panel.missing_mask.tolist())
-    for i, (entity, values, missing) in enumerate(rows):
+    for i, (entity, keys, missing) in enumerate(rows):
         y = f'y="{_fmt(margin_top + i * cell_h)}" {size}'
         entity = escape(entity)
-        cells = zip(xs, categories, values, missing, colors[i * m:(i + 1) * m])
-        for x, category, value, gap, fill in cells:
+        for x, category, k, gap in zip(xs, categories, keys, missing):
             if gap:
                 cls, fill, value_attr = "cell missing", "url(#hatch)", ""
             else:
-                cls, value_attr = "cell", f' data-value="{value:.3f}"'
+                cls, fill, value_attr = "cell", fills[k], labels[k]
             parts.append(
                 f'<rect class="{cls}" x="{x}" {y} '
                 f'fill="{fill}" stroke="#ffffff" stroke-width="0.5" '
@@ -279,22 +286,25 @@ def emit_weight_bars(weights: GoalWeights, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def _path_from_points(points: list[tuple[str, float] | None]) -> str:
-    """SVG path data visiting points in order, restarting after gaps.
+def _paths(x_text: Sequence[str], ys) -> list[str]:
+    """SVG path data for each row of ``ys``, restarting after gaps.
 
-    Each point is an x already formatted with ``_fmt`` (charts format
-    each column's x once) and a y, which is formatted here.
+    Point j of a row is at x ``x_text[j]``, already formatted with ``_fmt``
+    (charts format each column's x once); a non-finite y is a gap. Each gap
+    pattern gets one ``%`` template with its x values filled in, so a row
+    is one format of its finite ys.
     """
-    out: list[str] = []
-    pen_down = False
-    for point in points:
-        if point is None:
-            pen_down = False
-            continue
-        cmd = "L" if pen_down else "M"
-        out.append(f"{cmd}{point[0]},{point[1]:.2f}")
-        pen_down = True
-    return " ".join(out)
+    ys = np.asarray(ys, dtype=float)
+    templates: dict[bytes, str] = {}
+    out = []
+    for row, finite in zip(ys.tolist(), np.isfinite(ys)):
+        key = finite.tobytes()
+        if key not in templates:
+            templates[key] = " ".join(
+                f"{'L' if j and finite[j - 1] else 'M'}{x},%.2f"
+                for j, x in enumerate(x_text) if finite[j])
+        out.append(templates[key] % tuple(filter(math.isfinite, row)))
+    return out
 
 
 def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
@@ -322,11 +332,8 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     x_text = [_fmt(x) for x in xs]
     # One y per value of every curve; a finite value always gives a finite
     # y and a non-finite one a non-finite y, which marks the gap.
-    ys = (margin_top + plot_h * (1 - (stacked - lo) / span)).tolist()
-
-    def path(curve: list[float]) -> str:
-        return _path_from_points([(x, y) if math.isfinite(y) else None
-                                  for x, y in zip(x_text, curve)])
+    ys = margin_top + plot_h * (1 - (stacked - lo) / span)
+    paths = _paths(x_text, ys)
 
     group_colors = ramp_color([1.0, 0.5, 0.0])
     group_of = {e: g for g, members in enumerate(profile.groups) for e in members}
@@ -345,17 +352,17 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     n = len(entities)
     for i, entity in enumerate(entities):
         parts.append(
-            f'<path class="entity-line" d="{path(ys[i])}" '
+            f'<path class="entity-line" d="{paths[i]}" '
             f'fill="none" stroke="{group_colors[group_of[entity]]}" '
             f'stroke-width="1" stroke-opacity="0.45" '
             f'data-entity="{escape(entity)}"/>')
     for g in range(3):
         parts.append(
-            f'<path class="group-line" d="{path(ys[n + g])}" '
+            f'<path class="group-line" d="{paths[n + g]}" '
             f'fill="none" stroke="{group_colors[g]}" stroke-width="3" '
             f'data-group="{g + 1}"/>')
     parts.append(
-        f'<path class="national-line" d="{path(ys[n + 3])}" '
+        f'<path class="national-line" d="{paths[n + 3]}" '
         f'fill="none" stroke="#333333" stroke-width="3"/>')
 
     for j, category in enumerate(profile.categories):
@@ -365,11 +372,11 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
         best = int(np.nanargmax(column))
         worst = int(np.nanargmin(column))
         parts.append(_text(
-            xs[j], ys[best][j] - 6,
+            xs[j], ys[best, j] - 6,
             f"{entities[best]} {column[best]:.3f}", cls="best-label",
             size=9, anchor="middle"))
         parts.append(_text(
-            xs[j], ys[worst][j] + 12,
+            xs[j], ys[worst, j] + 12,
             f"{entities[worst]} {column[worst]:.3f}", cls="worst-label",
             size=9, anchor="middle"))
     parts.append("</svg>")
@@ -403,11 +410,13 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
     colors = ramp_color([
         1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
         for rank in final_ranks])
-    for trajectory, rank, color in zip(series.trajectories, final_ranks, colors):
-        points = [None if r is None else (x, ys[r - 1])
-                  for x, r in zip(x_text, trajectory.ranks)]
+    paths = _paths(x_text, [[math.nan if r is None else ys[r - 1]
+                             for r in trajectory.ranks]
+                            for trajectory in series.trajectories])
+    for trajectory, rank, color, path in zip(series.trajectories, final_ranks,
+                                             colors, paths):
         parts.append(
-            f'<path class="rank-line" d="{_path_from_points(points)}" '
+            f'<path class="rank-line" d="{path}" '
             f'fill="none" stroke="{color}" '
             f'stroke-width="2" data-entity="{escape(trajectory.entity)}" '
             f'data-lineage="{trajectory.lineage}"/>')

@@ -7,8 +7,11 @@ closed-form 2x2 eigenpair from the characteristic polynomial, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
 writer, sort-based ranker and cell-by-cell CSV readers that the columnar
 ones replaced, and the rule-by-rule roster aligner that the single walk
-replaced. ``panel_to_csv`` writes a panel back to the CSV form the
-package reads. The readers build their panels through ``make_panel``, the
+replaced. The colour ramp, heatmap, weighted-lines and rank-bump
+emitters are the ones that formatted every cell, colour and path point
+on its own; they share the package's SVG helpers, so they differ from
+it only in what they format once. ``panel_to_csv`` writes a panel back
+to the CSV form the package reads. The readers build their panels through ``make_panel``, the
 one place that builds a panel, so they differ from the package only in
 how cells are converted and checked.
 """
@@ -19,11 +22,16 @@ import csv
 import io
 import math
 from collections import Counter
+from html import escape
+from typing import Sequence
 
 import numpy as np
 
-from panelrank import (Alignment, EntityMap, IndicatorTable, InputError,
-                       Lineage, MapRule, make_panel)
+from panelrank import (Alignment, EntityMap, GroupProfile, IndicatorTable,
+                       InputError, Lineage, MapRule, RankSeries, ScorePanel,
+                       make_panel)
+from panelrank.report import (HEIGHT, RAMP_HIGH, RAMP_LOW, WIDTH, _fmt,
+                              _spread, _svg_open, _text)
 
 
 def jacobi_eigensystem(matrix, max_sweeps: int = 100,
@@ -389,3 +397,209 @@ def align_by_rules(earlier, later, emap: EntityMap | None = None) -> Alignment:
     order = {e: i for i, e in enumerate(later)}
     links.sort(key=lambda link: order[link.entity])
     return Alignment(tuple(links), retired)
+
+
+def ramp_color(t) -> list[str]:
+    """``#rrggbb`` colours for the values of ``t``, flattened in C order.
+
+    Each channel is ``low + t * (high - low)`` between ``RAMP_LOW`` and
+    ``RAMP_HIGH``, rounded half to even, with t clamped to [0, 1]; NaN maps
+    to the low end. Emitters call this once per chart, never per element.
+    """
+    t = np.minimum(1.0, np.fmax(0.0, np.ravel(t)))
+    low, high = np.array(RAMP_LOW), np.array(RAMP_HIGH)
+    channels = np.rint(low + t[:, None] * (high - low)).astype(np.int64)
+    return [f"#{c:06x}" for c in (channels @ (65536, 256, 1)).tolist()]
+
+
+def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
+    """Score matrix as a colored grid; one rect per cell, missing hatched."""
+    margin_left, margin_top, margin_right, margin_bottom = 110, 80, 20, 20
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
+    cell_w = plot_w / panel.n_categories
+    cell_h = plot_h / panel.n_entities
+
+    hatch = ('<pattern id="hatch" width="6" height="6" '
+             'patternUnits="userSpaceOnUse">'
+             '<rect width="6" height="6" fill="#f2f2f2"/>'
+             '<path d="M0,6 L6,0" stroke="#999999" stroke-width="1"/>'
+             '</pattern>')
+    parts = _svg_open(title, extra_defs=hatch)
+
+    for j, category in enumerate(panel.categories):
+        x = margin_left + (j + 0.5) * cell_w
+        parts.append(_text(x, margin_top - 8, category, cls="col-label",
+                           anchor="end",
+                           extra=f' transform="rotate(-60 {_fmt(x)} '
+                                 f'{_fmt(margin_top - 8)})"'))
+    for i, entity in enumerate(panel.entities):
+        parts.append(_text(margin_left - 6, margin_top + (i + 0.7) * cell_h,
+                           entity, cls="row-label", anchor="end"))
+
+    # Everything shared by a row or a column is formatted once; colours
+    # come from one call for the whole matrix.
+    m = panel.n_categories
+    xs = [_fmt(margin_left + j * cell_w) for j in range(m)]
+    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
+    categories = [escape(c) for c in panel.categories]
+    colors = ramp_color(panel.scores / 100.0)
+    rows = zip(panel.entities, panel.scores.tolist(),
+               panel.missing_mask.tolist())
+    for i, (entity, values, missing) in enumerate(rows):
+        y = f'y="{_fmt(margin_top + i * cell_h)}" {size}'
+        entity = escape(entity)
+        cells = zip(xs, categories, values, missing, colors[i * m:(i + 1) * m])
+        for x, category, value, gap, fill in cells:
+            if gap:
+                cls, fill, value_attr = "cell missing", "url(#hatch)", ""
+            else:
+                cls, value_attr = "cell", f' data-value="{value:.3f}"'
+            parts.append(
+                f'<rect class="{cls}" x="{x}" {y} '
+                f'fill="{fill}" stroke="#ffffff" stroke-width="0.5" '
+                f'data-entity="{entity}" '
+                f'data-category="{category}"{value_attr}/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _path_from_points(points: list[tuple[str, float] | None]) -> str:
+    """SVG path data visiting points in order, restarting after gaps.
+
+    Each point is an x already formatted with ``_fmt`` (charts format
+    each column's x once) and a y, which is formatted here.
+    """
+    out: list[str] = []
+    pen_down = False
+    for point in points:
+        if point is None:
+            pen_down = False
+            continue
+        cmd = "L" if pen_down else "M"
+        out.append(f"{cmd}{point[0]},{point[1]:.2f}")
+        pen_down = True
+    return " ".join(out)
+
+
+def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
+                        entities: Sequence[str], title: str = "") -> str:
+    """Weighted-performance curves: one thin line per entity colored by
+    group, thick group means, a thick national mean, and best/worst
+    annotations per category."""
+    performance = np.asarray(performance, dtype=float)
+    entities = tuple(entities)
+    if performance.shape != (len(entities), len(profile.categories)):
+        raise InputError("performance matrix does not match entities x categories")
+
+    margin_left, margin_top, margin_right, margin_bottom = 60, 40, 20, 90
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
+
+    stacked = np.vstack([performance, profile.group_curves,
+                         profile.national_curve[None, :]])
+    finite = stacked[np.isfinite(stacked)]
+    lo = float(finite.min())
+    hi = float(finite.max())
+    span = hi - lo if hi > lo else 1.0
+
+    xs = _spread(len(profile.categories), margin_left, plot_w)
+    x_text = [_fmt(x) for x in xs]
+    # One y per value of every curve; a finite value always gives a finite
+    # y and a non-finite one a non-finite y, which marks the gap.
+    ys = (margin_top + plot_h * (1 - (stacked - lo) / span)).tolist()
+
+    def path(curve: list[float]) -> str:
+        return _path_from_points([(x, y) if math.isfinite(y) else None
+                                  for x, y in zip(x_text, curve)])
+
+    group_colors = ramp_color([1.0, 0.5, 0.0])
+    group_of = {e: g for g, members in enumerate(profile.groups) for e in members}
+    ungrouped = [e for e in entities if e not in group_of]
+    if ungrouped:
+        raise InputError("entities missing from the group profile: "
+                         + ", ".join(ungrouped))
+
+    parts = _svg_open(title)
+    tick_y = _fmt(HEIGHT - margin_bottom + 16)
+    for j, category in enumerate(profile.categories):
+        parts.append(_text(xs[j], HEIGHT - margin_bottom + 16, category,
+                           cls="x-tick", anchor="end",
+                           extra=f' transform="rotate(-60 {x_text[j]} {tick_y})"'))
+
+    n = len(entities)
+    for i, entity in enumerate(entities):
+        parts.append(
+            f'<path class="entity-line" d="{path(ys[i])}" '
+            f'fill="none" stroke="{group_colors[group_of[entity]]}" '
+            f'stroke-width="1" stroke-opacity="0.45" '
+            f'data-entity="{escape(entity)}"/>')
+    for g in range(3):
+        parts.append(
+            f'<path class="group-line" d="{path(ys[n + g])}" '
+            f'fill="none" stroke="{group_colors[g]}" stroke-width="3" '
+            f'data-group="{g + 1}"/>')
+    parts.append(
+        f'<path class="national-line" d="{path(ys[n + 3])}" '
+        f'fill="none" stroke="#333333" stroke-width="3"/>')
+
+    for j, category in enumerate(profile.categories):
+        column = performance[:, j]
+        if not np.isfinite(column).any():
+            continue
+        best = int(np.nanargmax(column))
+        worst = int(np.nanargmin(column))
+        parts.append(_text(
+            xs[j], ys[best][j] - 6,
+            f"{entities[best]} {column[best]:.3f}", cls="best-label",
+            size=9, anchor="middle"))
+        parts.append(_text(
+            xs[j], ys[worst][j] + 12,
+            f"{entities[worst]} {column[worst]:.3f}", cls="worst-label",
+            size=9, anchor="middle"))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def emit_rank_bump(series: RankSeries, title: str = "") -> str:
+    """Rank trajectories over years; rank 1 at the top, colors keyed to the
+    final year's rank."""
+    if not series.trajectories:
+        raise InputError("rank series is empty")
+    margin_left, margin_top, margin_right, margin_bottom = 60, 40, 120, 40
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
+    max_rank = max(r for t in series.trajectories for r in t.ranks if r is not None)
+
+    xs = _spread(len(series.years), margin_left, plot_w)
+    # The y of rank r is ys[r - 1].
+    ys = _spread(max_rank, margin_top, plot_h)
+
+    parts = _svg_open(title)
+    for x, year in zip(xs, series.years):
+        parts.append(_text(x, HEIGHT - margin_bottom + 18, year,
+                           cls="x-tick", anchor="middle", size=11))
+    for rank in (1, max_rank):
+        parts.append(_text(margin_left - 8, ys[rank - 1] + 4, str(rank),
+                           cls="y-tick", anchor="end"))
+
+    x_text = list(map(_fmt, xs))
+    final_ranks = [trajectory.ranks[-1] for trajectory in series.trajectories]
+    colors = ramp_color([
+        1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
+        for rank in final_ranks])
+    for trajectory, rank, color in zip(series.trajectories, final_ranks, colors):
+        points = [None if r is None else (x, ys[r - 1])
+                  for x, r in zip(x_text, trajectory.ranks)]
+        parts.append(
+            f'<path class="rank-line" d="{_path_from_points(points)}" '
+            f'fill="none" stroke="{color}" '
+            f'stroke-width="2" data-entity="{escape(trajectory.entity)}" '
+            f'data-lineage="{trajectory.lineage}"/>')
+        label = trajectory.entity
+        if trajectory.lineage != "own":
+            label += f" ({trajectory.lineage})"
+        parts.append(_text(xs[-1] + 8, ys[rank - 1] + 4, label,
+                           cls="line-label", size=9))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

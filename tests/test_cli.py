@@ -218,6 +218,21 @@ class TestCompute:
 
         assert outputs(bom=True) == outputs(bom=False)
 
+    def test_signed_zero_score_writes_as_zero(self, tmp_path, capsys):
+        # float("-0") keeps its sign; the panel stores it as 0.0, as the
+        # long-form route's mean already does.
+        def outputs(zero):
+            text = f"entity,g1,g2\na,50,{zero}\nb,30,20\nc,{zero},5\n"
+            out = tmp_path / zero
+            assert main(["compute", "--panel",
+                         "2024=" + write(tmp_path, f"p{zero}.csv", text),
+                         "--charts", "all", "--out", str(out)]) == 0
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        signed = outputs("-0")
+        assert signed == outputs("0")
+        assert b'data-value="0.000"' in signed["heatmap_2024.svg"]
+
     @pytest.mark.parametrize("route", NOT_UTF8)
     def test_non_utf8_input_exits_1(self, tmp_path, capsys, data_dir, route):
         path = tmp_path / "latin1"
