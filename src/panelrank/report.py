@@ -11,9 +11,8 @@ Numeric labels use 3 decimals in figures and 6 in tables. Charts are
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import re
 from html import escape
 from typing import Sequence
 
@@ -27,6 +26,8 @@ from .panel import ScorePanel
 WIDTH, HEIGHT = 960, 600
 # Colour ramp endpoints as (r, g, b): yellow for low values, green for high.
 RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
+# A table cell holding any of these characters is quoted.
+_QUOTED = re.compile('[,"\n\r]').search
 
 
 def ramp_color(t) -> list[str]:
@@ -87,67 +88,66 @@ def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
 # tables
 
 
-def _text_column(name: str, column) -> Sequence[str]:
-    """The cells of the column named ``name`` as text.
+def _type_names(values) -> str:
+    return ", ".join(sorted(t.__name__ if t.__module__ == "builtins"
+                            else f"{t.__module__}.{t.__name__}"
+                            for t in set(map(type, values))))
 
-    An array is read through ``tolist``. Every cell must then be exactly a
-    float, an int, a bool or a str, all of one type; the column is
-    formatted once as a whole.
-    """
+
+def _field(text: str) -> str:
+    return '"%s"' % text.replace('"', '""') if _QUOTED(text) else text
+
+
+def _text_column(name: str, column) -> tuple[str, Sequence]:
+    """The ``%`` conversion of the column named ``name``, and its cells:
+    exactly floats, ints, bools or strs, all of one type (an array is read
+    through ``tolist``). Numbers are left to the conversion unless a float
+    is NaN; strs are scanned once, and quoted only if the scan says so."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
     types = set(map(type, column))
     if len(types) > 1 or not types <= {float, int, bool, str}:
-        found = ", ".join(sorted(t.__name__ if t.__module__ == "builtins"
-                                 else f"{t.__module__}.{t.__name__}"
-                                 for t in types))
         raise InputError(f"table column {name!r} must hold cells of one type "
-                         f"(float, int, bool or str); found {found}")
+                         f"(float, int, bool or str); found "
+                         f"{_type_names(column)}")
     if float in types:
-        return ["" if v != v else f"{v:.6f}" for v in column]
+        if not any(map(math.isnan, column)):
+            return "%.6f", column
+        return "%s", ["" if v != v else f"{v:.6f}" for v in column]
     if bool in types:
-        return ["true" if v else "false" for v in column]
+        return "%s", ["true" if v else "false" for v in column]
     if int in types:
-        return list(map(str, column))
-    return column
+        return "%d", column
+    return "%s", (list(map(_field, column)) if _QUOTED("".join(column))
+                  else column)
 
 
 def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
-    """The table as CSV, one line per row after the header.
+    """The table as CSV: the header line, then one line per row.
 
-    ``columns[k]`` holds the cells under ``header[k]``, top to bottom, as
-    a tuple, list or 1-D numpy array; all columns have equal length.
-    Floats are written with six decimal places ('.' separator) and NaN as
-    an empty cell, bools as ``true``/``false``. A cell is quoted when it
-    holds a comma, a quote, a newline or a carriage return, so
-    ``csv.reader`` reads back the same cells.
-    """
+    ``columns[k]`` holds the cells under the str ``header[k]``, as a tuple,
+    list or 1-D numpy array, all of equal length. Floats get six decimals
+    ('.' separator) and NaN is an empty cell; bools are ``true``/``false``.
+    A cell holding a comma, a quote, a newline or a carriage return is
+    quoted, and a record of one empty cell is ``""``, so ``csv.reader``
+    reads back the same cells. Each row fills one ``%`` template."""
     if len(columns) != len(header):
         raise InputError(f"table has {len(header)} names but "
                          f"{len(columns)} columns")
     if len({len(column) for column in columns}) > 1:
         raise InputError("table columns must have equal lengths")
-    columns = list(map(_text_column, header, columns))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
-    text = out.getvalue()
-    if "\r" in text:
-        text = "".join(map(_record_quoting_cr, [header, *zip(*columns)]))
-    return text
-
-
-def _record_quoting_cr(row: Sequence[str]) -> str:
-    """One CSV record ending in a newline, with every cell that holds a
-    carriage return quoted.
-
-    csv.writer quotes only the characters of its line terminator, so the
-    record is written ending in CR LF, and that ending is cut back to LF.
-    """
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\r\n").writerow(row)
-    return out.getvalue()[:-2] + "\n"
+    if any(type(name) is not str for name in header):
+        raise InputError(f"table header must hold strings; found "
+                         f"{_type_names(header)}")
+    if not header:
+        return "\n"
+    conversions, cells = zip(*map(_text_column, header, columns))
+    # A record of one empty cell is quoted, or it would read as no record.
+    names = ",".join(map(_field, header)) or '""'
+    if conversions == ("%s",):
+        cells = (['""' if not v else v for v in cells[0]],)
+    row = ",".join(conversions) + "\n"
+    return names + "\n" + "".join(map(row.__mod__, zip(*cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,31 @@ class TestEmitTable:
         assert emitted == text
         assert list(csv.reader(io.StringIO(emitted)))[1:] == rows
 
+    # The row template's edges: a lone NaN or empty cell, no columns at
+    # all, the %d and bool conversions, and a % in a name or a cell.
+    @pytest.mark.parametrize("header, columns, text", [
+        (("a",), ([float("nan")],), 'a\n""\n'),
+        (("",), ([],), '""\n'),
+        ((), (), "\n"),
+        (("n",), ([3, -2 ** 70],), "n\n3\n-1180591620717411303424\n"),
+        (("b",), ([False, True],), "b\nfalse\ntrue\n"),
+        (("p%d",), (["%s", "100%"],), "p%d\n%s\n100%\n")])
+    def test_template_edges(self, header, columns, text):
+        assert emit_table(header, columns) == text
+
+    def test_nul_written_as_is(self):
+        # Python 3.10's csv.writer raised on a NUL instead of writing it.
+        assert emit_table(("a",), (["a\x00b"],)) == "a\na\x00b\n"
+
+    @pytest.mark.parametrize("header, found", [
+        ((None,), "NoneType"),
+        (("a", 3), "int, str"),
+        ((np.str_("a"),), "numpy.str_")])
+    def test_header_names_must_be_strings(self, header, found):
+        with pytest.raises(InputError) as exc:
+            emit_table(header, ((1,),) * len(header))
+        assert str(exc.value) == f"table header must hold strings; found {found}"
+
     @pytest.mark.parametrize("header, columns", [
         (("a", "b"), (("x",),)),
         (("a", "b"), (("x",), ("y", "z")))])

@@ -4,14 +4,17 @@
 ``rank_entities`` ranks with one ``np.lexsort``. Both must agree exactly
 with the cell-by-cell writer and the ``sorted`` + ``Counter`` ranker in
 ``oracles``: byte for byte in CSV, and in rank order, scores (down to the
-sign of zero) and tie flags. Cells include carriage returns and +-inf:
-the CSV must read back to the same cells through ``csv.reader``. A column
-that is not all floats, all ints, all bools or all strings is rejected.
+sign of zero) and tie flags. Cells include carriage returns, NULs, ``%``
+and +-inf: the CSV must read back to the same cells through ``csv.reader``
+(a CSV holding a NUL only from Python 3.11 on: 3.10's reader rejects it).
+A column that is not all floats, all ints, all bools or all strings is
+rejected.
 The profile is derandomized, so every run draws the same examples.
 """
 
 import csv
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ floats = st.one_of(st.sampled_from([NAN, INF, -INF, 0.0, -0.0, -1e-7,
                                     -4e-7, 5e-7, -5e-324]),
                    st.floats())
 ints = st.integers(-2 ** 70, 2 ** 70)
-texts = st.text(st.one_of(st.sampled_from(',"\n\r '),
+texts = st.text(st.one_of(st.sampled_from(',"\n\r \x00%'),
                           st.characters(exclude_categories=("Cs",))),
                 max_size=5)
 numpy_scalars = st.one_of(floats.map(np.float64),
@@ -87,6 +90,8 @@ def test_emit_table_matches_row_writer(table):
     rows = list(zip(*cols))
     text = emit_table(header, cols)
     assert text == table_by_rows(header, rows)
+    if "\x00" in text and sys.version_info < (3, 11):
+        return
     assert list(csv.reader(io.StringIO(text))) == [
         list(header), *([cell_text(v) for v in row] for row in rows)]
 
