@@ -14,7 +14,9 @@ import io
 import json
 import math
 import operator
+import re
 from collections import Counter
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,6 +24,11 @@ import numpy as np
 from .errors import InputError
 
 MISSINGNESS_WARNING_THRESHOLD = 0.5
+
+# Characters XML 1.0 does not allow, so an id holding one would make the
+# SVG charts malformed. The carriage return among them is also one the
+# CSV writer would leave unquoted.
+_NOT_XML = re.compile("[\x00-\x08\x0b-\x1f\ufffe\uffff]")
 
 
 class ScorePanel(NamedTuple):
@@ -169,9 +176,9 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
     """Build a validated, immutable ScorePanel.
 
     Enforces the structural invariants: non-empty unique ids without a
-    carriage return, at least a 2x2 shape, present scores within [0, 100],
-    no all-missing row or column, and at least one row with a nonzero
-    total.
+    character XML 1.0 forbids, at least a 2x2 shape, present scores
+    within [0, 100], no all-missing row or column, and at least one row
+    with a nonzero total.
     """
     entities = tuple(str(e) for e in entities)
     categories = tuple(str(c) for c in categories)
@@ -197,11 +204,9 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
             raise InputError(f"duplicate {kind} ids: {', '.join(dupes)}")
     if len(entities) < 2 or len(categories) < 2:
         raise InputError("a panel needs at least 2 entities and 2 categories")
-    # No file input can hold one (reading translates newlines), and the
-    # CSV writer would leave it unquoted.
-    bad = [name for name in (*entities, *categories) if "\r" in name]
-    if bad:
-        raise InputError(f"id {bad[0]!r} contains a carriage return")
+    if _NOT_XML.search("\n".join((*entities, *categories))):
+        name = next(filter(_NOT_XML.search, (*entities, *categories)))
+        raise InputError(f"id {name!r} contains a character XML does not allow")
 
     present = ~missing_mask
     if not np.isfinite(scores[present]).all():
@@ -238,10 +243,38 @@ def _csv_rows(csv_text: str) -> list[list[str]]:
         raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
 
 
+def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
+    """The first non-empty row of a CSV text, and the cells of every later
+    non-empty row in row-major order, read as ``csv.reader`` reads them.
+
+    The cells are None when some row is not as wide as the first; an
+    empty text gives ``([], [])``. A text with no quote, carriage return
+    or NUL (which the reader refuses on Python 3.10 only), and no line
+    past the field-size limit, is split on newlines and commas, which is
+    how the reader reads it, without a list per row; any other text goes
+    through ``csv.reader``.
+    """
+    if not ('"' in csv_text or "\r" in csv_text or "\0" in csv_text):
+        lines = list(filter(None, csv_text.split("\n")))
+        if lines and max(map(len, lines)) <= csv.field_size_limit():
+            header = lines[0].split(",")
+            if len(set(map(str.count, lines, repeat(",")))) > 1:
+                return header, None
+            body = ",".join(lines[1:])
+            del lines  # freed before the cells are made
+            return header, body.split(",") if body else []
+    rows = _csv_rows(csv_text)
+    if not rows:
+        return [], []
+    if len(set(map(len, rows))) > 1:
+        return rows[0], None
+    return rows[0], [cell for row in rows[1:] for cell in row]
+
+
 def _numbered_body(csv_text: str) -> list[tuple[int, list[str]]]:
     """(line, row) for each non-empty record after the header, where line
     is the 1-based file line the record starts on, counting blank lines and
-    cells that span lines. Only for texts ``_csv_rows`` has read."""
+    cells that span lines. Only for texts ``_csv_cells`` has read."""
     reader = csv.reader(io.StringIO(csv_text))
     start, records = 1, []
     for row in reader:
@@ -259,34 +292,31 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     missing. Raises InputError naming the first malformed row or cell in
     row-major order by its file line and column.
     """
-    rows = _csv_rows(csv_text)
-    if not rows:
+    header, cells = _csv_cells(csv_text)
+    if not header:
         raise InputError("empty panel file")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header]
     if len(header) < 2:
         raise InputError("panel header must contain at least one category column")
     if header[0].lower() != "entity":
         raise InputError(f"first header column must be 'entity', got {header[0]!r}")
-    categories = header[1:]
-    body = rows[1:]
-    if not body:
+    if cells == []:
         raise InputError("panel file has a header but no data rows")
-    columns = _panel_columns(body, len(header))
+    columns = None if cells is None else _panel_columns(cells, len(header))
     if columns is None:
         raise InputError(next(_panel_faults(csv_text, header)))
     entities, scores, missing = columns
-    return make_panel(year, entities, categories, scores, missing)
+    return make_panel(year, entities, header[1:], scores, missing)
 
 
-def _panel_columns(body: list[list[str]], width: int):
-    """Entity ids, scores and missing mask of a panel's data rows, or None.
+def _panel_columns(cells: list[str], width: int):
+    """Entity ids, scores and missing mask of a panel's body cells, given
+    row-major, or None.
 
     Every cell is stripped, converted and range-checked as part of one
-    flat column; None means some row or cell is malformed.
+    flat column; None means some cell is malformed.
     """
-    if set(map(len, body)) != {width}:
-        return None
-    cells = [cell.strip() for row in body for cell in row]
+    cells = list(map(str.strip, cells))
     entities = cells[::width]
     del cells[::width]
     missing = np.fromiter(map(operator.not_, cells), bool, len(cells))
@@ -327,26 +357,25 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
 
     Cells are stripped; the value column is converted as one column.
     """
-    rows = _csv_rows(csv_text)
-    if not rows:
+    header, cells = _csv_cells(csv_text)
+    if not header:
         raise InputError("empty indicator file")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in header]
     if header != ["entity", "category", "indicator", "value"]:
         raise InputError(
             "indicator header must be 'entity,category,indicator,value', "
             f"got {','.join(header)!r}")
-    body = rows[1:]
-    if not body:
-        return IndicatorTable(str(year))
-    if set(map(len, body)) != {4}:
+    if cells is None:
         raise InputError(next(_indicator_row_faults(csv_text)))
-    entities, categories, indicators, values = (
-        tuple(map(str.strip, column)) for column in zip(*body))
+    if not cells:
+        return IndicatorTable(str(year))
+    cells = list(map(str.strip, cells))
     try:
-        values = tuple(map(float, values))
+        values = tuple(map(float, cells[3::4]))
     except ValueError:
         raise InputError(next(_indicator_row_faults(csv_text))) from None
-    return IndicatorTable(str(year), entities, categories, indicators, values)
+    return IndicatorTable(str(year), tuple(cells[0::4]), tuple(cells[1::4]),
+                          tuple(cells[2::4]), values)
 
 
 def _indicator_row_faults(csv_text: str):

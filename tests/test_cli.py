@@ -194,6 +194,26 @@ class TestCompute:
         assert capsys.readouterr().err.startswith(
             "error: unreadable CSV at line 2: field larger")
 
+    @pytest.mark.parametrize("flag, text", [
+        ("--panel", "entity,g1,g2\ne\x01x,1,2\nb,3,4\n"),
+        ("--panel", 'entity,g1,g2\n"e\x01x",1,2\nb,3,4\n'),
+        ("--indicators", "entity,category,indicator,value\n"
+                         "e\x01x,g1,k1,10\nb,g2,k1,20\n"),
+        ("--panel", "entity,g1,g2\ne\x00x,1,2\nb,3,4\n")],
+        ids=["panel", "quoted-panel", "indicators", "nul"])
+    def test_id_xml_forbids_exits_1(self, tmp_path, capsys, flag, text):
+        # Its SVG charts would not be well-formed.
+        path = write(tmp_path, "in.csv", text)
+        rc = main(["compute", flag, "2024=" + path,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        if "\0" not in text:  # Python 3.10's csv.reader refuses a NUL
+            assert err == [
+                r"error: id 'e\x01x' contains a character XML does not allow"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("route", ["panel", "indicators", "entity-map"])
     def test_byte_order_mark_ignored(self, tmp_path, capsys, data_dir, route):
         # Excel's "CSV UTF-8" export starts the file with one.

@@ -7,7 +7,9 @@ faults in any order, they must agree with the cell-by-cell readers in
 ``oracles``: the same panel (ids, and scores down to the sign of zero,
 and mask), or an ``InputError`` with the same text, whose row numbers
 are file lines. Blank lines, before the header too, and cells spanning
-lines are drawn, so those numbers drift from a count of records. The
+lines are drawn, so those numbers drift from a count of records.
+Beneath both readers, ``_csv_cells`` must read any text the way
+``csv.reader`` does, whichever of its two routes the text takes. The
 profile is derandomized, so every run draws the same examples.
 """
 
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from panelrank import (InputError, aggregate_indicators,  # noqa: E402
                        parse_indicator_csv, parse_panel)
+from panelrank.panel import _csv_cells  # noqa: E402
 
 from oracles import (aggregate_indicators_by_records,  # noqa: E402
                      parse_indicator_csv_by_rows, parse_panel_by_cells)
@@ -160,3 +163,71 @@ def test_indicator_route_matches_record_reader(text):
     assert (outcome(aggregated, parse_indicator_csv, aggregate_indicators)
             == outcome(aggregated, parse_indicator_csv_by_rows,
                        aggregate_indicators_by_records))
+
+
+def reader_cells(text: str):
+    """``_csv_cells`` as ``csv.reader`` defines it: the first non-empty
+    row, and every later cell in row order or None if some row is not as
+    wide as the first; or the reader's error, as an ``InputError`` text."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        return f"error: unreadable CSV at line {reader.line_num}: {exc}"
+    if not rows:
+        return [], []
+    if any(len(row) != len(rows[0]) for row in rows):
+        return rows[0], None
+    return rows[0], [cell for row in rows[1:] for cell in row]
+
+
+# The characters that decide the route (a quote, a carriage return, a
+# NUL) beside ones that do not, one of them a line boundary to
+# ``str.splitlines`` but not to the reader.
+CSV_CHARS = ["a", ",", '"', "\n", "\r", "\0", " ", "\u00e9", "\x1e"]
+
+
+@st.composite
+def texts(draw):
+    """Raw text over ``CSV_CHARS``, or rows of drawn cells, mostly of one
+    width, with blank lines between them and at the end. Half the tables
+    have cells that may hold a quote, a carriage return, a NUL, a comma
+    or a newline, and half of those are written by ``csv.writer``, which
+    quotes such cells."""
+    if draw(st.sampled_from([True, False, False])):
+        return draw(st.text(st.sampled_from(CSV_CHARS), max_size=30))
+    special = draw(st.booleans())
+    chars = ["a", " ", "\u00e9", "\x1e"]
+    if special:
+        chars += ['"', "\r", "\0", ",", "\n"]
+    cell = st.text(st.sampled_from(chars), max_size=3)
+    width = draw(st.integers(1, 4))
+    rows = []
+    full = st.lists(cell, min_size=width, max_size=width)
+    for row in draw(st.lists(st.one_of(full, full, full, st.lists(
+            cell, min_size=1, max_size=5)), max_size=6)):
+        rows += [[]] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        rows.append(row)
+    if special and draw(st.booleans()):
+        out = io.StringIO()
+        csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
+                   quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
+                                                 csv.QUOTE_ALL]))
+                   ).writerows(rows)
+        return out.getvalue()
+    return "\n".join(map(",".join, rows)) + draw(
+        st.sampled_from(["", "\n", "\n\n"]))
+
+
+@settings(PROFILE, max_examples=1000)
+@given(text=texts(), limit=st.sampled_from([None, None, None, 1, 4, 8]))
+def test_csv_cells_read_as_csv_reader(text, limit):
+    # A lowered field-size limit puts some lines past it: those texts
+    # take the reader route, which may refuse them.
+    default = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        assert outcome(_csv_cells, text) == reader_cells(text)
+    finally:
+        csv.field_size_limit(default)

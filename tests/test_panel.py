@@ -1,8 +1,11 @@
+import csv
+import io
 import time
 
 import numpy as np
 import pytest
 
+import panelrank.panel as panel_module
 from panelrank import (EntityMap, IndicatorTable, InputError,
                        aggregate_indicators, align_rosters, make_panel,
                        parse_indicator_csv, parse_panel, validate_panel)
@@ -77,9 +80,29 @@ class TestParsePanel:
         'entity,c1,c2\n"a\rb",10,20\nz,30,40\n',
         'entity,"c\r1",c2\na,10,20\nz,30,40\n'])
     def test_carriage_return_in_id(self, text):
-        # panel_to_csv would write it unquoted, which the reader rejects.
-        with pytest.raises(InputError, match="carriage return"):
+        # panel_to_csv would write it unquoted, which the reader rejects,
+        # and XML does not allow it.
+        with pytest.raises(InputError, match="XML does not allow"):
             parse_panel(text, "y")
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x08", "\x0b", "\x0c",
+                                      "\x1f", "\ufffe", "\uffff"])
+    @pytest.mark.parametrize("axis", ["entity", "category"])
+    def test_id_xml_forbids_rejected(self, char, axis):
+        # An SVG chart holding one is not well-formed.
+        ids, other = ["a", f"e{char}x", "b"], ["g1", "g2"]
+        if axis == "category":
+            ids, other = other, ids
+        with pytest.raises(InputError) as exc:
+            make_panel("y", ids, other, np.ones((len(ids), len(other))))
+        assert str(exc.value) == (
+            f"id {'e' + char + 'x'!r} contains a character XML does not allow")
+
+    def test_tab_newline_and_other_controls_kept_in_ids(self):
+        # XML allows a tab, a newline, DEL and the C1 controls.
+        ids = ("a\tb", "c\nd", "e\x7f", "f\x85", "g\u2028")
+        panel = make_panel("y", ids, ["g1", "g2"], np.ones((5, 2)))
+        assert panel.entities == ids
 
     @pytest.mark.parametrize("text, message", [
         ("entity,a,b\nx,oops,1\ny,2\n",
@@ -135,6 +158,56 @@ class TestParsePanel:
         assert panel.n_entities == 12
         assert panel.n_categories == 15
         assert panel.missing_mask.sum() == 2
+
+
+# A long-form text with no quote: 30 entities x 5 goals x 3 indicators.
+UNQUOTED_INDICATORS = "entity,category,indicator,value\n" + "".join(
+    f"e{i},g{j},k{k},{(7 * i + 3 * j + k) % 101}\n"
+    for i in range(30) for j in range(5) for k in range(3))
+
+
+def quote_all(text: str) -> str:
+    out = io.StringIO()
+    csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+        csv.reader(io.StringIO(text)))
+    return out.getvalue()
+
+
+class TestReadRoute:
+    """Unquoted text is split without ``csv.reader``; quoted text goes
+    through it and reads the same."""
+
+    @staticmethod
+    def count_readers(monkeypatch) -> list:
+        calls, reader = [], csv.reader
+        monkeypatch.setattr(panel_module.csv, "reader",
+                            lambda *args: calls.append(args) or reader(*args))
+        return calls
+
+    def test_unquoted_text_split(self, monkeypatch, data_dir):
+        texts = [path.read_text(encoding="utf-8")
+                 for path in sorted(data_dir.glob("panel_*.csv"))]
+        assert len(texts) == 4
+        calls = self.count_readers(monkeypatch)
+        for text in texts:
+            parse_panel(text, "y")
+        aggregate_indicators(parse_indicator_csv(UNQUOTED_INDICATORS, "y"))
+        assert calls == []
+
+    def test_quoted_text_read_by_reader(self, monkeypatch, data_dir):
+        text = (data_dir / "panel_2024.csv").read_text(encoding="utf-8")
+        panel = parse_panel(text, "y")
+        table = parse_indicator_csv(UNQUOTED_INDICATORS, "y")
+        quoted = quote_all(text), quote_all(UNQUOTED_INDICATORS)
+        calls = self.count_readers(monkeypatch)
+        again = parse_panel(quoted[0], "y")
+        assert len(calls) >= 1
+        assert parse_indicator_csv(quoted[1], "y") == table
+        assert len(calls) >= 2
+        assert (again.entities, again.categories) == (panel.entities,
+                                                      panel.categories)
+        assert again.scores.tobytes() == panel.scores.tobytes()
+        assert np.array_equal(again.missing_mask, panel.missing_mask)
 
 
 class TestRoundTrip:
