@@ -27,14 +27,15 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import analytics, core, report
 from .errors import DegeneratePanelError, InputError, NonConvergenceError
-from .panel import Alignment, EntityMap, ScorePanel, aggregate_indicators, \
-    align_rosters, parse_indicator_csv, parse_panel, validate_panel
+from .panel import _NOT_XML, Alignment, EntityMap, ScorePanel, \
+    aggregate_indicators, align_rosters, parse_indicator_csv, parse_panel, \
+    validate_panel
 
 CHART_KINDS = ("heatmap", "bipartite", "weight_bars", "weighted_lines",
                "rank_bump", "grouped_bars")
@@ -62,6 +63,10 @@ class RunConfig:
         # write outputs labelled "A" and "a" to one file.
         seen: dict[str, str] = {}
         for _, year, _ in self.inputs:
+            # Charts write the label into their text.
+            if _NOT_XML.search(year):
+                raise InputError(f"year label {year!r} contains a character "
+                                 "XML does not allow")
             key = _safe_label(year).lower()
             if key in seen:
                 raise InputError(f"year labels {seen[key]!r} and {year!r} both "
@@ -233,16 +238,22 @@ def _read_text(path: Path) -> str:
                          f"0x{byte:02x} at offset {exc.start})") from None
 
 
-def _write_text(config: RunConfig, name: str, text: str) -> Path:
-    """Write one output file under ``--out``, creating the directory first.
-    A file the run reads, input or entity map, is never overwritten."""
+def _write_text(config: RunConfig, name: str, chunks: Iterable[str]) -> Path:
+    """Write one output file under ``--out`` from its text in pieces,
+    creating the directory first. The first piece is taken before the file
+    is opened, so an emitter that fails in its set-up leaves no file. A
+    file the run reads, input or entity map, is never overwritten."""
     path = config.out_dir / name
     sources = [p for _, _, p in config.inputs] + [*config.entity_maps.values()]
+    chunks = iter(chunks)
+    first = next(chunks, "")
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         if path.exists() and any(path.samefile(src) for src in sources):
             raise InputError(f"cannot write {path}: it is an input of this run")
-        path.write_text(text, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as handle:
+            handle.write(first)
+            handle.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
     return path
@@ -362,8 +373,8 @@ def cmd_compute(config: RunConfig) -> int:
     panels, alignments = load_inputs(config)
     written: list[Path] = []
 
-    def write(name: str, text: str) -> None:
-        written.append(_write_text(config, name, text))
+    def write(name: str, chunks: Iterable[str]) -> None:
+        written.append(_write_text(config, name, chunks))
 
     results = [compute_year(panel, config) for panel in panels]
     tables = [_rank_tables(result) for result in results]
@@ -373,23 +384,23 @@ def cmd_compute(config: RunConfig) -> int:
         label = _safe_label(panel.year)
 
         write(f"scores_entities_{label}.csv",
-              report.emit_table(*_entity_table(result)))
+              (report.emit_table(*_entity_table(result)),))
         write(f"scores_categories_{label}.csv",
-              report.emit_table(*_category_table(result)))
+              (report.emit_table(*_category_table(result)),))
         for key, table in year_tables.items():
             write(f"ranks_{key}_{label}.csv",
-                  report.emit_table(*_rank_table(table)))
+                  (report.emit_table(*_rank_table(table)),))
 
         if "heatmap" in config.charts:
-            write(f"heatmap_{label}.svg", report.emit_heatmap(
+            write(f"heatmap_{label}.svg", report.heatmap_chunks(
                 panel, f"Scores {panel.year}"))
         if "bipartite" in config.charts:
-            write(f"bipartite_{label}.svg", report.emit_bipartite(
+            write(f"bipartite_{label}.svg", (report.emit_bipartite(
                 panel, _bipartite_subset(year_tables["k_s"]),
-                f"Score network {panel.year}"))
+                f"Score network {panel.year}"),))
         if "weight_bars" in config.charts:
-            write(f"weight_bars_{label}.svg", report.emit_weight_bars(
-                year_weights, f"Category weights {panel.year}"))
+            write(f"weight_bars_{label}.svg", (report.emit_weight_bars(
+                year_weights, f"Category weights {panel.year}"),))
         if "weighted_lines" in config.charts:
             if panel.n_entities < 3:
                 _warn(f"year {panel.year}: skipping weighted_lines chart "
@@ -398,26 +409,26 @@ def cmd_compute(config: RunConfig) -> int:
                 performance = analytics.weighted_performance(panel, year_weights)
                 profile = analytics.tertile_groups(year_tables["k_s"], panel,
                                                    performance)
-                write(f"weighted_lines_{label}.svg", report.emit_weighted_lines(
+                write(f"weighted_lines_{label}.svg", (report.emit_weighted_lines(
                     performance, profile, panel.entities,
-                    f"Weighted performance {panel.year}"))
+                    f"Weighted performance {panel.year}"),))
 
     if config.method == "both":
-        write("method_agreement.csv", report.emit_table(
+        write("method_agreement.csv", (report.emit_table(
             ("year", "spearman_rho"),
             ([panel.year for panel in panels],
              [analytics.spearman(*(s.entity_scores for s in result.solved))
-              for result in results])))
+              for result in results])),))
 
     if "rank_bump" in config.charts:
         for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
-            write(f"rank_bump_{basis}.svg", report.emit_rank_bump(
+            write(f"rank_bump_{basis}.svg", (report.emit_rank_bump(
                 analytics.rank_evolution([t[basis] for t in tables], alignments),
-                f"Rank evolution ({title})"))
+                f"Rank evolution ({title})"),))
     if "grouped_bars" in config.charts:
-        write("grouped_bars_weights.svg", report.emit_grouped_bars(
+        write("grouped_bars_weights.svg", (report.emit_grouped_bars(
             analytics.weights_evolution([r.weights[0] for r in results]),
-            "Weight evolution"))
+            "Weight evolution"),))
 
     for path in written:
         print(path)
@@ -458,7 +469,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
         name = (f"compare_{basis_a}_vs_{basis_b}_{_safe_label(first.year)}"
                 + ("" if first is last else f"_{_safe_label(last.year)}")
                 + ".csv")
-        print(_write_text(config, name, text))
+        print(_write_text(config, name, (text,)))
     return 0
 
 

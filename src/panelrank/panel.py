@@ -374,8 +374,14 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
         values = tuple(map(float, cells[3::4]))
     except ValueError:
         raise InputError(next(_indicator_row_faults(csv_text))) from None
+    # Ids are checked by make_panel; indicator names never reach it.
+    indicators = tuple(cells[2::4])
+    if _NOT_XML.search("\n".join(indicators)):
+        name = next(filter(_NOT_XML.search, indicators))
+        raise InputError(f"indicator {name!r} contains a character XML "
+                         "does not allow")
     return IndicatorTable(str(year), tuple(cells[0::4]), tuple(cells[1::4]),
-                          tuple(cells[2::4]), values)
+                          indicators, values)
 
 
 def _indicator_row_faults(csv_text: str):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from html import escape
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -156,11 +156,20 @@ def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
 
 def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
     """Score matrix as a colored grid; one rect per cell, missing hatched."""
+    return "".join(heatmap_chunks(panel, title))
+
+
+def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
+    """``emit_heatmap``'s text in pieces: the head with every label, then
+    one piece per grid row, then the closing tag. All set-up work runs
+    before the first piece is yielded, so a fault in it raises before any
+    text is out."""
+    n, m = panel.scores.shape
     margin_left, margin_top, margin_right, margin_bottom = 110, 80, 20, 20
     plot_w = WIDTH - margin_left - margin_right
     plot_h = HEIGHT - margin_top - margin_bottom
-    cell_w = plot_w / panel.n_categories
-    cell_h = plot_h / panel.n_entities
+    cell_w = plot_w / m
+    cell_h = plot_h / n
 
     hatch = ('<pattern id="hatch" width="6" height="6" '
              'patternUnits="userSpaceOnUse">'
@@ -179,33 +188,37 @@ def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
         parts.append(_text(margin_left - 6, margin_top + (i + 0.7) * cell_h,
                            entity, cls="row-label", anchor="end"))
 
-    # Everything shared by a row or a column is formatted once, and so is
-    # each distinct score, keyed by bit pattern so -0.0 and 0.0 stay apart;
-    # colours come from one call for the whole matrix.
-    xs = [_fmt(margin_left + j * cell_w) for j in range(panel.n_categories)]
-    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
-    categories = [escape(c) for c in panel.categories]
+    # A cell's text is seven pieces: the tag and class, x, the row's y and
+    # size, the fill, the row's entity, the category, and the value. Each
+    # row, column and distinct score formats its pieces once; scores are
+    # keyed by bit pattern, so -0.0 and 0.0 stay apart, and a missing cell
+    # takes the last key. Colours come from one call for the whole matrix.
     bits, index = np.unique(panel.scores.view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
-    fills = ramp_color(values / 100.0)
-    labels = [f' data-value="{v:.3f}"' for v in values.tolist()]
-    rows = zip(panel.entities, index.reshape(panel.scores.shape).tolist(),
-               panel.missing_mask.tolist())
-    for i, (entity, keys, missing) in enumerate(rows):
-        y = f'y="{_fmt(margin_top + i * cell_h)}" {size}'
-        entity = escape(entity)
-        for x, category, k, gap in zip(xs, categories, keys, missing):
-            if gap:
-                cls, fill, value_attr = "cell missing", "url(#hatch)", ""
-            else:
-                cls, fill, value_attr = "cell", fills[k], labels[k]
-            parts.append(
-                f'<rect class="{cls}" x="{x}" {y} '
-                f'fill="{fill}" stroke="#ffffff" stroke-width="0.5" '
-                f'data-entity="{entity}" '
-                f'data-category="{category}"{value_attr}/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    stroke = 'stroke="#ffffff" stroke-width="0.5" data-entity="'
+    by_key = np.array(
+        [('<rect class="cell" x="', f' fill="{fill}" {stroke}',
+          f'" data-value="{v:.3f}"/>\n')
+         for fill, v in zip(ramp_color(values / 100.0), values.tolist())]
+        + [('<rect class="cell missing" x="', f' fill="url(#hatch)" {stroke}',
+            '"/>\n')], dtype=object)
+    size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
+    cells = np.empty((n, m, 7), dtype=object)
+    cells[:, :, [0, 3, 6]] = by_key[np.where(panel.missing_mask, len(values),
+                                             index.reshape(n, m))]
+    cells[:, :, 1] = np.array([f'{_fmt(margin_left + j * cell_w)}" '
+                               for j in range(m)], dtype=object)
+    cells[:, :, 2] = np.array([f'y="{_fmt(margin_top + i * cell_h)}" {size}'
+                               for i in range(n)], dtype=object)[:, None]
+    cells[:, :, 4] = np.array([escape(e) for e in panel.entities],
+                              dtype=object)[:, None]
+    cells[:, :, 5] = np.array([f'" data-category="{escape(c)}'
+                               for c in panel.categories], dtype=object)
+
+    yield "\n".join(parts) + "\n"
+    for row in cells.reshape(n, 7 * m):
+        yield "".join(row.tolist())
+    yield "</svg>\n"
 
 
 def emit_bipartite(panel: ScorePanel, subset: Sequence[str],

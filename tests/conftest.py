@@ -72,6 +72,16 @@ def random_panel(rng: np.random.Generator, n_entities: int, n_categories: int,
                       [f"c{j:02d}" for j in range(n_categories)], scores)
 
 
+def formula_panel(n_entities: int, n_categories: int, year: str = "y"):
+    """Panel of integer scores from a fixed formula, with about 5% of its
+    cells missing; the same on every numpy version."""
+    row, col = np.arange(n_entities)[:, None], np.arange(n_categories)
+    return make_panel(year, [f"e{i:04d}" for i in range(n_entities)],
+                      [f"c{j:02d}" for j in range(n_categories)],
+                      ((row * 37 + col * 11) % 101).astype(float),
+                      (row * 13 + col * 7) % 20 == 0)
+
+
 def aligned(tables, maps=None):
     """The alignments ``rank_evolution`` takes: ``align_rosters`` of each
     consecutive pair of tables, under ``maps[i]`` or by identity."""

@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panelrank import cli, make_panel
+from panelrank import (InputError, cli, emit_heatmap, make_panel,
+                       parse_panel, report)
 from panelrank.cli import main
 
+from conftest import formula_panel
 from oracles import panel_to_csv
 
 WORKED_3X2 = "entity,g1,g2\na,2,0\nb,1,1\nc,0,2\n"
@@ -214,6 +216,54 @@ class TestCompute:
                 r"error: id 'e\x01x' contains a character XML does not allow"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["compute", "compare", "validate"])
+    def test_year_label_xml_forbids_exits_1(self, tmp_path, capsys, data_dir,
+                                            command):
+        # Charts write the label into their text; it is refused before
+        # any input is read or any output written.
+        panel = data_dir / "panel_2024.csv"
+        args = {"compute": ["compute", "--out", str(tmp_path / "out")],
+                "compare": ["compare", "k_s", "D_s",
+                            "--out", str(tmp_path / "out")],
+                "validate": ["validate"]}[command]
+        rc = main([*args, "--panel", f"20\x0124={panel}",
+                   "--panel", f"2025={panel}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            r"error: year label '20\x0124' contains a character XML does "
+            "not allow"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_streamed_heatmap_bytes(self, tmp_path, capsys):
+        # 2,000 rows go to disk one grid row at a time; the file holds
+        # exactly the library's text.
+        path = write(tmp_path, "p.csv",
+                     panel_to_csv(formula_panel(2000, 17, "2024")))
+        out = tmp_path / "out"
+        assert main(["compute", "--panel", "2024=" + path,
+                     "--method", "spectral", "--charts", "heatmap",
+                     "--out", str(out)]) == 0
+        read = parse_panel(Path(path).read_text(encoding="utf-8"), "2024")
+        assert (out / "heatmap_2024.svg").read_bytes() == emit_heatmap(
+            read, "Scores 2024").encode("utf-8")
+
+    def test_heatmap_set_up_fault_leaves_no_file(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # The writer takes the chart's first piece before it opens the file.
+        def refuse(t):
+            raise InputError("no colours")
+
+        monkeypatch.setattr(report, "ramp_color", refuse)
+        out = tmp_path / "out"
+        rc = main(["compute", "--panel",
+                   "2024=" + write(tmp_path, "p.csv", WORKED_3X2),
+                   "--charts", "heatmap", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: no colours\n"
+        assert not (out / "heatmap_2024.svg").exists()
+
     @pytest.mark.parametrize("route", ["panel", "indicators", "entity-map"])
     def test_byte_order_mark_ignored(self, tmp_path, capsys, data_dir, route):
         # Excel's "CSV UTF-8" export starts the file with one.
@@ -347,9 +397,12 @@ class TestCompute:
 
     @pytest.mark.parametrize("source, name", [
         ("panel_2019.csv", "ranks_k_s_2019.csv"),
-        ("map_2019_2020.json", "method_agreement.csv")])
+        ("map_2019_2020.json", "method_agreement.csv"),
+        ("panel_2019.csv", "heatmap_2019.svg")])
     def test_never_overwrites_an_input(self, tmp_path, capsys, data_dir,
                                        source, name):
+        # A chart target is refused on the streamed path too.
+        charts = "heatmap" if name.endswith(".svg") else "none"
         target = tmp_path / name
         target.write_bytes((data_dir / source).read_bytes())
         path = {f: data_dir / f for f in ("panel_2019.csv", "panel_2020.csv",
@@ -358,7 +411,7 @@ class TestCompute:
         rc = main(["compute", "--panel", f"2019={path['panel_2019.csv']}",
                    "--panel", f"2020={path['panel_2020.csv']}",
                    "--entity-map", f"2019->2020={path['map_2019_2020.json']}",
-                   "--charts", "none", "--out", str(tmp_path)])
+                   "--charts", charts, "--out", str(tmp_path)])
         assert rc == 1
         assert capsys.readouterr().err == (
             f"error: cannot write {target}: it is an input of this run\n")
@@ -606,6 +659,20 @@ class TestValidate:
         rc = main(["validate", "--indicators", "2019=" + indicators])
         assert rc == 1
         assert "2019: error:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["k\x00x", "k\x01x"])
+    def test_indicator_name_xml_forbids_exit_1(self, tmp_path, capsys, name):
+        # Python 3.10's csv.reader refuses a NUL on its own; every Python
+        # exits 1.
+        path = write(tmp_path, "ind.csv", "entity,category,indicator,value\n"
+                     f"a,g1,{name},10\nb,g2,k,20\n")
+        rc = main(["validate", "--indicators", "2024=" + path])
+        assert rc == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith("2024: error: ")
+        if "\0" not in name:
+            assert out == [r"2024: error: indicator 'k\x01x' contains a "
+                           "character XML does not allow"]
 
     def test_oversized_csv_field_reported_and_next_input_checked(
             self, tmp_path, capsys, data_dir):

@@ -17,7 +17,8 @@ from panelrank import (GoalWeights, GroupProfile, InputError,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
 
-from conftest import aligned, all_charts, random_panel
+import oracles
+from conftest import aligned, all_charts, formula_panel, random_panel
 
 
 def elements_with_class(svg_text: str, token: str):
@@ -146,8 +147,10 @@ class TestRampColor:
         monkeypatch.setattr(report, "ramp_color", counted)
         panel = random_panel(np.random.default_rng(36), 9, 4)
         all_charts(panel, weights_for(panel.categories, [0.5, 1.0, 1.5, 2.0]))
-        assert sorted(callers) == sorted(f"emit_{kind}"
-                                         for kind in cli.CHART_KINDS)
+        # The heatmap's call is made by the generator that emit_heatmap joins.
+        assert sorted(callers) == sorted(
+            "heatmap_chunks" if kind == "heatmap" else f"emit_{kind}"
+            for kind in cli.CHART_KINDS)
 
 
 class TestHeatmap:
@@ -178,6 +181,20 @@ class TestHeatmap:
 
     def test_deterministic(self, worked_3x2):
         assert emit_heatmap(worked_3x2, "t") == emit_heatmap(worked_3x2, "t")
+
+    def test_streamed_one_grid_row_per_piece(self):
+        # The head holds the labels and no cell; each later piece is one
+        # grid row, all of one entity; the pieces join to the per-cell
+        # emitter's text.
+        n, m = 2000, 17
+        panel = formula_panel(n, m)
+        head, *rows, tail = report.heatmap_chunks(panel, "t & u")
+        assert 'class="cell' not in head and head.count('class="row-label"') == n
+        assert len(rows) == n and tail == "</svg>\n"
+        for i, piece in enumerate(rows):
+            assert piece.count("<rect") == m
+            assert piece.count(f'data-entity="e{i:04d}"') == m
+        assert head + "".join(rows) + tail == oracles.emit_heatmap(panel, "t & u")
 
 
 class TestBipartite:
