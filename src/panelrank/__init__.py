@@ -14,10 +14,10 @@ from .analytics import (GoalWeights, GroupProfile, RankSeries, RankTable,
                         tertile_groups, weighted_performance,
                         weights_evolution)
 from .core import (AdjustedUbiquity, ComplexityScores, DegreeIndex,
-                   IterationTrace, ProximityMatrix, SimilarityPair,
-                   adjusted_ubiquity, degree_index, fitness_step,
-                   genepy_scores, principal_eigenvector, proximity,
-                   run_fitness, similarity)
+                   IterationTrace, Prepared, ProximityMatrix,
+                   SimilarityPair, adjusted_ubiquity, degree_index,
+                   fitness_step, genepy_scores, prepare,
+                   principal_eigenvector, proximity, run_fitness, similarity)
 from .errors import (DegeneratePanelError, InputError, NonConvergenceError,
                      PanelRankError)
 from .panel import (Alignment, EntityMap, Finding, IndicatorTable, Lineage,
@@ -35,13 +35,14 @@ __all__ = [
     "DegeneratePanelError", "DegreeIndex", "EntityMap", "Finding",
     "GoalWeights", "GroupProfile", "IndicatorTable", "InputError",
     "IterationTrace", "Lineage", "MapRule", "NonConvergenceError",
-    "PanelRankError", "ProximityMatrix", "RankSeries", "RankTable",
-    "RankTrajectory", "ScorePanel", "SimilarityPair", "WeightsEvolution",
+    "PanelRankError", "Prepared", "ProximityMatrix", "RankSeries",
+    "RankTable", "RankTrajectory", "ScorePanel", "SimilarityPair",
+    "WeightsEvolution",
     "adjusted_ubiquity", "aggregate_indicators", "align_rosters",
     "degree_index", "emit_bipartite", "emit_grouped_bars", "emit_heatmap",
     "emit_rank_bump", "emit_table", "emit_weight_bars",
     "emit_weighted_lines", "fitness_step", "genepy_scores", "goal_weights",
-    "make_panel", "parse_indicator_csv", "parse_panel",
+    "make_panel", "parse_indicator_csv", "parse_panel", "prepare",
     "principal_eigenvector", "proximity", "ramp_color", "rank_entities",
     "rank_evolution", "run_fitness", "similarity", "spearman",
     "tertile_groups", "validate_panel", "weighted_performance",

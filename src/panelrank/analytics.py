@@ -8,6 +8,7 @@ by every mean.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -108,6 +109,17 @@ def weighted_performance(panel: ScorePanel, weights: GoalWeights) -> np.ndarray:
     return np.where(panel.missing_mask, np.nan, values)
 
 
+@functools.lru_cache(maxsize=2)
+def _id_order(entities: tuple[str, ...]) -> np.ndarray:
+    """Positions of ``entities`` in Python string order (a numpy "U" array
+    would drop trailing NULs). Kept for the last two rosters, since each
+    year's rank tables share one."""
+    order = np.array(sorted(range(len(entities)), key=entities.__getitem__),
+                     dtype=np.intp)
+    order.flags.writeable = False
+    return order
+
+
 def rank_entities(entities: Sequence[str], values: Sequence[float],
                   basis: str, year: str) -> RankTable:
     """Rank entities by descending value; rank 1 is the highest value.
@@ -121,18 +133,18 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
         raise InputError("entities and values must have equal length")
     if not np.isfinite(values).all():
         raise InputError("rank values must be finite")
-    # Each id's position in Python string order (a numpy "U" array would
-    # drop trailing NULs), then one sort by descending value, ties by id.
-    # Sorting and np.unique both treat 0.0 and -0.0 as equal.
-    n = len(entities)
-    pos = np.empty(n, dtype=np.intp)
-    pos[sorted(range(n), key=entities.__getitem__)] = np.arange(n)
-    order = np.lexsort((pos, -values))
-    _, inverse, counts = np.unique(values, return_inverse=True,
-                                   return_counts=True)
+    # A stable sort by descending value of the ids in string order keeps
+    # equal values in id order. Sorting treats 0.0 and -0.0 as equal, so
+    # equal neighbours in the sorted values are exactly the ties.
+    by_id = _id_order(entities)
+    order = by_id[np.argsort(-values[by_id], kind="stable")]
+    ordered = values[order]
+    equal = ordered[1:] == ordered[:-1]
+    tied = np.zeros(values.size, dtype=bool)
+    tied[1:] = equal
+    tied[:-1] |= equal
     return RankTable(year, basis, tuple([entities[i] for i in order.tolist()]),
-                     tuple(values[order].tolist()),
-                     tuple((counts[inverse] > 1)[order].tolist()))
+                     tuple(ordered.tolist()), tuple(tied.tolist()))
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

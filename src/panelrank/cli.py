@@ -27,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,9 +95,7 @@ class RunConfig:
 class YearResult(NamedTuple):
     """Computed quantities for one panel year."""
 
-    panel: ScorePanel
-    degree: core.DegreeIndex
-    ubiquity: core.AdjustedUbiquity
+    prepared: core.Prepared
     solved: tuple[core.ComplexityScores, ...]  # solvers that ran, spectral first
     weights: tuple[analytics.GoalWeights, ...]  # goal weights of each
     trace: core.IterationTrace | None
@@ -293,13 +291,12 @@ def _warn(message: str) -> None:
 
 
 def compute_year(panel: ScorePanel, config: RunConfig) -> YearResult:
-    deg = core.degree_index(panel)
-    ubiq = core.adjusted_ubiquity(panel, deg)
+    prep = core.prepare(panel)
     solved, trace = [], None
     if config.method in ("spectral", "both"):
-        solved.append(core.genepy_scores(panel))
+        solved.append(core.genepy_scores(prep))
     if config.method in ("iterative", "both"):
-        scores, trace = core.run_fitness(panel, config.tol, config.max_steps)
+        scores, trace = core.run_fitness(prep, config.tol, config.max_steps)
         solved.append(scores)
         if not trace.converged:
             if not config.allow_nonconverged:
@@ -311,52 +308,87 @@ def compute_year(panel: ScorePanel, config: RunConfig) -> YearResult:
                     f"(last residual {trace.final_residual:.3e}{stopped})")
             _warn(f"year {panel.year}: fixed-point iteration did not converge; "
                   "using last iterate (--allow-nonconverged)")
-    return YearResult(panel, deg, ubiq, tuple(solved),
-                      tuple(analytics.goal_weights(s, ubiq) for s in solved),
+    return YearResult(prep, tuple(solved),
+                      tuple(analytics.goal_weights(s, prep.ubiquity)
+                            for s in solved),
                       trace)
 
 
-def _entity_table(result: YearResult) -> tuple[list[str], list]:
-    deg = result.degree
+def _rank_values(result: YearResult) -> dict[str, np.ndarray]:
+    """The entity values each of the year's rank tables orders, by table
+    key: ``D_s`` reads the first solver that ran, ``D_s_iterative`` the
+    second."""
+    deg = result.prepared.degree
+    values = {"k_s": deg.totals, "composite_mean": deg.composite_means}
+    for key, scores in zip(("D_s", "D_s_iterative"), result.solved):
+        values[key] = scores.entity_scores
+    return values
+
+
+def _entity_table(result: YearResult,
+                  cells: dict[str, np.ndarray]) -> tuple[list[str], list]:
+    """The entity scores table, its float columns given as ``cells``,
+    the formatted values of each rank key."""
+    prep = result.prepared
     header = ["entity", "total_score", "applicable_count", "composite_mean"]
-    columns = [result.panel.entities, deg.totals, deg.applicable_counts,
-               deg.composite_means]
-    for scores in result.solved:
+    columns = [prep.panel.entities, cells["k_s"],
+               prep.degree.applicable_counts, cells["composite_mean"]]
+    for scores, key in zip(result.solved, ("D_s", "D_s_iterative")):
         header.append(f"complexity_{scores.method}")
-        columns.append(scores.entity_scores)
+        columns.append(cells[key])
     return header, columns
-
-
-def _rank_table(table: analytics.RankTable) -> tuple[tuple[str, ...], tuple]:
-    return (("entity", "score", "rank", "tied"),
-            (table.entities, table.scores, range(1, len(table.entities) + 1),
-             table.tied))
 
 
 def _category_table(result: YearResult) -> tuple[list[str], list]:
     header = ["category", "adjusted_ubiquity"]
-    columns = [result.panel.categories, result.ubiquity.values]
+    columns = [result.prepared.panel.categories,
+               result.prepared.ubiquity.values]
     for scores, weights in zip(result.solved, result.weights):
         header += [f"complexity_{scores.method}", f"weight_{scores.method}"]
         columns += [scores.category_scores, weights.values]
     return header, columns
 
 
-def _rank(result: YearResult, basis: str, solver: int = 0) -> analytics.RankTable:
-    """The year's entities ranked by a basis; only ``D_s`` reads a solver,
-    ``result.solved[solver]``."""
-    panel, deg = result.panel, result.degree
-    values = (deg.totals if basis == "k_s"
-              else deg.composite_means if basis == "composite_mean"
-              else result.solved[solver].entity_scores)
-    return analytics.rank_entities(panel.entities, values, basis, panel.year)
+def _rank_table(table: analytics.RankTable,
+                scores: Sequence | None = None) -> tuple[tuple[str, ...], tuple]:
+    """A rank table's CSV header and columns. ``scores`` is the score
+    column as cells in rank order, already formatted; by default the
+    table's floats, which ``emit_table`` formats the same way."""
+    return (("entity", "score", "rank", "tied"),
+            (table.entities, table.scores if scores is None else scores,
+             range(1, len(table.entities) + 1), table.tied))
+
+
+def _rank(result: YearResult, key: str) -> analytics.RankTable:
+    """The year's entities ranked by the values of a rank key: a basis, or
+    ``D_s_iterative``, the ``D_s`` basis of the second solver."""
+    panel = result.prepared.panel
+    return analytics.rank_entities(panel.entities, _rank_values(result)[key],
+                                   key.removesuffix("_iterative"), panel.year)
 
 
 def _rank_tables(result: YearResult) -> dict[str, analytics.RankTable]:
-    tables = {basis: _rank(result, basis) for basis in analytics.RANK_BASES}
-    if len(result.solved) == 2:
-        tables["D_s_iterative"] = _rank(result, "D_s", 1)
-    return tables
+    return {key: _rank(result, key) for key in _rank_values(result)}
+
+
+def _year_tables(result: YearResult,
+                 tables: dict[str, analytics.RankTable]) -> dict[str, str]:
+    """The year's CSV tables by file name stem: entity scores, category
+    scores, then the rank table of each key of ``tables``. Each ranked
+    vector is formatted once, in row order, for the entity table; its rank
+    table takes the same cells in rank order."""
+    panel = result.prepared.panel
+    cells = {key: np.array(report.float_cells(values), dtype=object)
+             for key, values in _rank_values(result).items()}
+    row_of = dict(zip(panel.entities, range(panel.n_entities)))
+    texts = {"scores_entities": report.emit_table(*_entity_table(result, cells)),
+             "scores_categories": report.emit_table(*_category_table(result))}
+    for key, table in tables.items():
+        rows = np.fromiter(map(row_of.__getitem__, table.entities), np.intp,
+                           panel.n_entities)
+        texts[f"ranks_{key}"] = report.emit_table(
+            *_rank_table(table, cells[key][rows]))
+    return texts
 
 
 def _bipartite_subset(table: analytics.RankTable, size: int = 8) -> tuple[str, ...]:
@@ -380,16 +412,10 @@ def cmd_compute(config: RunConfig) -> int:
     tables = [_rank_tables(result) for result in results]
 
     for result, year_tables in zip(results, tables):
-        panel, year_weights = result.panel, result.weights[0]
+        panel, year_weights = result.prepared.panel, result.weights[0]
         label = _safe_label(panel.year)
-
-        write(f"scores_entities_{label}.csv",
-              (report.emit_table(*_entity_table(result)),))
-        write(f"scores_categories_{label}.csv",
-              (report.emit_table(*_category_table(result)),))
-        for key, table in year_tables.items():
-            write(f"ranks_{key}_{label}.csv",
-                  (report.emit_table(*_rank_table(table)),))
+        for stem, text in _year_tables(result, year_tables).items():
+            write(f"{stem}_{label}.csv", (text,))
 
         if "heatmap" in config.charts:
             write(f"heatmap_{label}.svg", report.heatmap_chunks(

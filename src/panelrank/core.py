@@ -9,7 +9,11 @@ Two related routes to a pair of score vectors over entities and categories:
   thin SVD gives both, with the shared eigenvalue ``sigma_1^2``.
   ``similarity`` builds the two matrices only as a small-panel diagnostic;
 * the iterative route runs the nonlinear fitness-complexity map to a fixed
-  point, renormalizing both vectors to mean one at every step.
+  point, the entity half and then the category half of each step,
+  renormalizing both vectors to mean one.
+
+Both routes read one ``Prepared`` record of the panel, built by
+``prepare``, which also refuses a degenerate panel.
 
 The routes do not give the same entity scores. The spectral entity scores
 approximate the iterative ones per unit row total, ``(F / k)`` rescaled to
@@ -72,6 +76,16 @@ class ProximityMatrix(NamedTuple):
     entities: tuple[str, ...]
     categories: tuple[str, ...]
     values: np.ndarray
+
+
+class Prepared(NamedTuple):
+    """One year's panel and the quantities both solvers read, built once
+    by ``prepare``."""
+
+    panel: ScorePanel
+    degree: DegreeIndex
+    ubiquity: AdjustedUbiquity
+    proximity: ProximityMatrix
 
 
 class SimilarityPair(NamedTuple):
@@ -151,6 +165,18 @@ def proximity(panel: ScorePanel, deg: DegreeIndex,
     return ProximityMatrix(panel.entities, panel.categories, values)
 
 
+def prepare(panel: ScorePanel) -> Prepared:
+    """The panel with its degree index, adjusted ubiquity and proximity.
+
+    Raises DegeneratePanelError as ``degree_index`` and
+    ``adjusted_ubiquity`` do, so a panel no solver can read is refused
+    here, before either solver runs.
+    """
+    deg = degree_index(panel)
+    ubiq = adjusted_ubiquity(panel, deg)
+    return Prepared(panel, deg, ubiq, proximity(panel, deg, ubiq))
+
+
 def similarity(prox: ProximityMatrix) -> SimilarityPair:
     """Project the proximity matrix onto entity and category similarity.
 
@@ -203,7 +229,7 @@ def principal_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[-1]), _dominant_direction(vectors, values)
 
 
-def genepy_scores(panel: ScorePanel) -> ComplexityScores:
+def genepy_scores(prep: Prepared) -> ComplexityScores:
     """Spectral scores from one thin SVD of the proximity matrix ``N``.
 
     The principal eigenvectors of ``N N^T`` and ``N^T N`` are the leading
@@ -213,9 +239,8 @@ def genepy_scores(panel: ScorePanel) -> ComplexityScores:
     degenerate top singular value resolves as in ``principal_eigenvector``:
     the uniform vector projected onto the top singular subspace.
     """
-    deg = degree_index(panel)
-    ubiq = adjusted_ubiquity(panel, deg)
-    left, sigma, right_t = np.linalg.svd(proximity(panel, deg, ubiq).values,
+    panel = prep.panel
+    left, sigma, right_t = np.linalg.svd(prep.proximity.values,
                                          full_matrices=False)
     vec_u = _dominant_direction(left, sigma)
     vec_v = _dominant_direction(right_t.T, sigma)
@@ -231,47 +256,55 @@ def genepy_scores(panel: ScorePanel) -> ComplexityScores:
         category_eigenvalue=eigenvalue)
 
 
-def _fitness_update(scores: np.ndarray, entity_scores: np.ndarray,
+def _fitness_update(scores: np.ndarray,
                     category_scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One update of the nonlinear map, both vectors rescaled to mean one.
+    """One alternating step of the nonlinear map, each vector rescaled to
+    mean one.
 
-    Entity update: score-weighted sum of current category scores. Category
-    update: reciprocal of the sum of scores divided by current entity
-    scores, so categories achieved only by low-scoring entities come out
-    on top. Both previous vectors feed the update (Jacobi style).
+    Entity update: score-weighted sum of the current category scores.
+    Category update, from the new entity scores: reciprocal of the sum of
+    scores divided by entity scores, so categories achieved only by
+    low-scoring entities come out on top. Each half is one matrix-vector
+    product; the pair is half a Sinkhorn-Knopp sweep towards a matrix
+    ``diag(1/F) X diag(Q)`` with uniform row and column sums.
     """
     entity_raw = scores @ category_scores
-    category_raw = 1.0 / (scores / entity_scores[:, None]).sum(axis=0)
-    return (entity_raw / (entity_raw.sum() / entity_raw.size),
+    entity_scores = entity_raw / (entity_raw.sum() / entity_raw.size)
+    category_raw = 1.0 / ((1.0 / entity_scores) @ scores)
+    return (entity_scores,
             category_raw / (category_raw.sum() / category_raw.size))
 
 
 def fitness_step(panel: ScorePanel,
                  current: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one step of the nonlinear map to (entity, category) scores."""
+    """Apply one step of the nonlinear map to (entity, category) scores.
+
+    The step ``run_fitness`` iterates: the entity scores from the current
+    category scores, then the category scores from those new entity
+    scores. The current entity scores do not enter it, but both vectors
+    must be strictly positive.
+    """
     entity_scores, category_scores = current
     entity_scores = np.asarray(entity_scores, dtype=float)
     category_scores = np.asarray(category_scores, dtype=float)
-    if (entity_scores <= 0).any():
-        raise ValueError(
-            "singular update: entity scores must be strictly positive")
-    return _fitness_update(panel.scores, entity_scores, category_scores)
+    if (entity_scores <= 0).any() or (category_scores <= 0).any():
+        raise ValueError("singular update: scores must be strictly positive")
+    return _fitness_update(panel.scores, category_scores)
 
 
-def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
+def run_fitness(prep: Prepared, tol: float = DEFAULT_TOL,
                 max_steps: int = DEFAULT_MAX_STEPS) -> tuple[ComplexityScores, IterationTrace]:
     """Iterate the nonlinear map from uniform start vectors to a fixed point.
 
-    Stops when the entrywise relative change of both vectors drops to
-    ``tol`` (L-infinity). Non-convergence is not an exception: the last
-    iterate is returned with ``converged=False`` in the trace so callers
-    can decide what to do with it. An update that is not all finite and
-    positive (some scores flowing to zero or overflowing) also stops the
-    run as not converged; the previous iterate is kept.
+    Each step is ``fitness_step``. Stops when the entrywise relative
+    change of both vectors drops to ``tol`` (L-infinity). Non-convergence
+    is not an exception: the last iterate is returned with
+    ``converged=False`` in the trace so callers can decide what to do with
+    it. An update that is not all finite and positive (some scores flowing
+    to zero or overflowing) also stops the run as not converged; the
+    previous iterate is kept.
     """
-    deg = degree_index(panel)
-    adjusted_ubiquity(panel, deg)  # reject degenerate columns up front
-
+    panel = prep.panel
     entity_scores = np.ones(panel.n_entities)
     category_scores = np.ones(panel.n_categories)
     residuals: list[float] = []
@@ -279,8 +312,8 @@ def run_fitness(panel: ScorePanel, tol: float = DEFAULT_TOL,
     residual = np.inf
     for _ in range(max_steps):
         with np.errstate(all="ignore"):
-            entity_new, category_new = _fitness_update(
-                panel.scores, entity_scores, category_scores)
+            entity_new, category_new = _fitness_update(panel.scores,
+                                                       category_scores)
         if not all(np.isfinite(v).all() and (v > 0).all()
                    for v in (entity_new, category_new)):
             break

@@ -374,11 +374,13 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
         values = tuple(map(float, cells[3::4]))
     except ValueError:
         raise InputError(next(_indicator_row_faults(csv_text))) from None
-    # Ids are checked by make_panel; indicator names never reach it.
+    # Ids are checked by make_panel; indicator names never reach it. The
+    # distinct names keep their first appearance, so the first bad one is
+    # the first in record order.
     indicators = tuple(cells[2::4])
-    if _NOT_XML.search("\n".join(indicators)):
-        name = next(filter(_NOT_XML.search, indicators))
-        raise InputError(f"indicator {name!r} contains a character XML "
+    bad = next(filter(_NOT_XML.search, dict.fromkeys(indicators)), None)
+    if bad is not None:
+        raise InputError(f"indicator {bad!r} contains a character XML "
                          "does not allow")
     return IndicatorTable(str(year), tuple(cells[0::4]), tuple(cells[1::4]),
                           indicators, values)

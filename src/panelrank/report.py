@@ -98,6 +98,15 @@ def _field(text: str) -> str:
     return '"%s"' % text.replace('"', '""') if _QUOTED(text) else text
 
 
+def float_cells(values) -> list[str]:
+    """The table cells ``emit_table`` writes for a column of floats: six
+    decimals, and an empty cell for NaN. A caller that writes one vector
+    in several tables formats it once here and passes the cells."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return ["" if v != v else "%.6f" % v for v in values]
+
+
 def _text_column(name: str, column) -> tuple[str, Sequence]:
     """The ``%`` conversion of the column named ``name``, and its cells:
     exactly floats, ints, bools or strs, all of one type (an array is read
@@ -113,7 +122,7 @@ def _text_column(name: str, column) -> tuple[str, Sequence]:
     if float in types:
         if not any(map(math.isnan, column)):
             return "%.6f", column
-        return "%s", ["" if v != v else f"{v:.6f}" for v in column]
+        return "%s", float_cells(column)
     if bool in types:
         return "%s", ["true" if v else "false" for v in column]
     if int in types:

@@ -42,21 +42,32 @@ def near_block():
                       [f"c{j:02d}" for j in range(8)], scores)
 
 
-@pytest.fixture
-def structural_zeros():
-    """300 x 17 panel whose first 200 entities score 0 in the last 7
-    categories, built from a fixed formula.
+def structural_zeros_panel(zeroed: int):
+    """300 x 17 panel from a fixed formula whose first ``zeroed`` entities
+    score 0 in the last 7 categories.
 
-    Scaling it to uniform marginals needs 17 * 200 <= 300 * 10, which
-    fails, so no positive fixed point exists: the fitness of those
-    entities flows to zero, and from step 4162 the update is no longer
-    finite and positive.
+    Scaling it to uniform marginals needs those entities' 10 categories
+    to carry their share, 17 * zeroed <= 300 * 10, so a positive fixed
+    point can exist only for zeroed <= 176. Close to that boundary the
+    fixed point is reached ever more slowly.
     """
     row, col = np.arange(300)[:, None], np.arange(17)
     scores = 10.0 + (row * 37 + col * 11) % 81
-    scores[:200, 10:] = 0.0
+    scores[:zeroed, 10:] = 0.0
     return make_panel("2024", [f"e{i:03d}" for i in range(300)],
                       [f"c{j:02d}" for j in range(17)], scores)
+
+
+@pytest.fixture
+def structural_zeros():
+    """The 300 x 17 formula panel with its first 200 entities zeroed in
+    the last 7 categories.
+
+    No positive fixed point exists: the fitness of those entities flows
+    to zero, and from step 2081 the update is no longer finite and
+    positive.
+    """
+    return structural_zeros_panel(200)
 
 
 @pytest.fixture

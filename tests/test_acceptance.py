@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from panelrank import (adjusted_ubiquity, degree_index, genepy_scores,
-                       goal_weights, make_panel, parse_panel, proximity,
-                       run_fitness, similarity, spearman,
+                       goal_weights, make_panel, parse_panel, prepare,
+                       proximity, run_fitness, similarity, spearman,
                        principal_eigenvector, rank_entities)
 from panelrank.cli import main
 
@@ -53,11 +53,10 @@ def criterion(number: int, label: str):
 
 
 def spectral_pipeline(panel):
-    deg = degree_index(panel)
-    ubiq = adjusted_ubiquity(panel, deg)
-    scores = genepy_scores(panel)
-    weights = goal_weights(scores, ubiq)
-    return deg, ubiq, scores, weights
+    prep = prepare(panel)
+    scores = genepy_scores(prep)
+    weights = goal_weights(scores, prep.ubiquity)
+    return prep.degree, prep.ubiquity, scores, weights
 
 
 def test_criterion_1_worked_panel_oracle():
@@ -87,7 +86,7 @@ def test_criterion_2_closed_form_2x2_oracle():
 
         panel = make_panel("2024", ["a", "b"], ["g1", "g2"],
                            np.array([[1.0, 1.0], [1.0, 0.0]]))
-        scores = genepy_scores(panel)
+        scores = genepy_scores(prepare(panel))
         assert scores.entity_eigenvalue == pytest.approx(lam_oracle, abs=1e-10)
         assert np.allclose(scores.entity_scores, d_oracle, atol=1e-8)
         # frozen decimals from the closed form
@@ -130,8 +129,8 @@ def test_criterion_4_invariance_suite():
             prox = proximity(panel, deg, adjusted_ubiquity(panel, deg))
             sprox = proximity(scaled, sdeg, adjusted_ubiquity(scaled, sdeg))
             assert np.array_equal(prox.values, sprox.values)
-            base = genepy_scores(panel)
-            rescaled = genepy_scores(scaled)
+            base = genepy_scores(prepare(panel))
+            rescaled = genepy_scores(prepare(scaled))
             assert np.array_equal(base.entity_scores, rescaled.entity_scores)
             assert np.array_equal(base.category_scores,
                                   rescaled.category_scores)
@@ -143,7 +142,7 @@ def test_criterion_4_invariance_suite():
                 panel.year, [panel.entities[i] for i in row_perm],
                 [panel.categories[j] for j in col_perm],
                 panel.scores[np.ix_(row_perm, col_perm)])
-            shuffled = genepy_scores(permuted)
+            shuffled = genepy_scores(prepare(permuted))
             assert np.max(np.abs(shuffled.entity_scores
                                  - base.entity_scores[row_perm])) <= 1e-12
             assert np.max(np.abs(shuffled.category_scores
@@ -167,7 +166,7 @@ def test_criterion_5a_iterative_convergence():
         for _ in range(100):
             panel = random_panel(rng, int(rng.integers(2, 41)),
                                  int(rng.integers(2, 17)))
-            _, trace = run_fitness(panel, tol=1e-10, max_steps=1000)
+            _, trace = run_fitness(prepare(panel), tol=1e-10, max_steps=1000)
             assert trace.converged, (panel.n_entities, panel.n_categories)
             assert trace.final_residual <= 1e-10
 
@@ -204,8 +203,8 @@ def test_criterion_5b_method_agreement_near_uniform():
             assert (scores > 0).all()
             panel = make_panel("y", [f"e{i:02d}" for i in range(36)],
                                [f"c{j:02d}" for j in range(15)], scores)
-            spectral = genepy_scores(panel)
-            iterative, trace = run_fitness(panel, tol=1e-10, max_steps=1000)
+            spectral = genepy_scores(prepare(panel))
+            iterative, trace = run_fitness(prepare(panel), tol=1e-10, max_steps=1000)
             runs.append((scores.sum(axis=1), iterative.entity_scores,
                          spectral.entity_scores, trace.converged))
         raw_rhos = [spearman(d_iter, d_spec) for _, d_iter, d_spec, _ in runs]

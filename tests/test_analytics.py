@@ -3,7 +3,8 @@ import pytest
 
 from panelrank import (EntityMap, GoalWeights, InputError, RankTable,
                        adjusted_ubiquity, align_rosters, degree_index,
-                       genepy_scores, goal_weights, make_panel, rank_entities, rank_evolution, spearman,
+                       genepy_scores, goal_weights, make_panel, prepare,
+                       rank_entities, rank_evolution, spearman,
                        tertile_groups, weighted_performance,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
@@ -18,13 +19,13 @@ def weights_for(categories, values, year="y"):
 
 class TestGoalWeights:
     def test_worked_3x2(self, worked_3x2):
-        scores = genepy_scores(worked_3x2)
+        scores = genepy_scores(prepare(worked_3x2))
         ubiq = adjusted_ubiquity(worked_3x2, degree_index(worked_3x2))
         weights = goal_weights(scores, ubiq)
         assert np.allclose(weights.values, [2 / 3, 2 / 3], atol=1e-9)
 
     def test_worked_2x2(self, worked_2x2):
-        scores = genepy_scores(worked_2x2)
+        scores = genepy_scores(prepare(worked_2x2))
         ubiq = adjusted_ubiquity(worked_2x2, degree_index(worked_2x2))
         weights = goal_weights(scores, ubiq)
         # C is uniform (1, 1) because V's principal eigenvector is uniform
@@ -33,7 +34,7 @@ class TestGoalWeights:
                            scores.category_scores / ubiq.values, atol=1e-15)
 
     def test_scaling_linearity(self, worked_3x2):
-        scores = genepy_scores(worked_3x2)
+        scores = genepy_scores(prepare(worked_3x2))
         ubiq = adjusted_ubiquity(worked_3x2, degree_index(worked_3x2))
         base = goal_weights(scores, ubiq)
         scaled_scores = type(scores)(

@@ -15,7 +15,7 @@ from panelrank import (InputError, cli, emit_heatmap, make_panel,
                        parse_panel, report)
 from panelrank.cli import main
 
-from conftest import formula_panel
+from conftest import formula_panel, structural_zeros_panel
 from oracles import panel_to_csv
 
 WORKED_3X2 = "entity,g1,g2\na,2,0\nb,1,1\nc,0,2\n"
@@ -158,6 +158,24 @@ class TestCompute:
             "warning: year 2024: fixed-point iteration did not converge; "
             "using last iterate (--allow-nonconverged)\n")
         assert (tmp_path / "out" / "ranks_D_s_iterative_2024.csv").exists()
+
+    @pytest.mark.parametrize("zeroed, code", [(175, 0), (180, 3)])
+    def test_structural_boundary_exit_codes(self, tmp_path, capsys, zeroed,
+                                            code):
+        # 175 zeroed entities lie inside the boundary of 176 that a
+        # positive fixed point needs and converge within the default
+        # --max-steps; 180 lie outside it and exit 3 with one error line.
+        panel = write(tmp_path, "p.csv",
+                      panel_to_csv(structural_zeros_panel(zeroed)))
+        rc = main(["compute", "--panel", "2024=" + panel, "--method",
+                   "iterative", "--out", str(tmp_path / "out"),
+                   "--charts", "none"])
+        assert rc == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == ""
 
     def test_skipped_weighted_lines_warning(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_2X2)

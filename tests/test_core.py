@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from panelrank import (DegeneratePanelError, adjusted_ubiquity, degree_index,
-                       fitness_step, genepy_scores, make_panel,
+                       fitness_step, genepy_scores, make_panel, prepare,
                        principal_eigenvector, proximity, run_fitness,
                        similarity)
 
-from conftest import random_panel
+from conftest import random_panel, structural_zeros_panel
 from oracles import (direction_gap, jacobi_principal_eigenpair,
                      principal_eigenpair_2x2)
 
@@ -191,7 +191,7 @@ class TestPrincipalEigenvector:
 
 class TestGenepyScores:
     def test_worked_3x2(self, worked_3x2):
-        scores = genepy_scores(worked_3x2)
+        scores = genepy_scores(prepare(worked_3x2))
         assert np.allclose(scores.entity_scores, [1.0, 1.0, 1.0], atol=1e-9)
         assert np.allclose(scores.category_scores, [1.0, 1.0], atol=1e-9)
         assert scores.entity_eigenvalue == pytest.approx(2 / 3, abs=1e-9)
@@ -199,7 +199,7 @@ class TestGenepyScores:
         assert scores.method == "spectral"
 
     def test_worked_2x2(self, worked_2x2):
-        scores = genepy_scores(worked_2x2)
+        scores = genepy_scores(prepare(worked_2x2))
         assert np.allclose(scores.entity_scores,
                            [1.5351837558591013, 0.4648162441408987], atol=1e-9)
 
@@ -208,7 +208,7 @@ class TestGenepyScores:
         for _ in range(10):
             panel = random_panel(rng, int(rng.integers(2, 20)),
                                  int(rng.integers(2, 10)))
-            scores = genepy_scores(panel)
+            scores = genepy_scores(prepare(panel))
             assert scores.entity_scores.mean() == pytest.approx(1.0, abs=1e-12)
             assert scores.category_scores.mean() == pytest.approx(1.0, abs=1e-12)
 
@@ -219,8 +219,8 @@ class TestGenepyScores:
         permuted = make_panel(panel.year,
                               [panel.entities[i] for i in perm],
                               panel.categories, panel.scores[perm])
-        base = genepy_scores(panel)
-        shuffled = genepy_scores(permuted)
+        base = genepy_scores(prepare(panel))
+        shuffled = genepy_scores(prepare(permuted))
         assert np.allclose(shuffled.entity_scores, base.entity_scores[perm],
                            atol=1e-12)
 
@@ -235,12 +235,12 @@ class TestGenepyScores:
             n, m = scores.shape
             panel = make_panel("y", [f"e{i}" for i in range(n)],
                                [f"c{j}" for j in range(m)], scores)
-            result = genepy_scores(panel)
+            result = genepy_scores(prepare(panel))
             assert np.allclose(result.entity_scores, np.ones(n), atol=1e-12)
             assert np.allclose(result.category_scores, np.ones(m), atol=1e-12)
 
     def test_near_block_solves(self, near_block):
-        scores = genepy_scores(near_block)
+        scores = genepy_scores(prepare(near_block))
         assert scores.entity_eigenvalue == scores.category_eigenvalue
         matrix = similarity(pipeline(near_block)[2]).entity_similarity
         lam_oracle, vec_oracle = jacobi_principal_eigenpair(matrix)
@@ -248,7 +248,7 @@ class TestGenepyScores:
         assert direction_gap(scores.entity_scores, vec_oracle) < 1e-8
         # the fixed point flows towards the weak links instead; that is
         # reported in the trace, not hidden
-        _, trace = run_fitness(near_block)
+        _, trace = run_fitness(prepare(near_block))
         assert not trace.converged
         assert trace.steps == 1000
 
@@ -257,7 +257,7 @@ class TestGenepyScores:
         for _ in range(10):
             panel = random_panel(rng, int(rng.integers(2, 20)),
                                  int(rng.integers(2, 12)))
-            scores = genepy_scores(panel)
+            scores = genepy_scores(prepare(panel))
             gap = abs(scores.entity_eigenvalue - scores.category_eigenvalue)
             assert gap / scores.entity_eigenvalue <= 1e-9
 
@@ -271,9 +271,12 @@ class TestFitnessStep:
         assert np.array_equal(c, np.ones(2))
 
     def test_worked_one_step(self, worked_2x2):
+        # F = X @ [1, 1] = [2, 1] is [4/3, 2/3] at mean one; then, from
+        # that F, Q = 1 / ([3/4, 3/2] @ X) = 1 / [9/4, 3/4] = [4/9, 4/3],
+        # which is [1/2, 3/2] at mean one
         d, c = fitness_step(worked_2x2, (np.ones(2), np.ones(2)))
         assert np.allclose(d, [4 / 3, 2 / 3], atol=1e-15)
-        assert np.allclose(c, [2 / 3, 4 / 3], atol=1e-15)
+        assert np.allclose(c, [1 / 2, 3 / 2], atol=1e-15)
 
     def test_rescaling_cancels(self, worked_2x2):
         scaled = make_panel(worked_2x2.year, worked_2x2.entities,
@@ -295,23 +298,40 @@ class TestRunFitness:
                                                            structural_zeros):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            scores, trace = run_fitness(structural_zeros, max_steps=5000)
+            scores, trace = run_fitness(prepare(structural_zeros), max_steps=5000)
         assert not trace.converged
         assert trace.steps == len(trace.residuals) < 5000
         assert np.isfinite(trace.final_residual)
         for values in (scores.entity_scores, scores.category_scores):
             assert np.isfinite(values).all() and (values > 0).all()
 
+    # The alternating step needs about half the steps of the Jacobi step,
+    # which took 119 steps at 150 zeroed entities and 1,840 at 175.
+    def test_far_from_the_structural_boundary_in_few_steps(self):
+        _, trace = run_fitness(prepare(structural_zeros_panel(150)))
+        assert trace.converged
+        assert trace.steps <= 70
+
+    def test_near_the_structural_boundary_within_default_steps(self):
+        _, trace = run_fitness(prepare(structural_zeros_panel(175)))
+        assert trace.converged
+        assert trace.steps <= 1000
+
+    def test_past_the_structural_boundary_does_not_converge(self):
+        _, trace = run_fitness(prepare(structural_zeros_panel(180)))
+        assert not trace.converged
+        assert trace.steps == 1000
+
     def test_uniform_converges_one_step(self):
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],
                            np.full((3, 2), 7.0))
-        scores, trace = run_fitness(panel)
+        scores, trace = run_fitness(prepare(panel))
         assert trace.converged
         assert trace.steps == 1
         assert np.array_equal(scores.entity_scores, np.ones(3))
 
     def test_worked_3x2_symmetry(self, worked_3x2):
-        scores, trace = run_fitness(worked_3x2, tol=1e-12)
+        scores, trace = run_fitness(prepare(worked_3x2), tol=1e-12)
         assert trace.converged
         assert np.allclose(scores.entity_scores, [1.0, 1.0, 1.0], atol=1e-12)
         assert np.allclose(scores.category_scores, [1.0, 1.0], atol=1e-12)
@@ -320,7 +340,7 @@ class TestRunFitness:
     def test_random_panel_converges(self):
         rng = np.random.default_rng(14)
         panel = random_panel(rng, 10, 8)
-        scores, trace = run_fitness(panel, tol=1e-10, max_steps=1000)
+        scores, trace = run_fitness(prepare(panel), tol=1e-10, max_steps=1000)
         assert trace.converged
         assert trace.final_residual <= 1e-10
 
@@ -329,7 +349,7 @@ class TestRunFitness:
         for _ in range(5):
             panel = random_panel(rng, int(rng.integers(3, 20)),
                                  int(rng.integers(2, 10)))
-            scores, trace = run_fitness(panel, tol=1e-10)
+            scores, trace = run_fitness(prepare(panel), tol=1e-10)
             assert trace.converged
             d, c = fitness_step(panel, (scores.entity_scores,
                                         scores.category_scores))
@@ -341,7 +361,7 @@ class TestRunFitness:
             assert move <= 1e-10
 
     def test_trace_contents(self, worked_3x2):
-        _, trace = run_fitness(worked_3x2)
+        _, trace = run_fitness(prepare(worked_3x2))
         assert trace.steps == len(trace.residuals) <= 1000
         # the first step from the uniform start: the raw entity update is
         # the row totals [2, 2, 2], and the step's move is the first residual
@@ -358,7 +378,7 @@ class TestRunFitness:
         for year in ("2018", "2019", "2020", "2024"):
             panel = parse_panel((data_dir / f"panel_{year}.csv").read_text(),
                                 year)
-            _, trace = run_fitness(panel)
+            _, trace = run_fitness(prepare(panel))
             assert trace.converged
             tail = trace.residuals[-10:]
             assert all(tail[i + 1] <= tail[i] for i in range(len(tail) - 1))
@@ -366,7 +386,7 @@ class TestRunFitness:
     def test_nonconvergence_flagged_not_raised(self, worked_2x2):
         # the structural zero makes the fixed point degenerate; the run
         # must still return the last iterate with converged=False
-        scores, trace = run_fitness(worked_2x2, tol=1e-10, max_steps=50)
+        scores, trace = run_fitness(prepare(worked_2x2), tol=1e-10, max_steps=50)
         assert not trace.converged
         assert trace.steps == 50
         assert scores.entity_scores.shape == (2,)

@@ -232,6 +232,21 @@ class TestRoundTrip:
             assert again.year == panel.year
 
 
+class TestParseIndicatorCsv:
+    def test_first_bad_name_far_down_a_long_column(self):
+        # The check reads the distinct names; the first bad one in record
+        # order is named, not the first in string order.
+        names = ["k1", "k2", "k3"] * 2000
+        names[2000] = names[5000] = "k\x02late"
+        names[4000] = "k\x01a"
+        text = "entity,category,indicator,value\n" + "".join(
+            f"e{i},g1,{name},10\n" for i, name in enumerate(names))
+        with pytest.raises(InputError) as exc:
+            parse_indicator_csv(text, "2024")
+        assert str(exc.value) == (r"indicator 'k\x02late' contains a "
+                                  "character XML does not allow")
+
+
 class TestAggregateIndicators:
     def make_table(self, rows):
         return IndicatorTable("2024", *zip(*rows))

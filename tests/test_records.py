@@ -19,7 +19,7 @@ from panelrank.cli import RunConfig, _rank_tables, compute_year
 RECORDS = {
     "ScorePanel", "IndicatorTable", "MapRule", "EntityMap", "Lineage",
     "Alignment", "Finding", "DegreeIndex", "AdjustedUbiquity",
-    "ProximityMatrix", "SimilarityPair", "ComplexityScores",
+    "ProximityMatrix", "Prepared", "SimilarityPair", "ComplexityScores",
     "IterationTrace", "GoalWeights", "RankTable", "RankTrajectory",
     "RankSeries", "GroupProfile", "WeightsEvolution", "YearResult"}
 
@@ -37,11 +37,11 @@ def built_records(panel):
     series = analytics.rank_evolution(
         [tables["k_s"], tables["D_s"]],
         [align_rosters(panel.entities, panel.entities)])
-    prox = core.proximity(panel, result.degree, result.ubiquity)
+    prep = result.prepared
     return [
-        result, result.panel, result.degree, result.ubiquity,
+        result, prep, prep.panel, prep.degree, prep.ubiquity,
         result.solved[0], result.solved[1], result.trace,
-        prox, core.similarity(prox),
+        prep.proximity, core.similarity(prep.proximity),
         tables["k_s"], weights, series, series.trajectories[0],
         analytics.tertile_groups(
             tables["k_s"], panel, analytics.weighted_performance(panel, weights)),
