@@ -127,7 +127,7 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
     Ties are broken lexicographically by entity id and flagged on both
     rows so the arbitrary ordering is visible in the output.
     """
-    entities = tuple(str(e) for e in entities)
+    entities = tuple(map(str, entities))
     values = np.asarray(values, dtype=float)
     if len(entities) != values.size:
         raise InputError("entities and values must have equal length")

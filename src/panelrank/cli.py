@@ -266,20 +266,34 @@ def load_input(kind: str, year: str, path: Path) -> ScorePanel:
 
 
 def align_pair(config: RunConfig, earlier: ScorePanel,
-               later: ScorePanel) -> Alignment:
+               later: ScorePanel) -> Alignment | None:
     """The rosters of two consecutive panels aligned under the map given
-    for them, or by identity when none was given."""
+    for them, or None when none was given."""
     path = config.entity_maps.get((earlier.year, later.year))
-    emap = None if path is None else EntityMap.from_json(_read_text(path))
-    return align_rosters(earlier.entities, later.entities, emap)
+    if path is None:
+        return None
+    return align_rosters(earlier.entities, later.entities,
+                         EntityMap.from_json(_read_text(path)))
 
 
-def load_inputs(config: RunConfig) -> tuple[list[ScorePanel], list[Alignment]]:
-    """Every input parsed, in command-line order, and one checked
-    alignment per consecutive pair, before anything is solved or written."""
+def load_inputs(config: RunConfig) -> tuple[list[ScorePanel],
+                                            list[Alignment | None]]:
+    """Every input parsed, in command-line order, and each consecutive
+    pair's alignment under its map, checked before anything is solved or
+    written; None for a pair with no map, which ``aligned`` aligns by
+    identity for the outputs that read it."""
     panels = [load_input(*item) for item in config.inputs]
     return panels, [align_pair(config, *pair)
                     for pair in zip(panels, panels[1:])]
+
+
+def aligned(panels: Sequence[ScorePanel],
+            alignments: Sequence[Alignment | None]) -> list[Alignment]:
+    """``load_inputs``'s alignments with each missing one made by identity,
+    which cannot fail."""
+    return [align_rosters(earlier.entities, later.entities)
+            if alignment is None else alignment
+            for alignment, earlier, later in zip(alignments, panels, panels[1:])]
 
 
 def _safe_label(year: str) -> str:
@@ -447,6 +461,7 @@ def cmd_compute(config: RunConfig) -> int:
               for result in results])),))
 
     if "rank_bump" in config.charts:
+        alignments = aligned(panels, alignments)
         for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
             write(f"rank_bump_{basis}.svg", (report.emit_rank_bump(
                 analytics.rank_evolution([t[basis] for t in tables], alignments),
@@ -467,7 +482,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     first, last = panels[0], panels[-1]
     partner = {e: e for e in first.entities}
     if alignments:
-        links, retired = alignments[0]
+        links, retired = aligned(panels, alignments)[0]
         if retired or any(link.kind not in ("unchanged", "renamed")
                           for link in links):
             raise InputError(

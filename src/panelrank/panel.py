@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import operator
 import re
@@ -29,6 +28,14 @@ MISSINGNESS_WARNING_THRESHOLD = 0.5
 # SVG charts malformed. The carriage return among them is also one the
 # CSV writer would leave unquoted.
 _NOT_XML = re.compile("[\x00-\x08\x0b-\x1f\ufffe\uffff]")
+
+# Every ASCII byte but the comma and the newline: deleting them leaves an
+# ASCII text's row shape.
+_SHAPE = bytes(set(range(128)) - set(b",\n"))
+# What str.strip removes that an ASCII text can hold, bar the newline,
+# which ends an unquoted row; and the quote, within which a cell may
+# hold a newline.
+_PADDING = ' "\t\v\f\r\x1c\x1d\x1e\x1f'
 
 
 class ScorePanel(NamedTuple):
@@ -84,9 +91,11 @@ class EntityMap(NamedTuple):
 
     @classmethod
     def from_json(cls, text: str) -> "EntityMap":
+        import json  # here, since most runs read no map
+
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long
             raise InputError(f"entity map is not valid JSON: {exc}") from exc
         except RecursionError:
             raise InputError("entity map is nested too deeply") from None
@@ -180,8 +189,8 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
     within [0, 100], no all-missing row or column, and at least one row
     with a nonzero total.
     """
-    entities = tuple(str(e) for e in entities)
-    categories = tuple(str(c) for c in categories)
+    entities = tuple(map(str, entities))
+    categories = tuple(map(str, categories))
     scores = np.array(scores, dtype=float)
     if missing_mask is None:
         missing_mask = np.zeros(scores.shape, dtype=bool)
@@ -258,7 +267,7 @@ def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
         lines = list(filter(None, csv_text.split("\n")))
         if lines and max(map(len, lines)) <= csv.field_size_limit():
             header = lines[0].split(",")
-            if len(set(map(str.count, lines, repeat(",")))) > 1:
+            if not _rectangular(csv_text, lines, len(header)):
                 return header, None
             body = ",".join(lines[1:])
             del lines  # freed before the cells are made
@@ -269,6 +278,29 @@ def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
     if len(set(map(len, rows))) > 1:
         return rows[0], None
     return rows[0], [cell for row in rows[1:] for cell in row]
+
+
+def _rectangular(csv_text: str, lines: list[str], width: int) -> bool:
+    """Whether each of ``lines``, the non-empty lines of ``csv_text``,
+    holds ``width - 1`` commas.
+
+    An ASCII text is first checked as a whole, in C: if its commas and
+    newlines alone read as ``len(lines)`` rows of ``width - 1`` commas,
+    so does every line, since with a comma per row a blank line or an
+    unterminated last line would leave a row short, and with none the
+    text holds no comma. Any other text, a ragged one too, is checked
+    line by line.
+    """
+    return ((csv_text.isascii()
+             and csv_text.encode("ascii").translate(None, _SHAPE)
+             == (b"," * (width - 1) + b"\n") * len(lines))
+            or len(set(map(str.count, lines, repeat(",")))) == 1)
+
+
+def _needs_strip(csv_text: str) -> bool:
+    """Whether stripping might change a cell of the text: false only for
+    an ASCII text with no quote and no whitespace but its newlines."""
+    return not csv_text.isascii() or any(map(csv_text.__contains__, _PADDING))
 
 
 def _numbered_body(csv_text: str) -> list[tuple[int, list[str]]]:
@@ -302,21 +334,23 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
         raise InputError(f"first header column must be 'entity', got {header[0]!r}")
     if cells == []:
         raise InputError("panel file has a header but no data rows")
-    columns = None if cells is None else _panel_columns(cells, len(header))
+    columns = None if cells is None else _panel_columns(
+        cells, len(header), _needs_strip(csv_text))
     if columns is None:
         raise InputError(next(_panel_faults(csv_text, header)))
     entities, scores, missing = columns
     return make_panel(year, entities, header[1:], scores, missing)
 
 
-def _panel_columns(cells: list[str], width: int):
+def _panel_columns(cells: list[str], width: int, strip: bool):
     """Entity ids, scores and missing mask of a panel's body cells, given
-    row-major, or None.
+    row-major and consumed, or None.
 
-    Every cell is stripped, converted and range-checked as part of one
-    flat column; None means some cell is malformed.
+    Every cell is stripped if ``strip``, then converted and range-checked
+    as part of one flat column; None means some cell is malformed.
     """
-    cells = list(map(str.strip, cells))
+    if strip:
+        cells = list(map(str.strip, cells))
     entities = cells[::width]
     del cells[::width]
     missing = np.fromiter(map(operator.not_, cells), bool, len(cells))
@@ -355,7 +389,8 @@ def _panel_faults(csv_text: str, header: list[str]):
 def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
     """Parse a long-form indicator CSV (``entity,category,indicator,value``).
 
-    Cells are stripped; the value column is converted as one column.
+    Cells are stripped, unless stripping would change none; the value
+    column is converted as one column.
     """
     header, cells = _csv_cells(csv_text)
     if not header:
@@ -369,7 +404,8 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
         raise InputError(next(_indicator_row_faults(csv_text)))
     if not cells:
         return IndicatorTable(str(year))
-    cells = list(map(str.strip, cells))
+    if _needs_strip(csv_text):
+        cells = list(map(str.strip, cells))
     try:
         values = tuple(map(float, cells[3::4]))
     except ValueError:

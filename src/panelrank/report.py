@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from html import escape
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -48,6 +47,13 @@ def ramp_color(t) -> list[str]:
     return list(map(names.__getitem__, index.ravel().tolist()))
 
 
+def _escape(text: str) -> str:
+    """``html.escape(text)``: the same five replacements in the same order,
+    without loading ``html`` and its entity tables."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
+
+
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
@@ -64,7 +70,7 @@ def _svg_open(title: str, extra_defs: str = "") -> list[str]:
     if title:
         parts.append(f'<text class="title" x="{WIDTH / 2:.2f}" y="18" '
                      f'text-anchor="middle" font-size="14" '
-                     f'font-family="sans-serif">{escape(title)}</text>')
+                     f'font-family="sans-serif">{_escape(title)}</text>')
     return parts
 
 
@@ -81,7 +87,7 @@ def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
     cls_attr = f' class="{cls}"' if cls else ""
     return (f'<text{cls_attr} x="{_fmt(x)}" y="{_fmt(y)}" '
             f'text-anchor="{anchor}" font-size="{size}" '
-            f'font-family="sans-serif"{extra}>{escape(label)}</text>')
+            f'font-family="sans-serif"{extra}>{_escape(label)}</text>')
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +225,9 @@ def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
                                for j in range(m)], dtype=object)
     cells[:, :, 2] = np.array([f'y="{_fmt(margin_top + i * cell_h)}" {size}'
                                for i in range(n)], dtype=object)[:, None]
-    cells[:, :, 4] = np.array([escape(e) for e in panel.entities],
+    cells[:, :, 4] = np.array([_escape(e) for e in panel.entities],
                               dtype=object)[:, None]
-    cells[:, :, 5] = np.array([f'" data-category="{escape(c)}'
+    cells[:, :, 5] = np.array([f'" data-category="{_escape(c)}'
                                for c in panel.categories], dtype=object)
 
     yield "\n".join(parts) + "\n"
@@ -262,8 +268,8 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
                 f'x2="{_fmt(right_x)}" y2="{_fmt(category_ys[j])}" '
                 f'stroke="{colors[i * m + j]}" '
                 f'stroke-width="{min_w + t * (max_w - min_w):.2f}" '
-                f'stroke-opacity="0.75" data-entity="{escape(entity)}" '
-                f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
+                f'stroke-opacity="0.75" data-entity="{_escape(entity)}" '
+                f'data-category="{_escape(category)}" data-value="{value:.3f}"/>')
 
     for entity, ey in zip(subset, entity_ys):
         parts.append(f'<circle class="node entity-node" cx="{_fmt(left_x)}" '
@@ -299,7 +305,7 @@ def emit_weight_bars(weights: GoalWeights, title: str = "") -> str:
             f'<rect class="bar" x="{_fmt(margin_left)}" y="{_fmt(y)}" '
             f'width="{_fmt(length)}" height="{_fmt(bar_h)}" '
             f'fill="{colors[i]}" '
-            f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
+            f'data-category="{_escape(category)}" data-value="{value:.3f}"/>')
         parts.append(_text(margin_left - 6, y + bar_h * 0.75, category,
                            cls="row-label", anchor="end"))
         parts.append(_text(margin_left + 4, y + bar_h * 0.75, f"{value:.3f}",
@@ -377,7 +383,7 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
             f'<path class="entity-line" d="{paths[i]}" '
             f'fill="none" stroke="{group_colors[group_of[entity]]}" '
             f'stroke-width="1" stroke-opacity="0.45" '
-            f'data-entity="{escape(entity)}"/>')
+            f'data-entity="{_escape(entity)}"/>')
     for g in range(3):
         parts.append(
             f'<path class="group-line" d="{paths[n + g]}" '
@@ -440,7 +446,7 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
         parts.append(
             f'<path class="rank-line" d="{path}" '
             f'fill="none" stroke="{color}" '
-            f'stroke-width="2" data-entity="{escape(trajectory.entity)}" '
+            f'stroke-width="2" data-entity="{_escape(trajectory.entity)}" '
             f'data-lineage="{trajectory.lineage}"/>')
         label = trajectory.entity
         if trajectory.lineage != "own":
@@ -488,8 +494,8 @@ def emit_grouped_bars(evolution: WeightsEvolution, title: str = "") -> str:
                 f'<rect class="bar" x="{_fmt(x)}" '
                 f'y="{_fmt(baseline - height)}" width="{_fmt(bar_w)}" '
                 f'height="{_fmt(height)}" fill="{year_color[year]}" '
-                f'data-category="{escape(category)}" '
-                f'data-year="{escape(year)}" data-value="{float(value):.3f}"/>')
+                f'data-category="{_escape(category)}" '
+                f'data-year="{_escape(year)}" data-value="{float(value):.3f}"/>')
 
     legend_x = margin_left
     for t, year in enumerate(evolution.years):

@@ -214,6 +214,11 @@ def _csv_rows(csv_text: str) -> list[tuple[int, list[str]]]:
     return numbered
 
 
+# The characters XML 1.0 does not allow: C0 controls but the tab and the
+# newline, and U+FFFE and U+FFFF.
+_NOT_XML = (set(map(chr, range(0x20))) - {"\t", "\n"}) | {"\ufffe", "\uffff"}
+
+
 def parse_panel_by_cells(csv_text: str, year: str):
     """Wide-form panel CSV to a panel, converting one cell at a time."""
     rows = _csv_rows(csv_text)
@@ -283,6 +288,11 @@ def parse_indicator_csv_by_rows(csv_text: str, year: str) -> IndicatorTable:
         except ValueError:
             raise InputError(f"non-numeric value {cells[3]!r} at row {r}") from None
         records.append((cells[0], cells[1], cells[2], value))
+    # Ids are checked by make_panel; indicator names never reach it.
+    for _, _, indicator, _ in records:
+        if not _NOT_XML.isdisjoint(indicator):
+            raise InputError(f"indicator {indicator!r} contains a character "
+                             "XML does not allow")
     return IndicatorTable(str(year), *zip(*records))
 
 

@@ -39,6 +39,14 @@ BAD_MAPS = {
     "misspelled-field": [("2019->2020",
                           '{"rename": [{"from": ["AA"], "to": ["AZ"]}]}')],
     "nested-too-deeply": [("2019->2020", NESTED_MAP)]}
+# A map holding an integer literal longer than the interpreter converts
+# (4,300 digits by default), which the JSON parser refuses with a bare
+# ValueError rather than a JSONDecodeError.
+INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_INT_MAP = '{"renames": ' + "1" * (INT_DIGITS_LIMIT + 1) + "}"
+needs_int_limit = pytest.mark.skipif(
+    INT_DIGITS_LIMIT == 0, reason="this interpreter converts integers of "
+    "any length")
 # Latin-1 text, whose 0xE9 byte is not UTF-8, for each input route.
 NOT_UTF8 = {
     "panel": b"entity,g1,g2\n\xe9,1,2\nb,3,4\n",
@@ -413,6 +421,18 @@ class TestCompute:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @needs_int_limit
+    def test_map_with_too_long_integer_exits_1(self, tmp_path, data_dir):
+        out = tmp_path / "out"
+        result = run_cli("compute", *panels_2019_2020(data_dir),
+                         *map_args(tmp_path, [("2019->2020", LONG_INT_MAP)]),
+                         "--charts", "none", "--out", str(out))
+        assert result.returncode == 1
+        assert result.stderr.startswith(
+            "error: entity map is not valid JSON: ")
+        assert result.stderr.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("source, name", [
         ("panel_2019.csv", "ranks_k_s_2019.csv"),
         ("map_2019_2020.json", "method_agreement.csv"),
@@ -755,6 +775,18 @@ class TestValidate:
             "2019: ok", "2020: ok",
             "2019->2020: error: entity map is nested too deeply"]
 
+    @needs_int_limit
+    def test_map_with_too_long_integer_exit_1(self, tmp_path, capsys,
+                                              data_dir):
+        rc = main(["validate", *panels_2019_2020(data_dir),
+                   *map_args(tmp_path, [("2019->2020", LONG_INT_MAP)])])
+        assert rc == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["2019: ok", "2020: ok"]
+        assert len(lines) == 3
+        assert lines[2].startswith(
+            "2019->2020: error: entity map is not valid JSON: ")
+
     def test_map_of_unloadable_panel_skipped(self, tmp_path, capsys,
                                              data_dir):
         rc = main(["validate",
@@ -767,8 +799,9 @@ class TestValidate:
 
 
 class TestLoadingStage:
-    """`compute` and `compare` align each consecutive roster pair once,
-    before anything is solved or written."""
+    """`compute` and `compare` align each consecutive roster pair at most
+    once: a pair with a map before anything is solved or written, a pair
+    without one only for an output that reads it."""
 
     @pytest.fixture
     def align_calls(self, monkeypatch):
@@ -792,6 +825,31 @@ class TestLoadingStage:
                    "--charts", "all", "--out", str(tmp_path / "out")])
         assert rc == 0
         assert len(align_calls) == 3
+
+    @pytest.mark.parametrize("charts, maps, expected", [
+        ("none", [], 0), ("none", ["2019->2020"], 1),
+        ("heatmap", [], 0), ("rank_bump", [], 3)])
+    def test_compute_aligns_only_what_is_read(self, tmp_path, capsys,
+                                              data_dir, align_calls, charts,
+                                              maps, expected):
+        panels = [arg for year in ("2018", "2019", "2020", "2024")
+                  for arg in ("--panel",
+                              f"{year}={data_dir / f'panel_{year}.csv'}")]
+        rc = main(["compute", *panels,
+                   *[arg for key in maps for arg in (
+                       "--entity-map", f"{key}={data_dir / 'map_2019_2020.json'}")],
+                   "--charts", charts, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert len(align_calls) == expected
+
+    def test_compare_without_map_aligns_once(self, tmp_path, capsys,
+                                             align_calls):
+        a = write(tmp_path, "a.csv", DISTINCT_3X2)
+        b = write(tmp_path, "b.csv", WORKED_3X2)
+        rc = main(["compare", "k_s", "k_s", "--panel", "2018=" + a,
+                   "--panel", "2024=" + b])
+        assert rc == 0
+        assert len(align_calls) == 1
 
     def test_compare_aligns_once(self, tmp_path, capsys, align_calls):
         a = write(tmp_path, "a.csv", DISTINCT_3X2)
@@ -872,6 +930,36 @@ class TestEntryPoint:
             cli.run()
         assert calls == ["freeze", "main"]
         assert exc.value.code == code
+
+
+class TestImports:
+    """Importing the CLI loads no module only some runs read: ``html``
+    (the charts escape text themselves) and ``json`` (read only for an
+    entity map)."""
+
+    @staticmethod
+    def loaded_after(code):
+        result = subprocess.run(
+            [sys.executable, "-c", code + "\nimport sys\nprint(sorted("
+             "{'html', 'html.entities', 'json'} & set(sys.modules)))"],
+            capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1]
+
+    def test_import_loads_neither_html_nor_json(self):
+        assert self.loaded_after("import panelrank.cli") == "[]"
+
+    @pytest.mark.parametrize("maps, loaded", [
+        ([], "[]"), (["2019->2020"], "['json']")])
+    def test_compute_loads_json_only_for_a_map(self, tmp_path, data_dir, maps,
+                                                loaded):
+        argv = ["compute", *panels_2019_2020(data_dir),
+                *[arg for key in maps for arg in (
+                    "--entity-map", f"{key}={data_dir / 'map_2019_2020.json'}")],
+                "--out", str(tmp_path / "out")]
+        assert self.loaded_after(
+            "from panelrank.cli import main\n"
+            f"assert main({argv!r}) == 0") == loaded
 
 
 class TestFootprint:

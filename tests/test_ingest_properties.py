@@ -7,7 +7,11 @@ faults in any order, they must agree with the cell-by-cell readers in
 ``oracles``: the same panel (ids, and scores down to the sign of zero,
 and mask), or an ``InputError`` with the same text, whose row numbers
 are file lines. Blank lines, before the header too, and cells spanning
-lines are drawn, so those numbers drift from a count of records.
+lines are drawn, so those numbers drift from a count of records. Texts
+may end without a newline or in blank lines, ids may be non-ASCII, and
+cells may be padded with any character ``str.strip`` removes, so the
+whole-text checks that let the readers skip per-line and per-cell work
+meet texts on both sides of them.
 Beneath both readers, ``_csv_cells`` must read any text the way
 ``csv.reader`` does, whichever of its two routes the text takes. The
 profile is derandomized, so every run draws the same examples.
@@ -32,16 +36,31 @@ from oracles import (aggregate_indicators_by_records,  # noqa: E402
 PROFILE = settings(derandomize=True, max_examples=300, deadline=None,
                    database=None)
 
-# Cells the readers accept: padded, signed zero, exponent and the bounds.
+# Each character str.strip removes but the newline, ASCII or not: the
+# carriage return ends an unquoted line, and "\x85" ends one for
+# str.splitlines but not for the CSV reader.
+PADS = [" ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+        "\xa0", "\u2003", "\u2028", "\u3000"]
+# Cells the readers accept: signed zero, exponent and the bounds.
 GOOD = st.one_of(st.integers(0, 100).map(str),
-                 st.sampled_from(["12.5", " 42 ", "\t7", "-0", "1e1", "100",
-                                  "0.0", "+3", "1_0"]))
-# Cells that are missing: empty or whitespace only.
-BLANK = st.sampled_from(["", " ", "  \t"])
+                 st.sampled_from(["12.5", "-0", "1e1", "100", "0.0", "+3",
+                                  "1_0"]))
+# A cell that is missing: empty, or whitespace only once padded.
+BLANK = st.just("")
 # Cells that break a reader: not numbers, not finite, out of range.
 BAD = st.sampled_from(["oops", "x y", "1,5", "1.2.3", "0x10", "nan", "NaN",
                        "inf", "-inf", "1e400", "101", "-1", "-0.5",
                        "100.0000001"])
+# Id stems, some not ASCII.
+STEM = st.sampled_from(["e", "e", "\u00e9", "\u540d"])
+
+
+def padder(draw):
+    """A function padding a cell on either side, or not, with one
+    character of ``PADS`` drawn for the whole text, so that a text often
+    holds one kind of padding only."""
+    pads = st.sampled_from(["", "", draw(st.sampled_from(PADS))])
+    return lambda cell: draw(pads) + cell + draw(pads)
 
 
 def csv_text(rows) -> str:
@@ -111,15 +130,23 @@ def leading_blank_lines(draw):
     return [[]] * draw(st.sampled_from([0, 0, 1, 2]))
 
 
+def line_ends(draw, text: str) -> str:
+    """``text`` with its last newline dropped, kept, or followed by blank
+    lines."""
+    return text[:-1] + draw(st.sampled_from(["", "\n", "\n", "\n\n"]))
+
+
 @st.composite
 def wide_csvs(draw):
     n, m = draw(st.integers(2, 6)), draw(st.integers(2, 4))
     header = ["entity", *(f"c{j}" for j in range(m))]
-    rows = [[f"e{i}", *draw(st.lists(st.one_of(GOOD, GOOD, GOOD, BLANK),
-                                     min_size=m, max_size=m))]
+    stem, pad = draw(STEM), padder(draw)
+    rows = [[pad(f"{stem}{i}"), *map(pad, draw(st.lists(
+        st.one_of(GOOD, GOOD, GOOD, BLANK), min_size=m, max_size=m)))]
             for i in range(n)]
-    return csv_text([*leading_blank_lines(draw), header,
-                     *mutate(rows, draw(faults(n, st.integers(0, m))), 1)])
+    return line_ends(draw, csv_text(
+        [*leading_blank_lines(draw), header,
+         *mutate(rows, draw(faults(n, st.integers(0, m))), 1)]))
 
 
 @PROFILE
@@ -136,12 +163,17 @@ def long_csvs(draw):
                for i in range(4) for j in range(3) for k in range(2)]
     chosen = draw(st.lists(st.sampled_from(triples), min_size=6,
                            max_size=16, unique=True))
-    rows = [[*triple, draw(GOOD)] for triple in chosen]
+    stem, pad = draw(STEM), padder(draw)
+    # An entity's padding may differ between its records: stripped, they
+    # name one entity.
+    rows = [[pad(stem + entity[1:]), *map(pad, rest), pad(draw(GOOD))]
+            for entity, *rest in chosen]
     # Mostly the value column; a bad id is just another id.
     columns = st.one_of(st.just(3), st.integers(0, 3))
-    return csv_text([*leading_blank_lines(draw),
-                     ["entity", "category", "indicator", "value"],
-                     *mutate(rows, draw(faults(len(rows), columns)), 3)])
+    return line_ends(draw, csv_text(
+        [*leading_blank_lines(draw),
+         ["entity", "category", "indicator", "value"],
+         *mutate(rows, draw(faults(len(rows), columns)), 3)]))
 
 
 def table_outcome(table):
@@ -163,6 +195,20 @@ def test_indicator_route_matches_record_reader(text):
     assert (outcome(aggregated, parse_indicator_csv, aggregate_indicators)
             == outcome(aggregated, parse_indicator_csv_by_rows,
                        aggregate_indicators_by_records))
+
+
+# A quoted id padded with a carriage return or a newline: the text holds
+# neither a space nor a tab, yet its cells must be stripped.
+@pytest.mark.parametrize("pad", ["\r", "\n"], ids=["cr", "lf"])
+def test_quoted_padding_is_stripped(pad):
+    text = f'entity,a,b\n"x{pad}",1,2\ny,3,4\n'
+    panel = parse_panel(text, "y")
+    assert panel.entities == ("x", "y")
+    assert panel_outcome(panel) == panel_outcome(parse_panel_by_cells(text, "y"))
+    text = f'entity,category,indicator,value\n"x{pad}",g,k,1\ny,g,k,2\n'
+    table = parse_indicator_csv(text, "y")
+    assert table.entities == ("x", "y")
+    assert table == parse_indicator_csv_by_rows(text, "y")
 
 
 def reader_cells(text: str):

@@ -442,6 +442,15 @@ class TestMarkupInIds:
     ENTITIES = ['a"b', "c'd", "e<f", "g&h"]
     CATEGORIES = ['q"1', "q'2", "q<3", "q&4"]
 
+    def test_escape_is_html_escape_on_every_code_point(self):
+        import html
+        text = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert report._escape(text) == html.escape(text)
+        # Each replacement on its own, and "&" replaced before the others
+        # insert one.
+        for text in ["&", "<", ">", '"', "'", "&lt;", "<&>\"'", "é&\u3000"]:
+            assert report._escape(text) == html.escape(text)
+
     def test_every_chart_parses_and_keeps_ids(self):
         from xml.dom import minidom
         rng = np.random.default_rng(35)
