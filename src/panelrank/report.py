@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,8 +26,14 @@ from .panel import ScorePanel
 WIDTH, HEIGHT = 960, 600
 # Colour ramp endpoints as (r, g, b): yellow for low values, green for high.
 RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
+# Grid cells per piece that ``heatmap_chunks`` yields, in whole rows: at
+# about 200 B a cell a piece stays under 128 KiB, above which malloc maps
+# fresh pages for each piece and unmaps them when it is written.
+HEATMAP_BLOCK_CELLS = 512
 # A table cell holding any of these characters is quoted.
 _QUOTED = re.compile('[,"\n\r]').search
+# A roster holding any of these characters is escaped id by id.
+_MARKUP = re.compile("[&<>\"']").search
 
 
 def ramp_color(t) -> list[str]:
@@ -54,6 +61,12 @@ def _escape(text: str) -> str:
             .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
+def _escaped(texts: Sequence[str]) -> Sequence[str]:
+    """``_escape`` of each of ``texts``: the joined texts are scanned once,
+    and a roster without markup is returned as it is."""
+    return list(map(_escape, texts)) if _MARKUP("".join(texts)) else texts
+
+
 def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
@@ -70,7 +83,7 @@ def _svg_open(title: str, extra_defs: str = "") -> list[str]:
     if title:
         parts.append(f'<text class="title" x="{WIDTH / 2:.2f}" y="18" '
                      f'text-anchor="middle" font-size="14" '
-                     f'font-family="sans-serif">{_escape(title)}</text>')
+                     f'font-family="sans-serif">{_escaped((title,))[0]}</text>')
     return parts
 
 
@@ -82,12 +95,17 @@ def _spread(count: int, start: float, length: float) -> list[float]:
     return [start + length * i / (count - 1) for i in range(count)]
 
 
-def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
-          anchor: str = "start", extra: str = "") -> str:
-    cls_attr = f' class="{cls}"' if cls else ""
-    return (f'<text{cls_attr} x="{_fmt(x)}" y="{_fmt(y)}" '
-            f'text-anchor="{anchor}" font-size="{size}" '
-            f'font-family="sans-serif"{extra}>{_escape(label)}</text>')
+def _labels(cls: str, xs: Sequence[float], ys: Sequence[float],
+            labels: Sequence[str], anchor: str = "start", size: int = 10,
+            turned: bool = False) -> list[str]:
+    """A ``<text>`` of class ``cls`` per label, label k escaped at
+    ``(xs[k], ys[k])``, all from one ``%`` template; ``turned`` rotates
+    each label by -60 degrees about its own anchor."""
+    turn = ' transform="rotate(-60 %.2f %.2f)"' if turned else ""
+    template = (f'<text class="{cls}" x="%.2f" y="%.2f" text-anchor="{anchor}" '
+                f'font-size="{size}" font-family="sans-serif"{turn}>%s</text>')
+    places = (xs, ys, xs, ys) if turned else (xs, ys)
+    return list(map(template.__mod__, zip(*places, _escaped(labels))))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +185,10 @@ def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
 
 # ---------------------------------------------------------------------------
 # charts
+#
+# Each kind of repeated element is one ``%`` template mapped over its
+# columns. Ids, titles and years enter a template only as ``%s``
+# arguments, never as part of it, since they may hold ``%``.
 
 
 def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
@@ -176,9 +198,10 @@ def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
 
 def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
     """``emit_heatmap``'s text in pieces: the head with every label, then
-    one piece per grid row, then the closing tag. All set-up work runs
-    before the first piece is yielded, so a fault in it raises before any
-    text is out."""
+    the grid in blocks of ``max(1, HEATMAP_BLOCK_CELLS // m)`` rows for
+    ``m`` categories, then the closing tag. All set-up work runs before
+    the first piece is yielded, so a fault in it raises before any text
+    is out."""
     n, m = panel.scores.shape
     margin_left, margin_top, margin_right, margin_bottom = 110, 80, 20, 20
     plot_w = WIDTH - margin_left - margin_right
@@ -192,47 +215,50 @@ def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
              '<path d="M0,6 L6,0" stroke="#999999" stroke-width="1"/>'
              '</pattern>')
     parts = _svg_open(title, extra_defs=hatch)
-
-    for j, category in enumerate(panel.categories):
-        x = margin_left + (j + 0.5) * cell_w
-        parts.append(_text(x, margin_top - 8, category, cls="col-label",
-                           anchor="end",
-                           extra=f' transform="rotate(-60 {_fmt(x)} '
-                                 f'{_fmt(margin_top - 8)})"'))
-    for i, entity in enumerate(panel.entities):
-        parts.append(_text(margin_left - 6, margin_top + (i + 0.7) * cell_h,
-                           entity, cls="row-label", anchor="end"))
+    parts += _labels("col-label",
+                     (margin_left + (np.arange(m) + 0.5) * cell_w).tolist(),
+                     [margin_top - 8] * m, panel.categories, anchor="end",
+                     turned=True)
+    parts += _labels("row-label", [margin_left - 6] * n,
+                     (margin_top + (np.arange(n) + 0.7) * cell_h).tolist(),
+                     panel.entities, anchor="end")
 
     # A cell's text is seven pieces: the tag and class, x, the row's y and
     # size, the fill, the row's entity, the category, and the value. Each
     # row, column and distinct score formats its pieces once; scores are
     # keyed by bit pattern, so -0.0 and 0.0 stay apart, and a missing cell
     # takes the last key. Colours come from one call for the whole matrix.
+    # The pieces of a block of rows are gathered into one reused array,
+    # so no array of n·m cells is ever held.
     bits, index = np.unique(panel.scores.view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
-    stroke = 'stroke="#ffffff" stroke-width="0.5" data-entity="'
+    stroke = ' stroke="#ffffff" stroke-width="0.5" data-entity="'
     by_key = np.array(
-        [('<rect class="cell" x="', f' fill="{fill}" {stroke}',
-          f'" data-value="{v:.3f}"/>\n')
-         for fill, v in zip(ramp_color(values / 100.0), values.tolist())]
-        + [('<rect class="cell missing" x="', f' fill="url(#hatch)" {stroke}',
-            '"/>\n')], dtype=object)
+        [*zip(['<rect class="cell" x="'] * len(values),
+              map((' fill="%s"' + stroke).__mod__, ramp_color(values / 100.0)),
+              map('" data-value="%.3f"/>\n'.__mod__, values.tolist())),
+         ('<rect class="cell missing" x="', ' fill="url(#hatch)"' + stroke,
+          '"/>\n')], dtype=object)
     size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
-    cells = np.empty((n, m, 7), dtype=object)
-    cells[:, :, [0, 3, 6]] = by_key[np.where(panel.missing_mask, len(values),
-                                             index.reshape(n, m))]
-    cells[:, :, 1] = np.array([f'{_fmt(margin_left + j * cell_w)}" '
-                               for j in range(m)], dtype=object)
-    cells[:, :, 2] = np.array([f'y="{_fmt(margin_top + i * cell_h)}" {size}'
-                               for i in range(n)], dtype=object)[:, None]
-    cells[:, :, 4] = np.array([_escape(e) for e in panel.entities],
-                              dtype=object)[:, None]
-    cells[:, :, 5] = np.array([f'" data-category="{_escape(c)}'
-                               for c in panel.categories], dtype=object)
+    keys = np.where(panel.missing_mask, len(values), index.reshape(n, m))
+    by_row = np.array([*zip(
+        map(f'y="%.2f" {size}'.__mod__,
+            (margin_top + np.arange(n) * cell_h).tolist()),
+        _escaped(panel.entities))], dtype=object)
+    step = max(1, HEATMAP_BLOCK_CELLS // m)
+    block = np.empty((min(n, step), m, 7), dtype=object)
+    block[:, :, 1] = list(map('%.2f" '.__mod__,
+                              (margin_left + np.arange(m) * cell_w).tolist()))
+    block[:, :, 5] = list(map('" data-category="%s'.__mod__,
+                              _escaped(panel.categories)))
 
     yield "\n".join(parts) + "\n"
-    for row in cells.reshape(n, 7 * m):
-        yield "".join(row.tolist())
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        cells = block[:len(keys[rows])]
+        cells[:, :, [0, 3, 6]] = by_key[keys[rows]]
+        cells[:, :, [2, 4]] = by_row[rows, None]
+        yield "".join(cells.ravel().tolist())
     yield "</svg>\n"
 
 
@@ -250,66 +276,67 @@ def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
     margin = 60
     left_x = margin + 60
     right_x = WIDTH - margin - 60
-    m = panel.n_categories
     entity_ys = _spread(len(subset), margin, HEIGHT - 2 * margin)
-    category_ys = _spread(m, margin, HEIGHT - 2 * margin)
+    category_ys = _spread(panel.n_categories, margin, HEIGHT - 2 * margin)
 
     parts = _svg_open(title)
     min_w, max_w = 0.5, 4.0
-    colors = ramp_color(panel.scores[[row_of[e] for e in subset]] / 100.0)
-    for i, (entity, ey) in enumerate(zip(subset, entity_ys)):
-        for j, category in enumerate(panel.categories):
-            if panel.missing_mask[row_of[entity], j]:
-                continue
-            value = float(panel.scores[row_of[entity], j])
-            t = value / 100.0
-            parts.append(
-                f'<line class="edge" x1="{_fmt(left_x)}" y1="{_fmt(ey)}" '
-                f'x2="{_fmt(right_x)}" y2="{_fmt(category_ys[j])}" '
-                f'stroke="{colors[i * m + j]}" '
-                f'stroke-width="{min_w + t * (max_w - min_w):.2f}" '
-                f'stroke-opacity="0.75" data-entity="{_escape(entity)}" '
-                f'data-category="{_escape(category)}" data-value="{value:.3f}"/>')
+    rows = [row_of[e] for e in subset]
+    ii, jj = np.nonzero(~panel.missing_mask[rows])
+    values = panel.scores[rows][ii, jj]
+    t = values / 100.0
+    ii, jj = ii.tolist(), jj.tolist()
+    entities, categories = _escaped(subset), _escaped(panel.categories)
+    edge = (f'<line class="edge" x1="{_fmt(left_x)}" y1="%.2f" '
+            f'x2="{_fmt(right_x)}" y2="%.2f" stroke="%s" stroke-width="%.2f" '
+            'stroke-opacity="0.75" data-entity="%s" data-category="%s" '
+            'data-value="%.3f"/>')
+    parts += map(edge.__mod__, zip(
+        [entity_ys[i] for i in ii], [category_ys[j] for j in jj],
+        ramp_color(t), (min_w + t * (max_w - min_w)).tolist(),
+        [entities[i] for i in ii], [categories[j] for j in jj],
+        values.tolist()))
 
-    for entity, ey in zip(subset, entity_ys):
-        parts.append(f'<circle class="node entity-node" cx="{_fmt(left_x)}" '
-                     f'cy="{_fmt(ey)}" r="5" fill="#333333"/>')
-        parts.append(_text(left_x - 10, ey + 4, entity, cls="node-label",
-                           anchor="end"))
-    for category, cy in zip(panel.categories, category_ys):
-        parts.append(f'<circle class="node category-node" cx="{_fmt(right_x)}" '
-                     f'cy="{_fmt(cy)}" r="5" fill="#333333"/>')
-        parts.append(_text(right_x + 10, cy + 4, category, cls="node-label"))
+    for kind, x, dx, ys, names, anchor in (
+            ("entity", left_x, -10, entity_ys, subset, "end"),
+            ("category", right_x, 10, category_ys, panel.categories, "start")):
+        node = (f'<circle class="node {kind}-node" cx="{_fmt(x)}" cy="%.2f" '
+                'r="5" fill="#333333"/>')
+        parts += chain.from_iterable(zip(
+            map(node.__mod__, ys),
+            _labels("node-label", [x + dx] * len(ys), [y + 4 for y in ys],
+                    names, anchor=anchor)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
 def emit_weight_bars(weights: GoalWeights, title: str = "") -> str:
     """Horizontal bar per category, length proportional to its weight."""
-    if len(weights.categories) == 0:
+    k = len(weights.categories)
+    if k == 0:
         raise InputError("no categories to draw")
     margin_left, margin_top, margin_right, margin_bottom = 110, 40, 80, 20
     plot_w = WIDTH - margin_left - margin_right
     plot_h = HEIGHT - margin_top - margin_bottom
-    slot_h = plot_h / len(weights.categories)
+    slot_h = plot_h / k
     bar_h = slot_h * 0.7
     top = float(np.max(weights.values))
 
-    colors = ramp_color(weights.values / top)
+    values = weights.values.tolist()
+    ys = [margin_top + i * slot_h + (slot_h - bar_h) / 2 for i in range(k)]
+    label_ys = [y + bar_h * 0.75 for y in ys]
+    bar = (f'<rect class="bar" x="{_fmt(margin_left)}" y="%.2f" width="%.2f" '
+           f'height="{_fmt(bar_h)}" fill="%s" data-category="%s" '
+           'data-value="%.3f"/>')
     parts = _svg_open(title)
-    for i, category in enumerate(weights.categories):
-        value = float(weights.values[i])
-        length = plot_w * value / top
-        y = margin_top + i * slot_h + (slot_h - bar_h) / 2
-        parts.append(
-            f'<rect class="bar" x="{_fmt(margin_left)}" y="{_fmt(y)}" '
-            f'width="{_fmt(length)}" height="{_fmt(bar_h)}" '
-            f'fill="{colors[i]}" '
-            f'data-category="{_escape(category)}" data-value="{value:.3f}"/>')
-        parts.append(_text(margin_left - 6, y + bar_h * 0.75, category,
-                           cls="row-label", anchor="end"))
-        parts.append(_text(margin_left + 4, y + bar_h * 0.75, f"{value:.3f}",
-                           cls="bar-label"))
+    parts += chain.from_iterable(zip(
+        map(bar.__mod__, zip(ys, [plot_w * v / top for v in values],
+                             ramp_color(weights.values / top),
+                             _escaped(weights.categories), values)),
+        _labels("row-label", [margin_left - 6] * k, label_ys,
+                weights.categories, anchor="end"),
+        _labels("bar-label", [margin_left + 4] * k, label_ys,
+                list(map("%.3f".__mod__, values)))))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -318,21 +345,26 @@ def _paths(x_text: Sequence[str], ys) -> list[str]:
     """SVG path data for each row of ``ys``, restarting after gaps.
 
     Point j of a row is at x ``x_text[j]``, already formatted with ``_fmt``
-    (charts format each column's x once); a non-finite y is a gap. Each gap
-    pattern gets one ``%`` template with its x values filled in, so a row
-    is one format of its finite ys.
+    (charts format each column's x once); a non-finite y is a gap. The
+    rows without a gap are one ``%`` format of one template repeated a
+    line per row; each gap pattern gets one template with its x values
+    filled in, so a row with gaps is one format of its finite ys.
     """
     ys = np.asarray(ys, dtype=float)
-    templates: dict[bytes, str] = {}
-    out = []
-    for row, finite in zip(ys.tolist(), np.isfinite(ys)):
-        key = finite.tobytes()
-        if key not in templates:
-            templates[key] = " ".join(
-                f"{'L' if j and finite[j - 1] else 'M'}{x},%.2f"
-                for j, x in enumerate(x_text) if finite[j])
-        out.append(templates[key] % tuple(filter(math.isfinite, row)))
-    return out
+    finite = np.isfinite(ys)
+    full = finite.all(axis=1)
+    patterns = list(map(tuple, finite[~full].tolist()))
+    whole = (True,) * len(x_text)
+    templates = {
+        pattern: " ".join(f"{'L' if j and pattern[j - 1] else 'M'}{x},%.2f"
+                          for j, x in enumerate(x_text) if pattern[j])
+        for pattern in {whole, *patterns}}
+    out = np.empty(len(ys), dtype=object)
+    out[full] = ("\n".join([templates[whole]] * int(full.sum()))
+                 % tuple(ys[full].ravel().tolist())).split("\n")
+    out[~full] = [templates[pattern] % tuple(filter(math.isfinite, row))
+                  for pattern, row in zip(patterns, ys[~full].tolist())]
+    return out.tolist()
 
 
 def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
@@ -356,12 +388,12 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     hi = float(finite.max())
     span = hi - lo if hi > lo else 1.0
 
-    xs = _spread(len(profile.categories), margin_left, plot_w)
-    x_text = [_fmt(x) for x in xs]
+    m = len(profile.categories)
+    xs = _spread(m, margin_left, plot_w)
     # One y per value of every curve; a finite value always gives a finite
     # y and a non-finite one a non-finite y, which marks the gap.
     ys = margin_top + plot_h * (1 - (stacked - lo) / span)
-    paths = _paths(x_text, ys)
+    paths = _paths([_fmt(x) for x in xs], ys)
 
     group_colors = ramp_color([1.0, 0.5, 0.0])
     group_of = {e: g for g, members in enumerate(profile.groups) for e in members}
@@ -371,19 +403,14 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
                          + ", ".join(ungrouped))
 
     parts = _svg_open(title)
-    tick_y = _fmt(HEIGHT - margin_bottom + 16)
-    for j, category in enumerate(profile.categories):
-        parts.append(_text(xs[j], HEIGHT - margin_bottom + 16, category,
-                           cls="x-tick", anchor="end",
-                           extra=f' transform="rotate(-60 {x_text[j]} {tick_y})"'))
-
+    parts += _labels("x-tick", xs, [HEIGHT - margin_bottom + 16] * m,
+                     profile.categories, anchor="end", turned=True)
+    line = ('<path class="entity-line" d="%s" fill="none" stroke="%s" '
+            'stroke-width="1" stroke-opacity="0.45" data-entity="%s"/>')
+    parts += map(line.__mod__, zip(
+        paths, [group_colors[group_of[e]] for e in entities],
+        _escaped(entities)))
     n = len(entities)
-    for i, entity in enumerate(entities):
-        parts.append(
-            f'<path class="entity-line" d="{paths[i]}" '
-            f'fill="none" stroke="{group_colors[group_of[entity]]}" '
-            f'stroke-width="1" stroke-opacity="0.45" '
-            f'data-entity="{_escape(entity)}"/>')
     for g in range(3):
         parts.append(
             f'<path class="group-line" d="{paths[n + g]}" '
@@ -393,20 +420,22 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
         f'<path class="national-line" d="{paths[n + 3]}" '
         f'fill="none" stroke="#333333" stroke-width="3"/>')
 
-    for j, category in enumerate(profile.categories):
-        column = performance[:, j]
-        if not np.isfinite(column).any():
-            continue
-        best = int(np.nanargmax(column))
-        worst = int(np.nanargmin(column))
-        parts.append(_text(
-            xs[j], ys[best, j] - 6,
-            f"{entities[best]} {column[best]:.3f}", cls="best-label",
-            size=9, anchor="middle"))
-        parts.append(_text(
-            xs[j], ys[worst, j] + 12,
-            f"{entities[worst]} {column[worst]:.3f}", cls="worst-label",
-            size=9, anchor="middle"))
+    # Per category with a finite value, the entity nanargmax picks and
+    # the one nanargmin picks; either may sit at ±inf.
+    shown = np.flatnonzero(np.isfinite(performance).any(axis=0))
+    if shown.size:
+        runs = []
+        for cls, pick, dy in (("best-label", np.nanargmax, -6),
+                              ("worst-label", np.nanargmin, 12)):
+            picked = pick(performance[:, shown], axis=0)
+            runs.append(_labels(
+                cls, [xs[j] for j in shown.tolist()],
+                (ys[picked, shown] + dy).tolist(),
+                list(map("%s %.3f".__mod__, zip(
+                    [entities[i] for i in picked.tolist()],
+                    performance[picked, shown].tolist()))),
+                anchor="middle", size=9))
+        parts += chain.from_iterable(zip(*runs))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -419,40 +448,36 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
     margin_left, margin_top, margin_right, margin_bottom = 60, 40, 120, 40
     plot_w = WIDTH - margin_left - margin_right
     plot_h = HEIGHT - margin_top - margin_bottom
-    max_rank = max(r for t in series.trajectories for r in t.ranks if r is not None)
+    entities, ranks, lineages = zip(*series.trajectories)
+    # A year without a rank is NaN.
+    ranks = np.array(ranks, dtype=float)
+    max_rank = int(np.nanmax(ranks))
 
     xs = _spread(len(series.years), margin_left, plot_w)
     # The y of rank r is ys[r - 1].
     ys = _spread(max_rank, margin_top, plot_h)
 
     parts = _svg_open(title)
-    for x, year in zip(xs, series.years):
-        parts.append(_text(x, HEIGHT - margin_bottom + 18, year,
-                           cls="x-tick", anchor="middle", size=11))
-    for rank in (1, max_rank):
-        parts.append(_text(margin_left - 8, ys[rank - 1] + 4, str(rank),
-                           cls="y-tick", anchor="end"))
+    parts += _labels("x-tick", xs, [HEIGHT - margin_bottom + 18] * len(xs),
+                     series.years, anchor="middle", size=11)
+    parts += _labels("y-tick", [margin_left - 8] * 2,
+                     [ys[0] + 4, ys[max_rank - 1] + 4], ["1", str(max_rank)],
+                     anchor="end")
 
-    x_text = list(map(_fmt, xs))
-    final_ranks = [trajectory.ranks[-1] for trajectory in series.trajectories]
+    final_ranks = ranks[:, -1].astype(np.int64).tolist()
     colors = ramp_color([
         1.0 if max_rank == 1 else 1 - (rank - 1) / (max_rank - 1)
         for rank in final_ranks])
-    paths = _paths(x_text, [[math.nan if r is None else ys[r - 1]
-                             for r in trajectory.ranks]
-                            for trajectory in series.trajectories])
-    for trajectory, rank, color, path in zip(series.trajectories, final_ranks,
-                                             colors, paths):
-        parts.append(
-            f'<path class="rank-line" d="{path}" '
-            f'fill="none" stroke="{color}" '
-            f'stroke-width="2" data-entity="{_escape(trajectory.entity)}" '
-            f'data-lineage="{trajectory.lineage}"/>')
-        label = trajectory.entity
-        if trajectory.lineage != "own":
-            label += f" ({trajectory.lineage})"
-        parts.append(_text(xs[-1] + 8, ys[rank - 1] + 4, label,
-                           cls="line-label", size=9))
+    paths = _paths(list(map(_fmt, xs)), np.array([*ys, math.nan])[
+        np.where(np.isnan(ranks), 0, ranks).astype(np.int64) - 1])
+    line = ('<path class="rank-line" d="%s" fill="none" stroke="%s" '
+            'stroke-width="2" data-entity="%s" data-lineage="%s"/>')
+    parts += chain.from_iterable(zip(
+        map(line.__mod__, zip(paths, colors, _escaped(entities), lineages)),
+        _labels("line-label", [xs[-1] + 8] * len(entities),
+                [ys[rank - 1] + 4 for rank in final_ranks],
+                [e if lineage == "own" else "%s (%s)" % (e, lineage)
+                 for e, lineage in zip(entities, lineages)], size=9)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -474,34 +499,39 @@ def emit_grouped_bars(evolution: WeightsEvolution, title: str = "") -> str:
     top = float(np.nanmax(evolution.values))
     year_color = dict(zip(evolution.years, ramp_color(
         [t / max(1, n_years - 1) for t in range(n_years)])))
+    colors = list(map(year_color.__getitem__, evolution.years))
 
     parts = _svg_open(title)
     baseline = margin_top + plot_h
-    for i, category in enumerate(evolution.categories):
-        group_x = margin_left + i * group_w
-        parts.append(_text(group_x + group_w / 2, baseline + 16, category,
-                           cls="x-tick", anchor="end",
-                           extra=f' transform="rotate(-60 '
-                                 f'{_fmt(group_x + group_w / 2)} '
-                                 f'{_fmt(baseline + 16)})"'))
-        for t, year in enumerate(evolution.years):
-            value = evolution.values[i, t]
-            if not np.isfinite(value):
-                continue
-            height = plot_h * float(value) / top
-            x = group_x + (t + 0.5) * bar_w
-            parts.append(
-                f'<rect class="bar" x="{_fmt(x)}" '
-                f'y="{_fmt(baseline - height)}" width="{_fmt(bar_w)}" '
-                f'height="{_fmt(height)}" fill="{year_color[year]}" '
-                f'data-category="{_escape(category)}" '
-                f'data-year="{_escape(year)}" data-value="{float(value):.3f}"/>')
+    # Each category's tick is followed by its bars, one line each.
+    present = np.isfinite(evolution.values)
+    ii, tt = np.nonzero(present)
+    values = evolution.values[present]
+    heights = plot_h * values / top
+    categories, years = _escaped(evolution.categories), _escaped(evolution.years)
+    bar = (f'\n<rect class="bar" x="%.2f" y="%.2f" width="{_fmt(bar_w)}" '
+           'height="%.2f" fill="%s" data-category="%s" data-year="%s" '
+           'data-value="%.3f"/>')
+    bars = map(bar.__mod__, zip(
+        (margin_left + ii * group_w + (tt + 0.5) * bar_w).tolist(),
+        (baseline - heights).tolist(), heights.tolist(),
+        [colors[t] for t in tt.tolist()], [categories[i] for i in ii.tolist()],
+        [years[t] for t in tt.tolist()], values.tolist()))
+    groups = [""] * n_cat
+    for i, text in zip(ii.tolist(), bars):
+        groups[i] += text
+    ticks = _labels("x-tick", [margin_left + i * group_w + group_w / 2
+                               for i in range(n_cat)],
+                    [baseline + 16] * n_cat, evolution.categories,
+                    anchor="end", turned=True)
+    parts += map(str.__add__, ticks, groups)
 
-    legend_x = margin_left
-    for t, year in enumerate(evolution.years):
-        x = legend_x + t * 90
-        parts.append(f'<rect class="legend-swatch" x="{_fmt(x)}" y="24" '
-                     f'width="12" height="12" fill="{year_color[year]}"/>')
-        parts.append(_text(x + 16, 34, year, cls="legend-label", size=11))
+    legend_xs = [margin_left + t * 90 for t in range(n_years)]
+    swatch = ('<rect class="legend-swatch" x="%.2f" y="24" width="12" '
+              'height="12" fill="%s"/>')
+    parts += chain.from_iterable(zip(
+        map(swatch.__mod__, zip(legend_xs, colors)),
+        _labels("legend-label", [x + 16 for x in legend_xs], [34] * n_years,
+                evolution.years, size=11)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -7,10 +7,10 @@ closed-form 2x2 eigenpair from the characteristic polynomial, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
 writer, sort-based ranker and cell-by-cell CSV readers that the columnar
 ones replaced, and the rule-by-rule roster aligner that the single walk
-replaced. The colour ramp, heatmap, weighted-lines and rank-bump
-emitters are the ones that formatted every cell, colour and path point
-on its own; they share the package's SVG helpers, so they differ from
-it only in what they format once. ``panel_to_csv`` writes a panel back
+replaced. The chart emitters are the ones that formatted every cell,
+colour, path point, edge, bar and label on its own, each through
+``_text`` and ``html.escape``; they share the package's SVG frame and
+spacing helpers, so they differ from it only in what they format once. ``panel_to_csv`` writes a panel back
 to the CSV form the package reads. The readers build their panels through ``make_panel``, the
 one place that builds a panel, so they differ from the package only in
 how cells are converted and checked.
@@ -27,11 +27,11 @@ from typing import Sequence
 
 import numpy as np
 
-from panelrank import (Alignment, EntityMap, GroupProfile, IndicatorTable,
-                       InputError, Lineage, MapRule, RankSeries, ScorePanel,
-                       make_panel)
+from panelrank import (Alignment, EntityMap, GoalWeights, GroupProfile,
+                       IndicatorTable, InputError, Lineage, MapRule, RankSeries,
+                       ScorePanel, WeightsEvolution, make_panel)
 from panelrank.report import (HEIGHT, RAMP_HIGH, RAMP_LOW, WIDTH, _fmt,
-                              _spread, _svg_open, _text)
+                              _spread, _svg_open)
 
 
 def jacobi_eigensystem(matrix, max_sweeps: int = 100,
@@ -409,6 +409,14 @@ def align_by_rules(earlier, later, emap: EntityMap | None = None) -> Alignment:
     return Alignment(tuple(links), retired)
 
 
+def _text(x: float, y: float, label: str, cls: str = "", size: int = 10,
+          anchor: str = "start", extra: str = "") -> str:
+    cls_attr = f' class="{cls}"' if cls else ""
+    return (f'<text{cls_attr} x="{_fmt(x)}" y="{_fmt(y)}" '
+            f'text-anchor="{anchor}" font-size="{size}" '
+            f'font-family="sans-serif"{extra}>{escape(label)}</text>')
+
+
 def ramp_color(t) -> list[str]:
     """``#rrggbb`` colours for the values of ``t``, flattened in C order.
 
@@ -611,5 +619,133 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
             label += f" ({trajectory.lineage})"
         parts.append(_text(xs[-1] + 8, ys[rank - 1] + 4, label,
                            cls="line-label", size=9))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
+                   title: str = "") -> str:
+    """Entity-category bipartite subgraph; edge width and color follow scores."""
+    subset = tuple(subset)
+    if not subset:
+        raise InputError("bipartite subset must be nonempty")
+    row_of = {e: i for i, e in enumerate(panel.entities)}
+    unknown = [e for e in subset if e not in row_of]
+    if unknown:
+        raise InputError("unknown entities in subset: " + ", ".join(unknown))
+
+    margin = 60
+    left_x = margin + 60
+    right_x = WIDTH - margin - 60
+    m = panel.n_categories
+    entity_ys = _spread(len(subset), margin, HEIGHT - 2 * margin)
+    category_ys = _spread(m, margin, HEIGHT - 2 * margin)
+
+    parts = _svg_open(title)
+    min_w, max_w = 0.5, 4.0
+    colors = ramp_color(panel.scores[[row_of[e] for e in subset]] / 100.0)
+    for i, (entity, ey) in enumerate(zip(subset, entity_ys)):
+        for j, category in enumerate(panel.categories):
+            if panel.missing_mask[row_of[entity], j]:
+                continue
+            value = float(panel.scores[row_of[entity], j])
+            t = value / 100.0
+            parts.append(
+                f'<line class="edge" x1="{_fmt(left_x)}" y1="{_fmt(ey)}" '
+                f'x2="{_fmt(right_x)}" y2="{_fmt(category_ys[j])}" '
+                f'stroke="{colors[i * m + j]}" '
+                f'stroke-width="{min_w + t * (max_w - min_w):.2f}" '
+                f'stroke-opacity="0.75" data-entity="{escape(entity)}" '
+                f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
+
+    for entity, ey in zip(subset, entity_ys):
+        parts.append(f'<circle class="node entity-node" cx="{_fmt(left_x)}" '
+                     f'cy="{_fmt(ey)}" r="5" fill="#333333"/>')
+        parts.append(_text(left_x - 10, ey + 4, entity, cls="node-label",
+                           anchor="end"))
+    for category, cy in zip(panel.categories, category_ys):
+        parts.append(f'<circle class="node category-node" cx="{_fmt(right_x)}" '
+                     f'cy="{_fmt(cy)}" r="5" fill="#333333"/>')
+        parts.append(_text(right_x + 10, cy + 4, category, cls="node-label"))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def emit_weight_bars(weights: GoalWeights, title: str = "") -> str:
+    """Horizontal bar per category, length proportional to its weight."""
+    if len(weights.categories) == 0:
+        raise InputError("no categories to draw")
+    margin_left, margin_top, margin_right, margin_bottom = 110, 40, 80, 20
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
+    slot_h = plot_h / len(weights.categories)
+    bar_h = slot_h * 0.7
+    top = float(np.max(weights.values))
+
+    colors = ramp_color(weights.values / top)
+    parts = _svg_open(title)
+    for i, category in enumerate(weights.categories):
+        value = float(weights.values[i])
+        length = plot_w * value / top
+        y = margin_top + i * slot_h + (slot_h - bar_h) / 2
+        parts.append(
+            f'<rect class="bar" x="{_fmt(margin_left)}" y="{_fmt(y)}" '
+            f'width="{_fmt(length)}" height="{_fmt(bar_h)}" '
+            f'fill="{colors[i]}" '
+            f'data-category="{escape(category)}" data-value="{value:.3f}"/>')
+        parts.append(_text(margin_left - 6, y + bar_h * 0.75, category,
+                           cls="row-label", anchor="end"))
+        parts.append(_text(margin_left + 4, y + bar_h * 0.75, f"{value:.3f}",
+                           cls="bar-label"))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def emit_grouped_bars(evolution: WeightsEvolution, title: str = "") -> str:
+    """Grouped bars: one group per category, one bar per year with data.
+
+    Years a category is absent leave a visible gap in its group.
+    """
+    if len(evolution.categories) == 0:
+        raise InputError("no categories to draw")
+    margin_left, margin_top, margin_right, margin_bottom = 60, 40, 20, 90
+    plot_w = WIDTH - margin_left - margin_right
+    plot_h = HEIGHT - margin_top - margin_bottom
+    n_cat = len(evolution.categories)
+    n_years = len(evolution.years)
+    group_w = plot_w / n_cat
+    bar_w = group_w / (n_years + 1)
+    top = float(np.nanmax(evolution.values))
+    year_color = dict(zip(evolution.years, ramp_color(
+        [t / max(1, n_years - 1) for t in range(n_years)])))
+
+    parts = _svg_open(title)
+    baseline = margin_top + plot_h
+    for i, category in enumerate(evolution.categories):
+        group_x = margin_left + i * group_w
+        parts.append(_text(group_x + group_w / 2, baseline + 16, category,
+                           cls="x-tick", anchor="end",
+                           extra=f' transform="rotate(-60 '
+                                 f'{_fmt(group_x + group_w / 2)} '
+                                 f'{_fmt(baseline + 16)})"'))
+        for t, year in enumerate(evolution.years):
+            value = evolution.values[i, t]
+            if not np.isfinite(value):
+                continue
+            height = plot_h * float(value) / top
+            x = group_x + (t + 0.5) * bar_w
+            parts.append(
+                f'<rect class="bar" x="{_fmt(x)}" '
+                f'y="{_fmt(baseline - height)}" width="{_fmt(bar_w)}" '
+                f'height="{_fmt(height)}" fill="{year_color[year]}" '
+                f'data-category="{escape(category)}" '
+                f'data-year="{escape(year)}" data-value="{float(value):.3f}"/>')
+
+    legend_x = margin_left
+    for t, year in enumerate(evolution.years):
+        x = legend_x + t * 90
+        parts.append(f'<rect class="legend-swatch" x="{_fmt(x)}" y="24" '
+                     f'width="12" height="12" fill="{year_color[year]}"/>')
+        parts.append(_text(x + 16, 34, year, cls="legend-label", size=11))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,14 +1,16 @@
 """Differential property test of the chart emitters.
 
 ``ramp_color`` formats each distinct colour once, ``emit_heatmap`` each
-distinct score once, and the line and bump charts fill one path template
-per gap pattern. Each must write the same text as the emitter in
+distinct score once, and every chart writes each kind of repeated
+element through one ``%`` template over its columns, with ids escaped
+once per roster. Each must write the same text as the emitter in
 ``oracles`` that formatted every element on its own. Panels are built as
 ``ScorePanel`` directly, so present cells can hold both ``-0.0`` and
 ``0.0`` and the emitter cannot lean on ``make_panel``. Curves hold NaN and
-±inf, whole rows of them included; rank trajectories have gaps; ids hold
-characters that matter to format strings and to XML. The profile is
-derandomized, so every run draws the same examples.
+±inf, whole rows of them included; rank trajectories have gaps; weights
+evolutions have absent years; ids, years and titles hold characters that
+matter to format strings and to XML. The profile is derandomized, so
+every run draws the same examples.
 """
 
 import numpy as np
@@ -18,9 +20,11 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from panelrank import (GroupProfile, RankSeries, RankTrajectory,  # noqa: E402
-                       ScorePanel, emit_heatmap, emit_rank_bump,
-                       emit_weighted_lines, ramp_color)
+from panelrank import (GoalWeights, GroupProfile, RankSeries,  # noqa: E402
+                       RankTrajectory, ScorePanel, WeightsEvolution,
+                       emit_bipartite, emit_grouped_bars, emit_heatmap,
+                       emit_rank_bump, emit_weight_bars, emit_weighted_lines,
+                       ramp_color)
 
 import oracles  # noqa: E402
 
@@ -32,6 +36,10 @@ ids = st.text(st.sampled_from('ab%{}&<"'), min_size=1, max_size=4)
 # signs of zero occur.
 scores = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 50.0, 100.0]),
                    st.floats(0.0, 100.0))
+# Weights are positive in every chart the CLI draws; zero and repeats
+# occur, so bars can be empty and labels equal.
+weight_values = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                          st.floats(0.0, 1e6))
 curve_values = st.one_of(st.floats(-1e6, 1e6),
                          st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]))
 
@@ -87,6 +95,37 @@ def rank_series(draw):
     return RankSeries(years, trajectories)
 
 
+@st.composite
+def subsets(draw):
+    panel = draw(panels())
+    subset = draw(st.lists(st.sampled_from(panel.entities), min_size=1,
+                           max_size=4))
+    return panel, subset
+
+
+@st.composite
+def goal_weights(draw):
+    categories = tuple(draw(st.lists(ids, min_size=1, max_size=6, unique=True)))
+    values = draw(st.lists(weight_values, min_size=len(categories),
+                           max_size=len(categories)))
+    assume(max(values) > 0)
+    return GoalWeights(draw(ids), categories, np.array(values))
+
+
+@st.composite
+def weights_evolutions(draw):
+    years = tuple(draw(st.lists(ids, min_size=1, max_size=4, unique=True)))
+    categories = tuple(draw(st.lists(ids, min_size=1, max_size=5, unique=True)))
+    size = len(categories) * len(years)
+    values = np.array(draw(st.lists(weight_values, min_size=size,
+                                    max_size=size)))
+    absent = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    values[np.array(absent, dtype=bool)] = np.nan
+    assume(np.nanmax(values, initial=0.0) > 0)
+    return WeightsEvolution(years, categories,
+                            values.reshape(len(categories), len(years)))
+
+
 def test_ramp_bound_and_values():
     t = np.concatenate([np.linspace(0, 1, 100_001), [np.nan, np.inf, -np.inf]])
     colours = ramp_color(t)
@@ -123,3 +162,30 @@ def test_weighted_lines_match_oracle(chart, title):
 @given(rank_series(), ids)
 def test_rank_bump_matches_oracle(series, title):
     assert emit_rank_bump(series, title) == oracles.emit_rank_bump(series, title)
+
+
+@PROFILE
+@given(subsets(), ids)
+@example((ScorePanel("y", ("%s",), ("a", "&"), np.array([[0.0, 100.0]]),
+                     np.array([[False, True]])), ["%s"]), "%d")
+def test_bipartite_matches_oracle(chart, title):
+    panel, subset = chart
+    assert (emit_bipartite(panel, subset, title)
+            == oracles.emit_bipartite(panel, subset, title))
+
+
+@PROFILE
+@given(goal_weights(), ids)
+@example(GoalWeights("y", ("%",), np.array([2.5])), "<t>")
+def test_weight_bars_match_oracle(weights, title):
+    assert emit_weight_bars(weights, title) == oracles.emit_weight_bars(weights, title)
+
+
+@PROFILE
+@given(weights_evolutions(), ids)
+@example(WeightsEvolution(("%s",), ("a%",), np.array([[1.5]])), "t")
+@example(WeightsEvolution(("y1", "y2"), ("a", "b"),
+                          np.array([[np.nan, 1.0], [np.nan, 2.0]])), "t")
+def test_grouped_bars_match_oracle(evolution, title):
+    assert (emit_grouped_bars(evolution, title)
+            == oracles.emit_grouped_bars(evolution, title))

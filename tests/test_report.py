@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import re
 import sys
 import xml.etree.ElementTree as ET
 
@@ -182,19 +183,26 @@ class TestHeatmap:
     def test_deterministic(self, worked_3x2):
         assert emit_heatmap(worked_3x2, "t") == emit_heatmap(worked_3x2, "t")
 
-    def test_streamed_one_grid_row_per_piece(self):
-        # The head holds the labels and no cell; each later piece is one
-        # grid row, all of one entity; the pieces join to the per-cell
-        # emitter's text.
+    def test_streamed_in_row_blocks(self):
+        # The head holds the labels and no cell; each later piece holds
+        # whole grid rows, in order, at most a block of them; the pieces
+        # join to the per-cell emitter's text.
         n, m = 2000, 17
+        block = report.HEATMAP_BLOCK_CELLS // m
         panel = formula_panel(n, m)
-        head, *rows, tail = report.heatmap_chunks(panel, "t & u")
+        head, *pieces, tail = report.heatmap_chunks(panel, "t & u")
         assert 'class="cell' not in head and head.count('class="row-label"') == n
-        assert len(rows) == n and tail == "</svg>\n"
-        for i, piece in enumerate(rows):
-            assert piece.count("<rect") == m
-            assert piece.count(f'data-entity="e{i:04d}"') == m
-        assert head + "".join(rows) + tail == oracles.emit_heatmap(panel, "t & u")
+        assert len(pieces) == -(-n // block) and tail == "</svg>\n"
+        rows = []
+        for piece in pieces:
+            cells = re.findall(r'<rect class="cell[^>]*data-entity="([^"]*)"',
+                               piece)
+            assert piece.count("<rect") == len(cells)
+            assert 0 < len(cells) <= block * m and len(cells) % m == 0
+            assert cells == [e for e in cells[::m] for _ in range(m)]
+            rows += cells[::m]
+        assert rows == list(panel.entities)
+        assert head + "".join(pieces) + tail == oracles.emit_heatmap(panel, "t & u")
 
 
 class TestBipartite:
@@ -450,6 +458,56 @@ class TestMarkupInIds:
         # insert one.
         for text in ["&", "<", ">", '"', "'", "&lt;", "<&>\"'", "é&\u3000"]:
             assert report._escape(text) == html.escape(text)
+
+    def test_escaped_is_escape_per_id_on_every_code_point(self):
+        code_points = "".join(map(chr, range(sys.maxunicode + 1)))
+        ids = [code_points[k:k + 64] for k in range(0, len(code_points), 64)]
+        assert report._escaped(ids) == list(map(report._escape, ids))
+        # Without the five markup characters the roster comes back as it
+        # is, which is what escaping each id gives.
+        plain = [re.sub("[&<>\"']", "", text) for text in ids]
+        assert report._escaped(plain) == list(map(report._escape, plain))
+        for mark in "&<>\"'":
+            roster = (*plain[:3], f"a{mark}b", plain[3])
+            assert report._escaped(roster) == list(map(report._escape, roster))
+
+    @pytest.mark.parametrize("marked", [False, True])
+    def test_ids_escaped_once_per_roster(self, marked, tmp_path, monkeypatch):
+        # A run of plain ids calls _escape not once; an id holding "&"
+        # is escaped, and every chart parses and keeps it.
+        calls = []
+        escape = report._escape
+
+        def counted(text):
+            calls.append(text)
+            return escape(text)
+
+        monkeypatch.setattr(report, "_escape", counted)
+        args = []
+        for year in ("2023", "2024"):
+            panel = formula_panel(200, 17, year)
+            if marked:
+                # First by k_s, so the bipartite subset holds it.
+                entities = ("a&b", *panel.entities[1:])
+                scores = panel.scores.copy()
+                scores[0] = 100.0
+                panel = make_panel(year, entities, panel.categories, scores,
+                                   panel.missing_mask)
+            path = tmp_path / f"panel_{year}.csv"
+            path.write_text(oracles.panel_to_csv(panel), encoding="utf-8")
+            args += ["--panel", f"{year}={path}"]
+        out = tmp_path / "out"
+        assert cli.main(["compute", *args, "--charts", "all",
+                         "--out", str(out)]) == 0
+        svgs = sorted(out.glob("*.svg"))
+        assert len(svgs) == 11
+        assert bool(calls) == marked
+        for path in svgs:
+            root = ET.parse(path).getroot()
+            entities = {el.get("data-entity") for el in root.iter()} - {None}
+            if marked and not path.name.startswith(("weight_bars",
+                                                    "grouped_bars")):
+                assert "a&b" in entities, path.name
 
     def test_every_chart_parses_and_keeps_ids(self):
         from xml.dom import minidom
