@@ -16,8 +16,8 @@ from .analytics import (GoalWeights, GroupProfile, RankSeries, RankTable,
 from .core import (AdjustedUbiquity, ComplexityScores, DegreeIndex,
                    IterationTrace, Prepared, ProximityMatrix,
                    SimilarityPair, adjusted_ubiquity, degree_index,
-                   fitness_step, genepy_scores, prepare,
-                   principal_eigenvector, proximity, run_fitness, similarity)
+                   genepy_scores, prepare, principal_eigenvector, proximity,
+                   run_fitness, similarity)
 from .errors import (DegeneratePanelError, InputError, NonConvergenceError,
                      PanelRankError)
 from .panel import (Alignment, EntityMap, Finding, IndicatorTable, Lineage,
@@ -41,7 +41,7 @@ __all__ = [
     "adjusted_ubiquity", "aggregate_indicators", "align_rosters",
     "degree_index", "emit_bipartite", "emit_grouped_bars", "emit_heatmap",
     "emit_rank_bump", "emit_table", "emit_weight_bars",
-    "emit_weighted_lines", "fitness_step", "genepy_scores", "goal_weights",
+    "emit_weighted_lines", "genepy_scores", "goal_weights",
     "make_panel", "parse_indicator_csv", "parse_panel", "prepare",
     "principal_eigenvector", "proximity", "ramp_color", "rank_entities",
     "rank_evolution", "run_fitness", "similarity", "spearman",

@@ -339,40 +339,6 @@ def _rank_values(result: YearResult) -> dict[str, np.ndarray]:
     return values
 
 
-def _entity_table(result: YearResult,
-                  cells: dict[str, np.ndarray]) -> tuple[list[str], list]:
-    """The entity scores table, its float columns given as ``cells``,
-    the formatted values of each rank key."""
-    prep = result.prepared
-    header = ["entity", "total_score", "applicable_count", "composite_mean"]
-    columns = [prep.panel.entities, cells["k_s"],
-               prep.degree.applicable_counts, cells["composite_mean"]]
-    for scores, key in zip(result.solved, ("D_s", "D_s_iterative")):
-        header.append(f"complexity_{scores.method}")
-        columns.append(cells[key])
-    return header, columns
-
-
-def _category_table(result: YearResult) -> tuple[list[str], list]:
-    header = ["category", "adjusted_ubiquity"]
-    columns = [result.prepared.panel.categories,
-               result.prepared.ubiquity.values]
-    for scores, weights in zip(result.solved, result.weights):
-        header += [f"complexity_{scores.method}", f"weight_{scores.method}"]
-        columns += [scores.category_scores, weights.values]
-    return header, columns
-
-
-def _rank_table(table: analytics.RankTable,
-                scores: Sequence | None = None) -> tuple[tuple[str, ...], tuple]:
-    """A rank table's CSV header and columns. ``scores`` is the score
-    column as cells in rank order, already formatted; by default the
-    table's floats, which ``emit_table`` formats the same way."""
-    return (("entity", "score", "rank", "tied"),
-            (table.entities, table.scores if scores is None else scores,
-             range(1, len(table.entities) + 1), table.tied))
-
-
 def _rank(result: YearResult, key: str) -> analytics.RankTable:
     """The year's entities ranked by the values of a rank key: a basis, or
     ``D_s_iterative``, the ``D_s`` basis of the second solver."""
@@ -388,20 +354,45 @@ def _rank_tables(result: YearResult) -> dict[str, analytics.RankTable]:
 def _year_tables(result: YearResult,
                  tables: dict[str, analytics.RankTable]) -> dict[str, str]:
     """The year's CSV tables by file name stem: entity scores, category
-    scores, then the rank table of each key of ``tables``. Each ranked
-    vector is formatted once, in row order, for the entity table; its rank
-    table takes the same cells in rank order."""
-    panel = result.prepared.panel
-    cells = {key: np.array(report.float_cells(values), dtype=object)
+    scores, then the rank table of each key of ``tables``.
+
+    Every cell is written with its separators, so each table is one join
+    of pieces shared across the year's tables: the ids quoted once, each
+    ranked vector formatted once (its rank table takes the same cells in
+    rank order), applicable counts from the m + 1 possible ones, the rank
+    cells once per roster, and tie flags from the two possible ones. The
+    columns are built here, so they skip ``emit_table``'s type checks."""
+    prep = result.prepared
+    panel, n = prep.panel, prep.panel.n_entities
+    ids = np.array(report._fields(panel.entities), dtype=object)
+    cells = {key: np.array(report.float_cells(values, ","), dtype=object)
              for key, values in _rank_values(result).items()}
-    row_of = dict(zip(panel.entities, range(panel.n_entities)))
-    texts = {"scores_entities": report.emit_table(*_entity_table(result, cells)),
-             "scores_categories": report.emit_table(*_category_table(result))}
+    counts = np.array(list(map(",%d".__mod__, range(panel.n_categories + 1))),
+                      dtype=object)[prep.degree.applicable_counts]
+    methods = [scores.method for scores in result.solved]
+    category_values = [prep.ubiquity.values]
+    for scores, weights in zip(result.solved, result.weights):
+        category_values += [scores.category_scores, weights.values]
+    texts = {
+        "scores_entities": report._table_text(
+            "entity,total_score,applicable_count,composite_mean"
+            + "".join(f",complexity_{m}" for m in methods) + "\n",
+            [ids, cells["k_s"], counts, *list(cells.values())[1:], "\n"]),
+        "scores_categories": report._table_text(
+            "category,adjusted_ubiquity"
+            + "".join(f",complexity_{m},weight_{m}" for m in methods) + "\n",
+            [report._fields(panel.categories),
+             *(report.float_cells(values, ",") for values in category_values),
+             "\n"])}
+    ranks = list(map(",%d".__mod__, range(1, n + 1)))
+    flags = np.array([",false\n", ",true\n"], dtype=object)
+    row_of = dict(zip(panel.entities, range(n)))
     for key, table in tables.items():
-        rows = np.fromiter(map(row_of.__getitem__, table.entities), np.intp,
-                           panel.n_entities)
-        texts[f"ranks_{key}"] = report.emit_table(
-            *_rank_table(table, cells[key][rows]))
+        rows = np.fromiter(map(row_of.__getitem__, table.entities), np.intp, n)
+        tied = np.fromiter(table.tied, np.intp, n)
+        texts[f"ranks_{key}"] = report._table_text(
+            "entity,score,rank,tied\n",
+            [ids[rows], cells[key][rows], ranks, flags[tied]])
     return texts
 
 

@@ -275,28 +275,11 @@ def _fitness_update(scores: np.ndarray,
             category_raw / (category_raw.sum() / category_raw.size))
 
 
-def fitness_step(panel: ScorePanel,
-                 current: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Apply one step of the nonlinear map to (entity, category) scores.
-
-    The step ``run_fitness`` iterates: the entity scores from the current
-    category scores, then the category scores from those new entity
-    scores. The current entity scores do not enter it, but both vectors
-    must be strictly positive.
-    """
-    entity_scores, category_scores = current
-    entity_scores = np.asarray(entity_scores, dtype=float)
-    category_scores = np.asarray(category_scores, dtype=float)
-    if (entity_scores <= 0).any() or (category_scores <= 0).any():
-        raise ValueError("singular update: scores must be strictly positive")
-    return _fitness_update(panel.scores, category_scores)
-
-
 def run_fitness(prep: Prepared, tol: float = DEFAULT_TOL,
                 max_steps: int = DEFAULT_MAX_STEPS) -> tuple[ComplexityScores, IterationTrace]:
     """Iterate the nonlinear map from uniform start vectors to a fixed point.
 
-    Each step is ``fitness_step``. Stops when the entrywise relative
+    Each step is ``_fitness_update``. Stops when the entrywise relative
     change of both vectors drops to ``tol`` (L-infinity). Non-convergence
     is not an exception: the last iterate is returned with
     ``converged=False`` in the trace so callers can decide what to do with

@@ -122,20 +122,29 @@ def _field(text: str) -> str:
     return '"%s"' % text.replace('"', '""') if _QUOTED(text) else text
 
 
-def float_cells(values) -> list[str]:
-    """The table cells ``emit_table`` writes for a column of floats: six
-    decimals, and an empty cell for NaN. A caller that writes one vector
-    in several tables formats it once here and passes the cells."""
+def _fields(texts: Sequence[str]) -> Sequence[str]:
+    """``_field`` of each of ``texts``: the joined texts are scanned once,
+    and a roster needing no quotes is returned as it is."""
+    return list(map(_field, texts)) if _QUOTED("".join(texts)) else texts
+
+
+def float_cells(values, lead: str) -> list[str]:
+    """The table cells ``emit_table`` writes for a column of floats, each
+    led by ``lead``: six decimals, and only ``lead`` for NaN. A caller
+    that writes one vector in several tables formats it once here."""
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    return ["" if v != v else "%.6f" % v for v in values]
+    cells = list(map((lead + "%.6f").__mod__, values))
+    if lead + "nan" in cells:
+        cells = [lead if v != v else cell for v, cell in zip(values, cells)]
+    return cells
 
 
-def _text_column(name: str, column) -> tuple[str, Sequence]:
-    """The ``%`` conversion of the column named ``name``, and its cells:
-    exactly floats, ints, bools or strs, all of one type (an array is read
-    through ``tolist``). Numbers are left to the conversion unless a float
-    is NaN; strs are scanned once, and quoted only if the scan says so."""
+def _text_cells(name: str, column, lead: str) -> Sequence[str]:
+    """The cells of the column named ``name``, each led by ``lead``: the
+    column must hold exactly floats, ints, bools or strs, all of one type
+    (an array is read through ``tolist``). Strs are scanned once for
+    quoting."""
     if isinstance(column, np.ndarray):
         column = column.tolist()
     types = set(map(type, column))
@@ -144,15 +153,27 @@ def _text_column(name: str, column) -> tuple[str, Sequence]:
                          f"(float, int, bool or str); found "
                          f"{_type_names(column)}")
     if float in types:
-        if not any(map(math.isnan, column)):
-            return "%.6f", column
-        return "%s", float_cells(column)
+        return float_cells(column, lead)
     if bool in types:
-        return "%s", ["true" if v else "false" for v in column]
+        return [lead + ("true" if v else "false") for v in column]
     if int in types:
-        return "%d", column
-    return "%s", (list(map(_field, column)) if _QUOTED("".join(column))
-                  else column)
+        return list(map((lead + "%d").__mod__, column))
+    cells = _fields(column)
+    return [lead + cell for cell in cells] if lead else cells
+
+
+def _table_text(head: str, columns: Sequence) -> str:
+    """``head``, then one row per index of ``columns``: row i is the
+    pieces ``columns[k][i]`` joined as they are, so each piece carries its
+    own separators. A column may be one str, shared by every row; the
+    first must be a sequence."""
+    block = np.empty((len(columns[0]), len(columns)), dtype=object)
+    for k, column in enumerate(columns):
+        block[:, k] = column
+    # The head goes into the one join, so the text is never copied whole.
+    pieces = block.ravel().tolist()
+    pieces.insert(0, head)
+    return "".join(pieces)
 
 
 def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
@@ -163,7 +184,8 @@ def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
     ('.' separator) and NaN is an empty cell; bools are ``true``/``false``.
     A cell holding a comma, a quote, a newline or a carriage return is
     quoted, and a record of one empty cell is ``""``, so ``csv.reader``
-    reads back the same cells. Each row fills one ``%`` template."""
+    reads back the same cells. Each column is formatted once, its cells
+    carrying their commas, and the rows are one join of them."""
     if len(columns) != len(header):
         raise InputError(f"table has {len(header)} names but "
                          f"{len(columns)} columns")
@@ -174,13 +196,13 @@ def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
                          f"{_type_names(header)}")
     if not header:
         return "\n"
-    conversions, cells = zip(*map(_text_column, header, columns))
+    cells = list(map(_text_cells, header, columns,
+                     ("", *[","] * (len(header) - 1))))
     # A record of one empty cell is quoted, or it would read as no record.
-    names = ",".join(map(_field, header)) or '""'
-    if conversions == ("%s",):
-        cells = (['""' if not v else v for v in cells[0]],)
-    row = ",".join(conversions) + "\n"
-    return names + "\n" + "".join(map(row.__mod__, zip(*cells)))
+    names = ",".join(_fields(header)) or '""'
+    if len(cells) == 1:
+        cells[0] = ['""' if not v else v for v in cells[0]]
+    return _table_text(names + "\n", (*cells, "\n"))
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +471,12 @@ def emit_rank_bump(series: RankSeries, title: str = "") -> str:
     plot_w = WIDTH - margin_left - margin_right
     plot_h = HEIGHT - margin_top - margin_bottom
     entities, ranks, lineages = zip(*series.trajectories)
-    # A year without a rank is NaN.
+    # A year without a rank is NaN; each line ends at its final rank.
     ranks = np.array(ranks, dtype=float)
+    unranked = np.flatnonzero(np.isnan(ranks[:, -1])).tolist()
+    if unranked:
+        raise InputError(f"entity {entities[unranked[0]]!r} has no rank in "
+                         f"the final year {series.years[-1]!r}")
     max_rank = int(np.nanmax(ranks))
 
     xs = _spread(len(series.years), margin_left, plot_w)

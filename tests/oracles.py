@@ -156,6 +156,14 @@ def table_by_rows(header, rows) -> str:
                     *(_csv_line([cell_text(v) for v in row]) for row in rows)])
 
 
+def rank_table_columns(table):
+    """A rank table's header and columns as ``emit_table`` takes them,
+    the way the CLI writes its rank tables."""
+    return (("entity", "score", "rank", "tied"),
+            (table.entities, table.scores, range(1, len(table.entities) + 1),
+             table.tied))
+
+
 def panel_to_csv(panel) -> str:
     """A panel written back to its CSV form.
 

@@ -138,6 +138,33 @@ class TestCompute:
         assert not list((tmp_path / "out").glob("*.svg"))
         assert (tmp_path / "out" / "method_agreement.csv").exists()
 
+    def test_year_tables_bypass_emit_table(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The year tables are joined from cells the CLI builds itself, so
+        # neither the public writer nor its per-column type scan sees them;
+        # only the run-wide method_agreement.csv goes through emit_table.
+        tables, columns = [], []
+        emit_table, text_cells = report.emit_table, report._text_cells
+
+        def counted_table(header, cols):
+            tables.append(tuple(header))
+            return emit_table(header, cols)
+
+        def counted_cells(name, column, lead):
+            columns.append(name)
+            return text_cells(name, column, lead)
+
+        monkeypatch.setattr(report, "emit_table", counted_table)
+        monkeypatch.setattr(report, "_text_cells", counted_cells)
+        args = [arg for year in ("2023", "2024") for arg in (
+            "--panel", f"{year}=" + write(tmp_path, f"{year}.csv",
+                                          panel_to_csv(formula_panel(40, 5))))]
+        assert main(["compute", *args, "--out", str(tmp_path / "out"),
+                     "--charts", "none"]) == 0
+        assert tables == [("year", "spearman_rho")]
+        assert columns == ["year", "spearman_rho"]
+        assert len(list((tmp_path / "out").glob("*.csv"))) == 13
+
     def test_nonconvergence_exits_3(self, tmp_path, capsys):
         panel = write(tmp_path, "p.csv", WORKED_2X2)
         rc = main(["compute", "--panel", "2024=" + panel, "--method",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panelrank import (DegeneratePanelError, adjusted_ubiquity, degree_index,
-                       fitness_step, genepy_scores, make_panel, prepare,
+                       genepy_scores, make_panel, prepare,
                        principal_eigenvector, proximity, run_fitness,
                        similarity)
 
@@ -263,34 +263,36 @@ class TestGenepyScores:
 
 
 class TestFitnessStep:
+    # One step of the map is read as a run of ``run_fitness`` stopped
+    # after that step, from the uniform start vectors.
     def test_uniform_fixed_point(self):
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],
                            np.full((3, 2), 7.0))
-        d, c = fitness_step(panel, (np.ones(3), np.ones(2)))
-        assert np.array_equal(d, np.ones(3))
-        assert np.array_equal(c, np.ones(2))
+        scores, _ = run_fitness(prepare(panel), max_steps=1)
+        assert np.array_equal(scores.entity_scores, np.ones(3))
+        assert np.array_equal(scores.category_scores, np.ones(2))
 
     def test_worked_one_step(self, worked_2x2):
         # F = X @ [1, 1] = [2, 1] is [4/3, 2/3] at mean one; then, from
         # that F, Q = 1 / ([3/4, 3/2] @ X) = 1 / [9/4, 3/4] = [4/9, 4/3],
         # which is [1/2, 3/2] at mean one
-        d, c = fitness_step(worked_2x2, (np.ones(2), np.ones(2)))
-        assert np.allclose(d, [4 / 3, 2 / 3], atol=1e-15)
-        assert np.allclose(c, [1 / 2, 3 / 2], atol=1e-15)
+        scores, trace = run_fitness(prepare(worked_2x2), max_steps=1)
+        assert trace.steps == 1
+        assert np.allclose(scores.entity_scores, [4 / 3, 2 / 3], atol=1e-15)
+        assert np.allclose(scores.category_scores, [1 / 2, 3 / 2], atol=1e-15)
 
-    def test_rescaling_cancels(self, worked_2x2):
-        scaled = make_panel(worked_2x2.year, worked_2x2.entities,
-                            worked_2x2.categories, worked_2x2.scores * 2.0)
-        d0 = np.array([1.3, 0.7])
-        c0 = np.array([0.4, 1.6])
-        d1, c1 = fitness_step(worked_2x2, (d0, c0))
-        d2, c2 = fitness_step(scaled, (d0, c0))
-        assert np.array_equal(d1, d2)
-        assert np.array_equal(c1, c2)
-
-    def test_zero_entity_score_rejected(self, worked_2x2):
-        with pytest.raises(ValueError, match="singular"):
-            fitness_step(worked_2x2, (np.array([1.0, 0.0]), np.ones(2)))
+    def test_rescaling_cancels(self):
+        # Halving every score halves or doubles each step's raw products
+        # exactly, and the rescaling to mean one cancels it at every step.
+        panel = random_panel(np.random.default_rng(16), 6, 4)
+        scaled = make_panel(panel.year, panel.entities, panel.categories,
+                            panel.scores * 0.5)
+        one, trace_one = run_fitness(prepare(panel))
+        two, trace_two = run_fitness(prepare(scaled))
+        assert trace_one.converged and trace_one.steps > 1
+        assert trace_one == trace_two
+        assert np.array_equal(one.entity_scores, two.entity_scores)
+        assert np.array_equal(one.category_scores, two.category_scores)
 
 
 class TestRunFitness:
@@ -349,23 +351,22 @@ class TestRunFitness:
         for _ in range(5):
             panel = random_panel(rng, int(rng.integers(3, 20)),
                                  int(rng.integers(2, 10)))
-            scores, trace = run_fitness(prepare(panel), tol=1e-10)
+            _, trace = run_fitness(prepare(panel), tol=1e-10)
             assert trace.converged
-            d, c = fitness_step(panel, (scores.entity_scores,
-                                        scores.category_scores))
-            move = max(
-                float(np.max(np.abs(d - scores.entity_scores)
-                             / scores.entity_scores)),
-                float(np.max(np.abs(c - scores.category_scores)
-                             / scores.category_scores)))
-            assert move <= 1e-10
+            # One step past the fixed point: a run that never stops early,
+            # held to one step more. Its last residual is that step's move.
+            _, further = run_fitness(prepare(panel), tol=0.0,
+                                     max_steps=trace.steps + 1)
+            assert further.residuals[:-1] == trace.residuals
+            assert further.residuals[-1] <= 1e-10
 
     def test_trace_contents(self, worked_3x2):
         _, trace = run_fitness(prepare(worked_3x2))
         assert trace.steps == len(trace.residuals) <= 1000
         # the first step from the uniform start: the raw entity update is
         # the row totals [2, 2, 2], and the step's move is the first residual
-        d1, c1 = fitness_step(worked_3x2, (np.ones(3), np.ones(2)))
+        first, _ = run_fitness(prepare(worked_3x2), max_steps=1)
+        d1, c1 = first.entity_scores, first.category_scores
         totals = worked_3x2.scores.sum(axis=1)
         assert np.allclose(totals, [2.0, 2.0, 2.0], atol=1e-15)
         assert np.allclose(d1, totals / totals.mean(), atol=1e-15)

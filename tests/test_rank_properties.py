@@ -1,15 +1,18 @@
-"""Property test of the id sort the year's rank tables share.
+"""Property test of the id sort and the cells the year's tables share.
 
 ``rank_entities`` sorts a roster's ids once and keeps the order for the
-last two rosters, and the CLI formats each ranked vector once for the
-entity table and takes the same cells, in rank order, for its rank table.
-Each year below ranks four vectors over one roster (three memo hits), and
-the years cycle through several rosters (misses and evictions). Every
-rank table must equal the ``sorted`` ranker in ``oracles``, down to the
-sign of zero, and the CLI's table texts must equal ``emit_table`` of the
-oracle's tables and of the float columns. Ids differ only in case or
-accent, and values tie, including 0.0 with -0.0. The profile is
-derandomized, so every run draws the same examples.
+last two rosters, and the CLI writes a year's tables from pieces it builds
+once: the ids quoted once, each ranked vector formatted once for the
+entity table and taken in rank order for its rank table, applicable
+counts from a lookup, and rank tails from one list per roster. Each year
+below ranks four vectors over one roster (three memo hits), and the years
+cycle through several rosters (misses and evictions). Every rank table
+must equal the ``sorted`` ranker in ``oracles``, down to the sign of zero,
+and every table text the CLI writes must equal ``emit_table`` of the
+oracle's columns. Ids differ only in case or accent, or hold a comma, a
+quote, a ``%`` or a newline; values tie, including 0.0 with -0.0; cells
+go missing, so applicable counts vary. The profile is derandomized, so
+every run draws the same examples.
 """
 
 import numpy as np
@@ -22,21 +25,24 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from panelrank import RankTable, emit_table, make_panel  # noqa: E402
 from panelrank import analytics, cli  # noqa: E402
 
-from oracles import rank_by_sort  # noqa: E402
+from oracles import rank_by_sort, rank_table_columns  # noqa: E402
 
 PROFILE = settings(derandomize=True, max_examples=100, deadline=None,
                    database=None)
 
 KEYS = ("k_s", "composite_mean", "D_s", "D_s_iterative")
-ids = st.sampled_from(["a", "A", "b", "B", "ab", "aB", "Ab", "é", "É"])
+ids = st.sampled_from(["a", "A", "b", "B", "ab", "aB", "Ab", "é", "É", "a,b",
+                       '"', 'a""b', "%s", "100%", "a\nb", "%d,"])
+CATEGORIES = 3
 tie_heavy = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
                       st.floats(-1e6, 1e6))
 
 
 @st.composite
 def years(draw):
-    """Rosters, then a sequence of years, each a roster index and one
-    vector per rank key."""
+    """Rosters, then a sequence of years, each a roster index, one vector
+    per rank key, category ids and a missing mask. The first row and the
+    first column are complete, so no row or column is all missing."""
     rosters = draw(st.lists(
         st.lists(ids, min_size=2, max_size=8, unique=True).map(tuple),
         min_size=1, max_size=4))
@@ -44,16 +50,24 @@ def years(draw):
     for index in draw(st.lists(st.integers(0, len(rosters) - 1),
                                min_size=1, max_size=6)):
         n = len(rosters[index])
-        sequence.append((rosters[index], [
-            draw(st.lists(tie_heavy, min_size=n, max_size=n)) for _ in KEYS]))
+        vectors = [draw(st.lists(tie_heavy, min_size=n, max_size=n))
+                   for _ in KEYS]
+        categories = draw(st.lists(ids, min_size=CATEGORIES,
+                                   max_size=CATEGORIES, unique=True))
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n * CATEGORIES,
+                                      max_size=n * CATEGORIES)))
+        mask = mask.reshape(n, CATEGORIES)
+        mask[0] = mask[:, 0] = False
+        sequence.append((rosters[index], vectors, categories, mask))
     return sequence
 
 
-def year_result(roster, vectors):
+def year_result(roster, vectors, categories, mask):
     """A solved year of ``roster`` whose four ranked vectors are
     ``vectors``, in ``KEYS`` order."""
-    panel = make_panel("y", roster, ["g1", "g2"], np.ones((len(roster), 2)))
-    result = cli.compute_year(panel, cli.RunConfig())
+    panel = make_panel("y", roster, categories,
+                       np.ones((len(roster), len(categories))), mask)
+    result = cli.compute_year(panel, cli.RunConfig(allow_nonconverged=True))
     totals, means, *entity_scores = map(np.array, vectors)
     prep = result.prepared
     degree = prep.degree._replace(totals=totals, composite_means=means)
@@ -66,8 +80,8 @@ def year_result(roster, vectors):
 @PROFILE
 @given(sequence=years())
 def test_shared_id_sort_matches_sorted_ranker(sequence):
-    for roster, vectors in sequence:
-        result = year_result(roster, vectors)
+    for roster, vectors, categories, mask in sequence:
+        result = year_result(roster, vectors, categories, mask)
         hits = analytics._id_order.cache_info().hits
         tables = cli._rank_tables(result)
         assert analytics._id_order.cache_info().hits >= hits + 3
@@ -78,8 +92,17 @@ def test_shared_id_sort_matches_sorted_ranker(sequence):
             got = tables[key]
             assert got == want
             assert list(map(repr, got.scores)) == list(map(repr, want.scores))
-            assert texts[f"ranks_{key}"] == emit_table(*cli._rank_table(want))
+            assert texts[f"ranks_{key}"] == emit_table(
+                *rank_table_columns(want))
         assert texts["scores_entities"] == emit_table(
             ("entity", "total_score", "applicable_count", "composite_mean",
              "complexity_spectral", "complexity_iterative"),
-            (roster, vectors[0], [2] * len(roster), *vectors[1:]))
+            (roster, vectors[0], (~mask).sum(axis=1), *vectors[1:]))
+        spectral, iterative = result.solved
+        weights = [w.values for w in result.weights]
+        assert texts["scores_categories"] == emit_table(
+            ("category", "adjusted_ubiquity", "complexity_spectral",
+             "weight_spectral", "complexity_iterative", "weight_iterative"),
+            (categories, result.prepared.ubiquity.values,
+             spectral.category_scores, weights[0],
+             iterative.category_scores, weights[1]))

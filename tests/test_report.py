@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 from panelrank import cli, report
-from panelrank import (GoalWeights, GroupProfile, InputError,
-                       degree_index, emit_bipartite, emit_grouped_bars,
-                       emit_heatmap, emit_rank_bump, emit_table,
-                       emit_weight_bars, emit_weighted_lines, make_panel,
-                       ramp_color, rank_entities, rank_evolution,
+from panelrank import (GoalWeights, GroupProfile, InputError, RankSeries,
+                       RankTrajectory, degree_index, emit_bipartite,
+                       emit_grouped_bars, emit_heatmap, emit_rank_bump,
+                       emit_table, emit_weight_bars, emit_weighted_lines,
+                       make_panel, ramp_color, rank_entities, rank_evolution,
                        tertile_groups, weighted_performance,
                        weights_evolution)
 from panelrank.analytics import tertile_sizes
@@ -33,7 +33,7 @@ def weights_for(categories, values, year="y"):
 
 
 def rank_csv(table) -> str:
-    return emit_table(*cli._rank_table(table))
+    return emit_table(*oracles.rank_table_columns(table))
 
 
 class TestEmitTable:
@@ -393,6 +393,14 @@ class TestRankBump:
         assert lines["pq"].count("M") == 1
         assert "L" not in lines["pq"]
 
+    def test_no_final_rank_rejected(self):
+        series = RankSeries(("2023", "2024"), (
+            RankTrajectory("a", (2, 1), "own"),
+            RankTrajectory("x", (1, None), "own")))
+        with pytest.raises(InputError, match="'x' has no rank in the final "
+                                             "year '2024'"):
+            emit_rank_bump(series)
+
 
 class TestGroupedBars:
     def test_bars_and_gaps(self):
@@ -583,7 +591,7 @@ def recorded_outputs() -> dict[str, str]:
         "rank_bump": emit_rank_bump(rank_evolution([*early, table],
                                                    aligned([*early, table]))),
         "grouped_bars": emit_grouped_bars(evolution),
-        "ranks.csv": emit_table(*cli._rank_table(table)),
+        "ranks.csv": emit_table(*oracles.rank_table_columns(table)),
         "weights.csv": emit_table(("category", *evolution.years),
                                   (evolution.categories, *evolution.values.T)),
         "typed.csv": emit_table(
