@@ -127,6 +127,13 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
     Ties are broken lexicographically by entity id and flagged on both
     rows so the arbitrary ordering is visible in the output.
     """
+    return _ranked(entities, values, basis, year)[0]
+
+
+def _ranked(entities: Sequence[str], values: Sequence[float], basis: str,
+            year: str) -> tuple[RankTable, np.ndarray]:
+    """``rank_entities``, and the position in ``entities`` of each row of
+    the table, for a caller that takes other columns in rank order."""
     entities = tuple(map(str, entities))
     values = np.asarray(values, dtype=float)
     if len(entities) != values.size:
@@ -143,8 +150,9 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
     tied = np.zeros(values.size, dtype=bool)
     tied[1:] = equal
     tied[:-1] |= equal
-    return RankTable(year, basis, tuple([entities[i] for i in order.tolist()]),
-                     tuple(ordered.tolist()), tuple(tied.tolist()))
+    table = RankTable(year, basis, tuple([entities[i] for i in order.tolist()]),
+                      tuple(ordered.tolist()), tuple(tied.tolist()))
+    return table, order
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

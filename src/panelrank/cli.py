@@ -339,60 +339,63 @@ def _rank_values(result: YearResult) -> dict[str, np.ndarray]:
     return values
 
 
-def _rank(result: YearResult, key: str) -> analytics.RankTable:
-    """The year's entities ranked by the values of a rank key: a basis, or
-    ``D_s_iterative``, the ``D_s`` basis of the second solver."""
+def _rank(result: YearResult, key: str) -> tuple[analytics.RankTable, np.ndarray]:
+    """The year's entities ranked by the values of a rank key (a basis, or
+    ``D_s_iterative``, the ``D_s`` basis of the second solver), and the
+    position in the roster of each row of the table."""
     panel = result.prepared.panel
-    return analytics.rank_entities(panel.entities, _rank_values(result)[key],
-                                   key.removesuffix("_iterative"), panel.year)
+    return analytics._ranked(panel.entities, _rank_values(result)[key],
+                             key.removesuffix("_iterative"), panel.year)
 
 
-def _rank_tables(result: YearResult) -> dict[str, analytics.RankTable]:
+def _rank_tables(result: YearResult) -> dict[str, tuple[analytics.RankTable,
+                                                        np.ndarray]]:
     return {key: _rank(result, key) for key in _rank_values(result)}
 
 
 def _year_tables(result: YearResult,
-                 tables: dict[str, analytics.RankTable]) -> dict[str, str]:
+                 ranked: dict[str, tuple[analytics.RankTable, np.ndarray]]
+                 ) -> dict[str, str]:
     """The year's CSV tables by file name stem: entity scores, category
-    scores, then the rank table of each key of ``tables``.
+    scores, then the rank table of each key of ``ranked``.
 
     Every cell is written with its separators, so each table is one join
-    of pieces shared across the year's tables: the ids quoted once, each
-    ranked vector formatted once (its rank table takes the same cells in
-    rank order), applicable counts from the m + 1 possible ones, the rank
-    cells once per roster, and tie flags from the two possible ones. The
-    columns are built here, so they skip ``emit_table``'s type checks."""
+    of pieces shared across the year's tables: the ids quoted once, all of
+    the year's floats in one ``float_cells`` call (a rank table takes its
+    vector's cells in rank order), applicable counts and ranks from one
+    call over the integers up to n or m, and tie flags from the two
+    possible ones. The columns are built here, so they skip
+    ``emit_table``'s type checks."""
     prep = result.prepared
     panel, n = prep.panel, prep.panel.n_entities
     ids = np.array(report._fields(panel.entities), dtype=object)
-    cells = {key: np.array(report.float_cells(values, ","), dtype=object)
-             for key, values in _rank_values(result).items()}
-    counts = np.array(list(map(",%d".__mod__, range(panel.n_categories + 1))),
-                      dtype=object)[prep.degree.applicable_counts]
+    entity_values = _rank_values(result)
     methods = [scores.method for scores in result.solved]
-    category_values = [prep.ubiquity.values]
+    vectors = [*entity_values.values(), prep.ubiquity.values]
     for scores, weights in zip(result.solved, result.weights):
-        category_values += [scores.category_scores, weights.values]
+        vectors += [scores.category_scores, weights.values]
+    flat = np.array(report.float_cells(np.concatenate(vectors), ","),
+                    dtype=object)
+    floats = np.split(flat, np.cumsum(list(map(len, vectors)))[:-1])
+    cells = dict(zip(entity_values, floats))
+    integers = np.array(report.float_cells(
+        np.arange(max(n, panel.n_categories) + 1), ",", 0), dtype=object)
     texts = {
         "scores_entities": report._table_text(
             "entity,total_score,applicable_count,composite_mean"
             + "".join(f",complexity_{m}" for m in methods) + "\n",
-            [ids, cells["k_s"], counts, *list(cells.values())[1:], "\n"]),
+            [ids, cells["k_s"], integers[prep.degree.applicable_counts],
+             *floats[1:len(cells)], "\n"]),
         "scores_categories": report._table_text(
             "category,adjusted_ubiquity"
             + "".join(f",complexity_{m},weight_{m}" for m in methods) + "\n",
-            [report._fields(panel.categories),
-             *(report.float_cells(values, ",") for values in category_values),
-             "\n"])}
-    ranks = list(map(",%d".__mod__, range(1, n + 1)))
+            [report._fields(panel.categories), *floats[len(cells):], "\n"])}
     flags = np.array([",false\n", ",true\n"], dtype=object)
-    row_of = dict(zip(panel.entities, range(n)))
-    for key, table in tables.items():
-        rows = np.fromiter(map(row_of.__getitem__, table.entities), np.intp, n)
+    for key, (table, rows) in ranked.items():
         tied = np.fromiter(table.tied, np.intp, n)
         texts[f"ranks_{key}"] = report._table_text(
             "entity,score,rank,tied\n",
-            [ids[rows], cells[key][rows], ranks, flags[tied]])
+            [ids[rows], cells[key][rows], integers[1:n + 1], flags[tied]])
     return texts
 
 
@@ -414,12 +417,13 @@ def cmd_compute(config: RunConfig) -> int:
         written.append(_write_text(config, name, chunks))
 
     results = [compute_year(panel, config) for panel in panels]
-    tables = [_rank_tables(result) for result in results]
+    ranked = [_rank_tables(result) for result in results]
 
-    for result, year_tables in zip(results, tables):
+    for result, year_ranked in zip(results, ranked):
         panel, year_weights = result.prepared.panel, result.weights[0]
+        totals = year_ranked["k_s"][0]
         label = _safe_label(panel.year)
-        for stem, text in _year_tables(result, year_tables).items():
+        for stem, text in _year_tables(result, year_ranked).items():
             write(f"{stem}_{label}.csv", (text,))
 
         if "heatmap" in config.charts:
@@ -427,7 +431,7 @@ def cmd_compute(config: RunConfig) -> int:
                 panel, f"Scores {panel.year}"))
         if "bipartite" in config.charts:
             write(f"bipartite_{label}.svg", (report.emit_bipartite(
-                panel, _bipartite_subset(year_tables["k_s"]),
+                panel, _bipartite_subset(totals),
                 f"Score network {panel.year}"),))
         if "weight_bars" in config.charts:
             write(f"weight_bars_{label}.svg", (report.emit_weight_bars(
@@ -438,8 +442,7 @@ def cmd_compute(config: RunConfig) -> int:
                       "(needs at least 3 entities)")
             else:
                 performance = analytics.weighted_performance(panel, year_weights)
-                profile = analytics.tertile_groups(year_tables["k_s"], panel,
-                                                   performance)
+                profile = analytics.tertile_groups(totals, panel, performance)
                 write(f"weighted_lines_{label}.svg", (report.emit_weighted_lines(
                     performance, profile, panel.entities,
                     f"Weighted performance {panel.year}"),))
@@ -455,7 +458,7 @@ def cmd_compute(config: RunConfig) -> int:
         alignments = aligned(panels, alignments)
         for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
             write(f"rank_bump_{basis}.svg", (report.emit_rank_bump(
-                analytics.rank_evolution([t[basis] for t in tables], alignments),
+                analytics.rank_evolution([t[basis][0] for t in ranked], alignments),
                 f"Rank evolution ({title})"),))
     if "grouped_bars" in config.charts:
         write("grouped_bars_weights.svg", (report.emit_grouped_bars(
@@ -483,7 +486,8 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     results = [compute_year(panel, config) for panel in panels]
 
     # Ranks do not depend on input order; rho is summed in id order.
-    table_a, table_b = _rank(results[0], basis_a), _rank(results[-1], basis_b)
+    table_a, table_b = (_rank(results[0], basis_a)[0],
+                        _rank(results[-1], basis_b)[0])
     score_a, score_b = table_a.score_of(), table_b.score_of()
     rank_b = table_b.rank_of()
     ids = sorted(partner)

@@ -218,9 +218,10 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
         raise InputError(f"id {name!r} contains a character XML does not allow")
 
     present = ~missing_mask
-    if not np.isfinite(scores[present]).all():
+    given = scores[present]
+    if not np.isfinite(given).all():
         raise InputError("scores must be finite")
-    if ((scores[present] < 0) | (scores[present] > 100)).any():
+    if ((given < 0) | (given > 100)).any():
         bad = np.argwhere(present & ((scores < 0) | (scores > 100)))[0]
         raise InputError(
             f"score out of range [0, 100] at entity {entities[bad[0]]!r}, "

@@ -3,16 +3,17 @@
 ``rank_entities`` sorts a roster's ids once and keeps the order for the
 last two rosters, and the CLI writes a year's tables from pieces it builds
 once: the ids quoted once, each ranked vector formatted once for the
-entity table and taken in rank order for its rank table, applicable
-counts from a lookup, and rank tails from one list per roster. Each year
-below ranks four vectors over one roster (three memo hits), and the years
-cycle through several rosters (misses and evictions). Every rank table
-must equal the ``sorted`` ranker in ``oracles``, down to the sign of zero,
-and every table text the CLI writes must equal ``emit_table`` of the
-oracle's columns. Ids differ only in case or accent, or hold a comma, a
-quote, a ``%`` or a newline; values tie, including 0.0 with -0.0; cells
-go missing, so applicable counts vary. The profile is derandomized, so
-every run draws the same examples.
+entity table and taken in rank order for its rank table, at the positions
+the ranker sorted, and applicable counts and rank tails from one list.
+Each year below ranks four vectors over one roster (three memo hits), and
+the years cycle through several rosters (misses and evictions). Every
+rank table must equal the ``sorted`` ranker in ``oracles``, down to the
+sign of zero, the positions the CLI keeps must give each table's ids, and
+every table text the CLI writes must equal ``emit_table`` of the oracle's
+columns. Ids differ only in case or accent, or hold a comma, a quote, a
+``%`` or a newline; values tie, including 0.0 with -0.0; cells go
+missing, so applicable counts vary. The profile is derandomized, so every
+run draws the same examples.
 """
 
 import numpy as np
@@ -83,14 +84,15 @@ def test_shared_id_sort_matches_sorted_ranker(sequence):
     for roster, vectors, categories, mask in sequence:
         result = year_result(roster, vectors, categories, mask)
         hits = analytics._id_order.cache_info().hits
-        tables = cli._rank_tables(result)
+        ranked = cli._rank_tables(result)
         assert analytics._id_order.cache_info().hits >= hits + 3
-        texts = cli._year_tables(result, tables)
+        texts = cli._year_tables(result, ranked)
         for key, values in zip(KEYS, vectors):
             want = RankTable("y", key.removesuffix("_iterative"),
                              *rank_by_sort(roster, values))
-            got = tables[key]
+            got, positions = ranked[key]
             assert got == want
+            assert tuple(roster[i] for i in positions) == got.entities
             assert list(map(repr, got.scores)) == list(map(repr, want.scores))
             assert texts[f"ranks_{key}"] == emit_table(
                 *rank_table_columns(want))

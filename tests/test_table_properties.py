@@ -1,10 +1,12 @@
 """Differential property tests of the columnar table writer and ranker.
 
-``emit_table`` formats each column once by its element type, and
-``rank_entities`` ranks with one ``np.lexsort``. Both must agree exactly
+``emit_table`` formats each column once by its element type,
+``float_cells`` lays out floats' digits in one numpy byte matrix, and
+``rank_entities`` ranks with one ``np.lexsort``. All must agree exactly
 with the cell-by-cell writer and the ``sorted`` + ``Counter`` ranker in
-``oracles``: byte for byte in CSV, and in rank order, scores (down to the
-sign of zero) and tie flags. Cells include carriage returns, NULs, ``%``
+``oracles``: byte for byte in CSV and in each float cell (also at the
+edges of the numpy route), and in rank order, scores (down to the sign of
+zero) and tie flags. Cells include carriage returns, NULs, ``%``
 and +-inf: the CSV must read back to the same cells through ``csv.reader``
 (a CSV holding a NUL only from Python 3.11 on: 3.10's reader rejects it).
 A column that is not all floats, all ints, all bools or all strings is
@@ -25,6 +27,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from panelrank import InputError, emit_table, rank_entities  # noqa: E402
+from panelrank.report import float_cells  # noqa: E402
 
 from oracles import cell_text, rank_by_sort, table_by_rows  # noqa: E402
 
@@ -108,6 +111,58 @@ def test_untyped_column_rejected(table):
     assert str(exc.value) == (
         f"table column {header[bad]!r} must hold cells of one type "
         f"(float, int, bool or str); found {found}")
+
+
+# Values at the edges of ``float_cells``' numpy route: exact ties at six
+# decimals (odd multiples of 2**-7), the neighbours of (k + 1/2) * 1e-6, the
+# signed zeros and values that round to them, subnormals, non-finite
+# values, and values about 2**43 * 1e-6, past which ``%`` takes over.
+guard_floats = st.one_of(
+    st.integers(-2 ** 20, 2 ** 20).map(lambda k: (2 * k + 1) * 2.0 ** -7),
+    st.builds(lambda k, sign, steps, up: sign * _nudged((k + 0.5) * 1e-6,
+                                                         steps, up),
+              st.one_of(st.integers(0, 2000), st.integers(0, 2 ** 43)),
+              st.sampled_from([1.0, -1.0]), st.integers(1, 3), st.booleans()),
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, 5e-7, -5e-7, 5e-324, -5e-324,
+                     NAN, INF, -INF, 1e300, -1e300]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.builds(lambda sign, steps, up: sign * _nudged(2 ** 43 * 1e-6, steps, up),
+              st.sampled_from([1.0, -1.0]), st.integers(0, 3), st.booleans()),
+    st.floats(8.7e6, 8.9e6),
+    st.floats())
+
+
+def _nudged(value: float, steps: int, up: bool) -> float:
+    """``value`` moved ``steps`` floats up or down."""
+    for _ in range(steps):
+        value = float(np.nextafter(value, INF if up else -INF))
+    return value
+
+
+@PROFILE
+@given(values=st.lists(guard_floats, min_size=1, max_size=400),
+       lead=st.sampled_from([",", ""]))
+def test_float_cells_matches_percent_format(values, lead):
+    want = [lead + cell_text(v) for v in values]
+    assert float_cells(values, lead) == want
+    assert float_cells(np.array(values), lead) == want
+
+
+@PROFILE
+@given(values=st.lists(st.one_of(st.integers(0, 3000), st.integers(0, 2 ** 53),
+                                 st.integers(2 ** 31 - 3, 2 ** 31 + 3),
+                                 st.integers(2 ** 32 - 3, 2 ** 32 + 3)),
+                       max_size=400),
+       lead=st.sampled_from([",", ""]))
+def test_float_cells_at_no_decimals_matches_ints(values, lead):
+    assert float_cells(np.array(values, dtype=np.int64), lead, 0) == [
+        lead + cell_text(v) for v in values]
+
+
+@pytest.mark.parametrize("value", [2 ** 31 - 0.4, 2 ** 31 - 0.6,
+                                   2 ** 32 - 0.3, 2 ** 32 - 0.7, 2.5, -0.4])
+def test_float_cells_at_no_decimals_rounds_like_percent(value):
+    assert float_cells([value], "", 0) == ["%.0f" % value]
 
 
 # Shared prefixes, NULs (also trailing), and characters outside ASCII and
