@@ -131,9 +131,10 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
 
 
 def _ranked(entities: Sequence[str], values: Sequence[float], basis: str,
-            year: str) -> tuple[RankTable, np.ndarray]:
-    """``rank_entities``, and the position in ``entities`` of each row of
-    the table, for a caller that takes other columns in rank order."""
+            year: str) -> tuple[RankTable, np.ndarray, np.ndarray]:
+    """``rank_entities``, the position in ``entities`` of each row of the
+    table and the table's tie mask, for a caller that takes other columns
+    in rank order."""
     entities = tuple(map(str, entities))
     values = np.asarray(values, dtype=float)
     if len(entities) != values.size:
@@ -152,7 +153,7 @@ def _ranked(entities: Sequence[str], values: Sequence[float], basis: str,
     tied[:-1] |= equal
     table = RankTable(year, basis, tuple([entities[i] for i in order.tolist()]),
                       tuple(ordered.tolist()), tuple(tied.tolist()))
-    return table, order
+    return table, order, tied
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

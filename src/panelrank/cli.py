@@ -328,56 +328,43 @@ def compute_year(panel: ScorePanel, config: RunConfig) -> YearResult:
                       trace)
 
 
-def _rank_values(result: YearResult) -> dict[str, np.ndarray]:
-    """The entity values each of the year's rank tables orders, by table
-    key: ``D_s`` reads the first solver that ran, ``D_s_iterative`` the
-    second."""
-    deg = result.prepared.degree
+def _rank_tables(result: YearResult) -> dict[str, tuple]:
+    """The year's rank record, by rank key: ``k_s``, ``composite_mean``,
+    then ``D_s`` for the first solver that ran and ``D_s_iterative`` (the
+    ``D_s`` basis) for the second. Each key holds the entity values in
+    roster order, their ``RankTable``, the position in the roster of each
+    row of the table, and the table's tie mask."""
+    panel, deg = result.prepared.panel, result.prepared.degree
     values = {"k_s": deg.totals, "composite_mean": deg.composite_means}
     for key, scores in zip(("D_s", "D_s_iterative"), result.solved):
         values[key] = scores.entity_scores
-    return values
+    return {key: (vector, *analytics._ranked(panel.entities, vector,
+                  key.removesuffix("_iterative"), panel.year))
+            for key, vector in values.items()}
 
 
-def _rank(result: YearResult, key: str) -> tuple[analytics.RankTable, np.ndarray]:
-    """The year's entities ranked by the values of a rank key (a basis, or
-    ``D_s_iterative``, the ``D_s`` basis of the second solver), and the
-    position in the roster of each row of the table."""
-    panel = result.prepared.panel
-    return analytics._ranked(panel.entities, _rank_values(result)[key],
-                             key.removesuffix("_iterative"), panel.year)
-
-
-def _rank_tables(result: YearResult) -> dict[str, tuple[analytics.RankTable,
-                                                        np.ndarray]]:
-    return {key: _rank(result, key) for key in _rank_values(result)}
-
-
-def _year_tables(result: YearResult,
-                 ranked: dict[str, tuple[analytics.RankTable, np.ndarray]]
-                 ) -> dict[str, str]:
+def _year_tables(result: YearResult, ranked: dict[str, tuple]) -> dict[str, str]:
     """The year's CSV tables by file name stem: entity scores, category
-    scores, then the rank table of each key of ``ranked``.
+    scores, then the rank table of each key of ``_rank_tables``' record.
 
     Every cell is written with its separators, so each table is one join
     of pieces shared across the year's tables: the ids quoted once, all of
     the year's floats in one ``float_cells`` call (a rank table takes its
     vector's cells in rank order), applicable counts and ranks from one
     call over the integers up to n or m, and tie flags from the two
-    possible ones. The columns are built here, so they skip
-    ``emit_table``'s type checks."""
+    possible ones, indexed by the ranker's tie mask. The columns are built
+    here, so they skip ``emit_table``'s type checks."""
     prep = result.prepared
     panel, n = prep.panel, prep.panel.n_entities
     ids = np.array(report._fields(panel.entities), dtype=object)
-    entity_values = _rank_values(result)
     methods = [scores.method for scores in result.solved]
-    vectors = [*entity_values.values(), prep.ubiquity.values]
+    vectors = [values for values, *_ in ranked.values()] + [prep.ubiquity.values]
     for scores, weights in zip(result.solved, result.weights):
         vectors += [scores.category_scores, weights.values]
     flat = np.array(report.float_cells(np.concatenate(vectors), ","),
                     dtype=object)
     floats = np.split(flat, np.cumsum(list(map(len, vectors)))[:-1])
-    cells = dict(zip(entity_values, floats))
+    cells = dict(zip(ranked, floats))
     integers = np.array(report.float_cells(
         np.arange(max(n, panel.n_categories) + 1), ",", 0), dtype=object)
     texts = {
@@ -390,12 +377,13 @@ def _year_tables(result: YearResult,
             "category,adjusted_ubiquity"
             + "".join(f",complexity_{m},weight_{m}" for m in methods) + "\n",
             [report._fields(panel.categories), *floats[len(cells):], "\n"])}
+    # A bool mask would select cells; as 0s and 1s it indexes them.
     flags = np.array([",false\n", ",true\n"], dtype=object)
-    for key, (table, rows) in ranked.items():
-        tied = np.fromiter(table.tied, np.intp, n)
+    for key, (*_, rows, tied) in ranked.items():
         texts[f"ranks_{key}"] = report._table_text(
             "entity,score,rank,tied\n",
-            [ids[rows], cells[key][rows], integers[1:n + 1], flags[tied]])
+            [ids[rows], cells[key][rows], integers[1:n + 1],
+             flags[tied.view(np.int8)]])
     return texts
 
 
@@ -421,7 +409,7 @@ def cmd_compute(config: RunConfig) -> int:
 
     for result, year_ranked in zip(results, ranked):
         panel, year_weights = result.prepared.panel, result.weights[0]
-        totals = year_ranked["k_s"][0]
+        totals = year_ranked["k_s"][1]
         label = _safe_label(panel.year)
         for stem, text in _year_tables(result, year_ranked).items():
             write(f"{stem}_{label}.csv", (text,))
@@ -458,7 +446,7 @@ def cmd_compute(config: RunConfig) -> int:
         alignments = aligned(panels, alignments)
         for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
             write(f"rank_bump_{basis}.svg", (report.emit_rank_bump(
-                analytics.rank_evolution([t[basis][0] for t in ranked], alignments),
+                analytics.rank_evolution([t[basis][1] for t in ranked], alignments),
                 f"Rank evolution ({title})"),))
     if "grouped_bars" in config.charts:
         write("grouped_bars_weights.svg", (report.emit_grouped_bars(
@@ -486,8 +474,8 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
     results = [compute_year(panel, config) for panel in panels]
 
     # Ranks do not depend on input order; rho is summed in id order.
-    table_a, table_b = (_rank(results[0], basis_a)[0],
-                        _rank(results[-1], basis_b)[0])
+    ranked = [_rank_tables(result) for result in results]
+    table_a, table_b = ranked[0][basis_a][1], ranked[-1][basis_b][1]
     score_a, score_b = table_a.score_of(), table_b.score_of()
     rank_b = table_b.rank_of()
     ids = sorted(partner)

@@ -244,13 +244,20 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
     return ScorePanel(str(year), entities, categories, scores, missing_mask)
 
 
-def _csv_rows(csv_text: str) -> list[list[str]]:
-    """The non-empty rows of a CSV text; reader errors become InputError."""
+def _csv_records(csv_text: str) -> list[tuple[int, list[str]]]:
+    """(line, row) for each non-empty record of a CSV text, where line is
+    the 1-based file line the record starts on, counting blank lines and
+    cells that span lines; reader errors become InputError."""
     reader = csv.reader(io.StringIO(csv_text))
+    start, records = 1, []
     try:
-        return [row for row in reader if row]
+        for row in reader:
+            if row:
+                records.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
+    return records
 
 
 def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
@@ -273,7 +280,7 @@ def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
             body = ",".join(lines[1:])
             del lines  # freed before the cells are made
             return header, body.split(",") if body else []
-    rows = _csv_rows(csv_text)
+    rows = [row for _, row in _csv_records(csv_text)]
     if not rows:
         return [], []
     if len(set(map(len, rows))) > 1:
@@ -302,19 +309,6 @@ def _needs_strip(csv_text: str) -> bool:
     """Whether stripping might change a cell of the text: false only for
     an ASCII text with no quote and no whitespace but its newlines."""
     return not csv_text.isascii() or any(map(csv_text.__contains__, _PADDING))
-
-
-def _numbered_body(csv_text: str) -> list[tuple[int, list[str]]]:
-    """(line, row) for each non-empty record after the header, where line
-    is the 1-based file line the record starts on, counting blank lines and
-    cells that span lines. Only for texts ``_csv_cells`` has read."""
-    reader = csv.reader(io.StringIO(csv_text))
-    start, records = 1, []
-    for row in reader:
-        if row:
-            records.append((start, row))
-        start = reader.line_num + 1
-    return records[1:]
 
 
 def parse_panel(csv_text: str, year: str) -> ScorePanel:
@@ -369,7 +363,7 @@ def _panel_columns(cells: list[str], width: int, strip: bool):
 
 def _panel_faults(csv_text: str, header: list[str]):
     """Messages naming each malformed row or cell, in row-major order."""
-    for line, row in _numbered_body(csv_text):
+    for line, row in _csv_records(csv_text)[1:]:
         if len(row) != len(header):
             yield f"row {line} has {len(row)} cells, expected {len(header)}"
             continue
@@ -425,7 +419,7 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
 
 def _indicator_row_faults(csv_text: str):
     """Messages naming each malformed indicator row, in row order."""
-    for line, row in _numbered_body(csv_text):
+    for line, row in _csv_records(csv_text)[1:]:
         if len(row) != 4:
             yield f"row {line} has {len(row)} cells, expected 4"
             continue

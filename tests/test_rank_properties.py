@@ -1,19 +1,23 @@
-"""Property test of the id sort and the cells the year's tables share.
+"""Property test of the id sort, the year's rank record and the cells
+the year's tables share.
 
 ``rank_entities`` sorts a roster's ids once and keeps the order for the
-last two rosters, and the CLI writes a year's tables from pieces it builds
-once: the ids quoted once, each ranked vector formatted once for the
-entity table and taken in rank order for its rank table, at the positions
-the ranker sorted, and applicable counts and rank tails from one list.
-Each year below ranks four vectors over one roster (three memo hits), and
-the years cycle through several rosters (misses and evictions). Every
-rank table must equal the ``sorted`` ranker in ``oracles``, down to the
-sign of zero, the positions the CLI keeps must give each table's ids, and
-every table text the CLI writes must equal ``emit_table`` of the oracle's
-columns. Ids differ only in case or accent, or hold a comma, a quote, a
-``%`` or a newline; values tie, including 0.0 with -0.0; cells go
-missing, so applicable counts vary. The profile is derandomized, so every
-run draws the same examples.
+last two rosters, and the CLI ranks a year once into one record per rank
+key: the values in roster order, the rank table, the positions the ranker
+sorted and its tie mask. It writes the year's tables from that record and
+from pieces it builds once: the ids quoted once, each ranked vector
+formatted once for the entity table and taken in rank order for its rank
+table, applicable counts and rank tails from one list, and tie flags
+indexed by the mask. Each year below ranks four vectors over one roster
+(three memo hits), and the years cycle through several rosters (misses
+and evictions). Every rank table must equal the ``sorted`` ranker in
+``oracles``, down to the sign of zero; each record's values must be the
+year's own vector; its positions must give the table's ids and its
+mask the table's tie flags; and every table text the CLI writes must
+equal ``emit_table`` of the oracle's columns. Ids differ only in case or
+accent, or hold a comma, a quote, a ``%`` or a newline; values tie,
+including 0.0 with -0.0; cells go missing, so applicable counts vary. The
+profile is derandomized, so every run draws the same examples.
 """
 
 import numpy as np
@@ -87,12 +91,18 @@ def test_shared_id_sort_matches_sorted_ranker(sequence):
         ranked = cli._rank_tables(result)
         assert analytics._id_order.cache_info().hits >= hits + 3
         texts = cli._year_tables(result, ranked)
-        for key, values in zip(KEYS, vectors):
+        degree = result.prepared.degree
+        year_vectors = (degree.totals, degree.composite_means,
+                        *(s.entity_scores for s in result.solved))
+        assert list(ranked) == list(KEYS)
+        for key, values, vector in zip(KEYS, vectors, year_vectors):
             want = RankTable("y", key.removesuffix("_iterative"),
                              *rank_by_sort(roster, values))
-            got, positions = ranked[key]
+            record, got, positions, tied = ranked[key]
             assert got == want
+            assert record is vector
             assert tuple(roster[i] for i in positions) == got.entities
+            assert tied.dtype == bool and tuple(tied.tolist()) == got.tied
             assert list(map(repr, got.scores)) == list(map(repr, want.scores))
             assert texts[f"ranks_{key}"] == emit_table(
                 *rank_table_columns(want))

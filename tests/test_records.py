@@ -30,7 +30,7 @@ def built_records(panel):
     """One instance of every record type, from the functions that build
     them."""
     result = compute_year(panel, RunConfig())
-    tables = {key: table for key, (table, _) in _rank_tables(result).items()}
+    tables = {key: table for key, (_, table, *_) in _rank_tables(result).items()}
     weights = result.weights[0]
     emap = EntityMap.from_json(SPLIT)
     alignment = align_rosters(["a", "b", "c"], ["a", "b1", "b2", "c"], emap)
