@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import operator
 import re
 from collections import Counter
 from itertools import repeat
@@ -36,6 +35,18 @@ _SHAPE = bytes(set(range(128)) - set(b",\n"))
 # which ends an unquoted row; and the quote, within which a cell may
 # hold a newline.
 _PADDING = ' "\t\v\f\r\x1c\x1d\x1e\x1f'
+
+# Score cells per block of ``_read_scores``: its dozen uint64 temporaries
+# then take 64 KiB each, and stay in cache.
+_BLOCK_CELLS = 8192
+# uint64 lanes: one byte in all 8 slots; the low byte of each 2-byte, and
+# the low half of each 4-byte, slot; a lane's last k bytes, for each k.
+_ZEROS, _POINTS, _LOW7, _DIGITS, _TOPS, _SIXES, _THREES = (
+    np.uint64(0x0101010101010101 * byte) for byte in b"0.\x7f\x0f\xf0\x063")
+_PAIRS, _QUADS = np.uint64(0x00FF00FF00FF00FF), np.uint64(0x0000FFFF0000FFFF)
+_KEEP = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], np.uint64)
+_FILL = _ZEROS & ~_KEEP  # '0' in the bytes before them
+_TENS = 10.0 ** np.arange(16)
 
 
 class ScorePanel(NamedTuple):
@@ -260,26 +271,35 @@ def _csv_records(csv_text: str) -> list[tuple[int, list[str]]]:
     return records
 
 
+def _split_lines(csv_text: str) -> list[str] | None:
+    """The non-empty lines of a text that ``csv.reader`` reads as split on
+    newlines and commas, or None. Such a text has no quote, carriage
+    return or NUL (which the reader refuses on Python 3.10 only), no line
+    past the field-size limit, and is not empty."""
+    if not ('"' in csv_text or "\r" in csv_text or "\0" in csv_text):
+        lines = list(filter(None, csv_text.split("\n")))
+        if lines and max(map(len, lines)) <= csv.field_size_limit():
+            return lines
+    return None
+
+
 def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
     """The first non-empty row of a CSV text, and the cells of every later
     non-empty row in row-major order, read as ``csv.reader`` reads them.
 
     The cells are None when some row is not as wide as the first; an
-    empty text gives ``([], [])``. A text with no quote, carriage return
-    or NUL (which the reader refuses on Python 3.10 only), and no line
-    past the field-size limit, is split on newlines and commas, which is
-    how the reader reads it, without a list per row; any other text goes
+    empty text gives ``([], [])``. A text ``_split_lines`` takes is split
+    on newlines and commas, without a list per row; any other text goes
     through ``csv.reader``.
     """
-    if not ('"' in csv_text or "\r" in csv_text or "\0" in csv_text):
-        lines = list(filter(None, csv_text.split("\n")))
-        if lines and max(map(len, lines)) <= csv.field_size_limit():
-            header = lines[0].split(",")
-            if not _rectangular(csv_text, lines, len(header)):
-                return header, None
-            body = ",".join(lines[1:])
-            del lines  # freed before the cells are made
-            return header, body.split(",") if body else []
+    lines = _split_lines(csv_text)
+    if lines:
+        header = lines[0].split(",")
+        if not _rectangular(csv_text, lines, len(header)):
+            return header, None
+        body = ",".join(lines[1:])
+        del lines  # freed before the cells are made
+        return header, body.split(",") if body else []
     rows = [row for _, row in _csv_records(csv_text)]
     if not rows:
         return [], []
@@ -319,7 +339,7 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     missing. Raises InputError naming the first malformed row or cell in
     row-major order by its file line and column.
     """
-    header, cells = _csv_cells(csv_text)
+    header, entities, cells = _panel_body(csv_text)
     if not header:
         raise InputError("empty panel file")
     header = [cell.strip() for cell in header]
@@ -327,38 +347,99 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
         raise InputError("panel header must contain at least one category column")
     if header[0].lower() != "entity":
         raise InputError(f"first header column must be 'entity', got {header[0]!r}")
-    if cells == []:
+    if entities == []:
         raise InputError("panel file has a header but no data rows")
-    columns = None if cells is None else _panel_columns(
-        cells, len(header), _needs_strip(csv_text))
-    if columns is None:
+    shape = (len(entities or ()), len(header) - 1)
+    read = None if entities is None else _read_scores(cells)
+    # A quoted cell holding a comma reads as two: the count is then off.
+    if (read is None or read[0].size != shape[0] * shape[1]
+            or not ((read[0] >= 0) & (read[0] <= 100)).all()):
         raise InputError(next(_panel_faults(csv_text, header)))
-    entities, scores, missing = columns
-    return make_panel(year, entities, header[1:], scores, missing)
+    return make_panel(year, entities, header[1:], read[0].reshape(shape),
+                      read[1].reshape(shape))
 
 
-def _panel_columns(cells: list[str], width: int, strip: bool):
-    """Entity ids, scores and missing mask of a panel's body cells, given
-    row-major and consumed, or None.
+def _panel_body(csv_text: str):
+    """A panel's header cells, its entity ids, and its score cells joined
+    by commas in row-major order, all stripped; the ids are None when some
+    row is not as wide as the header. An ASCII text with nothing to strip
+    that ``_split_lines`` takes is cut at each line's first comma, making
+    no str per score cell."""
+    strip = _needs_strip(csv_text)
+    lines = None if strip else _split_lines(csv_text)
+    if lines is None:
+        header, cells = _csv_cells(csv_text)
+        if not cells:
+            return header, cells, ""
+        cells = list(map(str.strip, cells)) if strip else cells
+        entities = cells[::len(header)]
+        del cells[::len(header)]
+        return header, entities, ",".join(cells)
+    header = lines[0].split(",")
+    if not _rectangular(csv_text, lines, len(header)):
+        return header, None, ""
+    rows = list(map(str.partition, lines[1:], repeat(",")))
+    return header, [row[0] for row in rows], ",".join([row[2] for row in rows])
 
-    Every cell is stripped if ``strip``, then converted and range-checked
-    as part of one flat column; None means some cell is malformed.
+
+def _read_scores(cells: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values of comma-joined score cells and their missing mask (the
+    empty cells, read as 0.0), or None if some other cell is not a float.
+
+    A cell of at most 16 bytes, an optional sign then digits with at most
+    one point, one digit at least, is read from the one or two 8-byte
+    lanes that end where it ends (Lemire 2021), as ``mantissa /
+    10**digits_after_point``. With a sign or a point the mantissa is
+    below 2**53, so both operands are exact and the one rounding gives
+    the double ``float(cell)`` gives (Clinger 1990); 16 digits are divided
+    by 1. Every other cell goes through ``float``.
     """
-    if strip:
-        cells = list(map(str.strip, cells))
-    entities = cells[::width]
-    del cells[::width]
-    missing = np.fromiter(map(operator.not_, cells), bool, len(cells))
-    try:
-        values = np.fromiter(map(float, filter(None, cells)), float)
-    except ValueError:
-        return None
-    if not ((values >= 0) & (values <= 100)).all():
-        return None
-    scores = np.zeros(len(cells))
-    scores[~missing] = values
-    shape = (len(entities), width - 1)
-    return entities, scores.reshape(shape), missing.reshape(shape)
+    u = np.uint64
+    # '0's and a comma before the first cell: every lane lies in the text.
+    raw = ("0" * 15 + "," + cells + ",").encode()
+    data = np.frombuffer(raw, np.uint8)
+    seps = np.flatnonzero(data == ord(","))
+    lanes = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    values, missing = np.empty(len(seps) - 1), np.empty(len(seps) - 1, bool)
+    for a in range(0, len(values), _BLOCK_CELLS):
+        ends = seps[a + 1:a + 1 + _BLOCK_CELLS]
+        size = ends - seps[a:a + len(ends)] - 1
+        first = data[ends - size]
+        length = size - ((first == ord("-")) | (first == ord("+")))
+        ok, mantissa, places, point = size <= 16, u(0), u(0), False
+        # The lane that ends where each cell ends, then the one before it.
+        for after in range(0, 9 if size.max() > 8 else 1, 8):
+            count = np.clip(length - after, 0, 8)
+            lane = lanes[ends - 8 - after] & _KEEP[count] | _FILL[count]
+            found = lane ^ _POINTS
+            found = ~(((found & _LOW7) + _LOW7) | found | _LOW7)  # 0x80 at a '.'
+            one = found >> u(7)
+            lane ^= one * u(ord(".") ^ ord("0"))  # the point becomes '0'
+            ok &= ((lane & _TOPS) | ((lane + _SIXES) & _TOPS) >> u(4)) == _THREES
+            ok &= (found & (found - u(1)) == 0) & ~(point & (one != 0))
+            # The digits before the point move up one byte, over it.
+            below = np.maximum(one, u(1)) - u(1)
+            lane &= _DIGITS
+            lane = lane & ~below | (lane & below) << u(8)
+            lane = (lane * u(10 * 2**8 + 1)) >> u(8) & _PAIRS
+            lane = (lane * u(100 * 2**16 + 1)) >> u(16) & _QUADS
+            lane = (lane * u(10**4 * 2**32 + 1)) >> u(32)
+            # The digits after the point are byte 7 of its bit times this,
+            # and the digits of the lane before sit one place lower past it.
+            places = places + (one * u(0x0706050403020100 + 0x0101010101010101
+                                       * after) >> u(56))
+            mantissa = mantissa + lane * np.where(point, u(10**after // 10),
+                                                  u(10**after))
+            point = point | (one != 0)
+        values[a:a + len(ends)] = np.where(first == ord("-"), -1.0, 1.0) * (
+            mantissa / _TENS.take(places, mode="clip"))
+        missing[a:a + len(ends)] = size == 0
+        for i in (a + np.flatnonzero(~(ok & (length > point)) & (size > 0))).tolist():
+            try:
+                values[i] = float(raw[seps[i] + 1:seps[i + 1]].decode())
+            except ValueError:
+                return None
+    return values, missing
 
 
 def _panel_faults(csv_text: str, header: list[str]):

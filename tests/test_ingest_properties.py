@@ -13,13 +13,18 @@ cells may be padded with any character ``str.strip`` removes, so the
 whole-text checks that let the readers skip per-line and per-cell work
 meet texts on both sides of them.
 Beneath both readers, ``_csv_cells`` must read any text the way
-``csv.reader`` does, whichever of its two routes the text takes. The
-profile is derandomized, so every run draws the same examples.
+``csv.reader`` does, whichever of its two routes the text takes, and
+the wide reader's ``_read_scores`` must give the values ``float`` gives,
+bit for bit, and refuse a text exactly when ``float`` refuses one of its
+non-empty cells. The profile is derandomized, so every run draws the
+same examples.
 """
 
 import csv
 import io
+from unittest import mock
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -28,7 +33,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from panelrank import (InputError, aggregate_indicators,  # noqa: E402
                        parse_indicator_csv, parse_panel)
-from panelrank.panel import _csv_cells  # noqa: E402
+from panelrank import panel  # noqa: E402
+from panelrank.panel import _csv_cells, _read_scores  # noqa: E402
 
 from oracles import (aggregate_indicators_by_records,  # noqa: E402
                      parse_indicator_csv_by_rows, parse_panel_by_cells)
@@ -41,16 +47,21 @@ PROFILE = settings(derandomize=True, max_examples=300, deadline=None,
 # str.splitlines but not for the CSV reader.
 PADS = [" ", "\t", "\v", "\f", "\r", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
         "\xa0", "\u2003", "\u2028", "\u3000"]
-# Cells the readers accept: signed zero, exponent and the bounds.
+# Cells the readers accept: signed zero, exponent, the bounds, a bare
+# point at either end, leading zeros, cells filling one lane or two, and
+# fullwidth digits, which only ``float`` reads.
 GOOD = st.one_of(st.integers(0, 100).map(str),
                  st.sampled_from(["12.5", "-0", "1e1", "100", "0.0", "+3",
-                                  "1_0"]))
+                                  "1_0", ".5", "5.", "-0.0", "+0.5", "007.25",
+                                  "12.345678", "99.999999", "100.000000",
+                                  "\uff11\uff12"]))
 # A cell that is missing: empty, or whitespace only once padded.
 BLANK = st.just("")
-# Cells that break a reader: not numbers, not finite, out of range.
+# Cells that break a reader: not numbers, not finite, out of range, a
+# sign or a point with no digit, a second sign or point.
 BAD = st.sampled_from(["oops", "x y", "1,5", "1.2.3", "0x10", "nan", "NaN",
                        "inf", "-inf", "1e400", "101", "-1", "-0.5",
-                       "100.0000001"])
+                       "100.0000001", "-", ".", "-.", "+-1", "1..2"])
 # Id stems, some not ASCII.
 STEM = st.sampled_from(["e", "e", "\u00e9", "\u540d"])
 
@@ -277,3 +288,67 @@ def test_csv_cells_read_as_csv_reader(text, limit):
         assert outcome(_csv_cells, text) == reader_cells(text)
     finally:
         csv.field_size_limit(default)
+
+
+# The score reader's alphabet: digits, the point and both signs, beside
+# an exponent, an underscore, a slash and two non-ASCII digits, which
+# ``float`` reads or refuses by itself.
+CELL_CHARS = [*"0123456789.+-e_/", "\u0661", "\uff11"]
+# Cells at the reader's edges: no digit, a lone sign or point, signed
+# zeros, 15 and 16 digits about 2**53, lanes filled to 8 and 16 bytes,
+# and a second point in the same lane or in the lane before it.
+EDGE_CELLS = ["", "-", "+", ".", "-.", "+.5", "5.", ".5", "-0", "-0.0",
+              "0" * 16, "9" * 15, "9" * 16, "9007199254740993", "100.000000",
+              "12.345678", "1..2", "1.2.", "--1", "1.234567.1234567"]
+
+
+@st.composite
+def decimals(draw):
+    """A cell of an optional sign, then 1 to 18 digits with at most one
+    point, so 1 to 20 characters, across both lane edges; or, one time in
+    eight, with a second point, which ``float`` refuses."""
+    digits = draw(st.text(st.sampled_from("0123456789"), min_size=1,
+                          max_size=18))
+    cut = draw(st.integers(0, len(digits)))
+    cell = (draw(st.sampled_from(["", "", "-", "+"])) + digits[:cut]
+            + draw(st.sampled_from([".", ".", ""])) + digits[cut:])
+    if draw(st.integers(0, 7)) == 0:
+        cut = draw(st.integers(0, len(cell)))
+        cell = cell[:cut] + "." + cell[cut:]
+    return cell
+
+
+SCORE_CELLS = st.one_of(*[decimals()] * 4, BLANK, st.sampled_from(EDGE_CELLS),
+                        st.text(st.sampled_from(CELL_CHARS), max_size=20))
+
+
+def read_by_float(cells):
+    """What ``_read_scores`` must give for ``cells``: every value's bytes,
+    -0.0 apart from 0.0, and the missing mask; or None if ``float``
+    refuses a non-empty cell."""
+    try:
+        values = [float(cell) if cell else 0.0 for cell in cells]
+    except ValueError:
+        return None
+    return np.array(values).tobytes(), [not cell for cell in cells]
+
+
+def read_by_lanes(cells):
+    read = _read_scores(",".join(cells))
+    return None if read is None else (read[0].tobytes(), read[1].tolist())
+
+
+@PROFILE
+@given(cells=st.lists(SCORE_CELLS, min_size=1, max_size=12),
+       block=st.sampled_from([1, 3, 8192]))
+def test_score_reader_matches_float(cells, block):
+    # Small blocks put the cells of one text in several blocks, some with
+    # a two-lane cell and some without.
+    with mock.patch.object(panel, "_BLOCK_CELLS", block):
+        assert read_by_lanes(cells) == read_by_float(cells)
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+def test_score_reader_edge_cells(cell):
+    for cells in ([cell], [cell, "1"], ["12.345678", cell, "-0"]):
+        assert read_by_lanes(cells) == read_by_float(cells), cells
