@@ -8,7 +8,6 @@ by every mean.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -109,17 +108,6 @@ def weighted_performance(panel: ScorePanel, weights: GoalWeights) -> np.ndarray:
     return np.where(panel.missing_mask, np.nan, values)
 
 
-@functools.lru_cache(maxsize=2)
-def _id_order(entities: tuple[str, ...]) -> np.ndarray:
-    """Positions of ``entities`` in Python string order (a numpy "U" array
-    would drop trailing NULs). Kept for the last two rosters, since each
-    year's rank tables share one."""
-    order = np.array(sorted(range(len(entities)), key=entities.__getitem__),
-                     dtype=np.intp)
-    order.flags.writeable = False
-    return order
-
-
 def rank_entities(entities: Sequence[str], values: Sequence[float],
                   basis: str, year: str) -> RankTable:
     """Rank entities by descending value; rank 1 is the highest value.
@@ -127,33 +115,40 @@ def rank_entities(entities: Sequence[str], values: Sequence[float],
     Ties are broken lexicographically by entity id and flagged on both
     rows so the arbitrary ordering is visible in the output.
     """
-    return _ranked(entities, values, basis, year)[0]
+    return _ranked(entities, [(basis, values)], year)[0][0]
 
 
-def _ranked(entities: Sequence[str], values: Sequence[float], basis: str,
-            year: str) -> tuple[RankTable, np.ndarray, np.ndarray]:
-    """``rank_entities``, the position in ``entities`` of each row of the
-    table and the table's tie mask, for a caller that takes other columns
-    in rank order."""
+def _ranked(entities: Sequence[str],
+            vectors: Sequence[tuple[str, Sequence[float]]],
+            year: str) -> list[tuple[RankTable, np.ndarray, np.ndarray]]:
+    """For each (basis, values) vector over one roster, ``rank_entities``,
+    the position in ``entities`` of each row of the table and the table's
+    tie mask, for a caller that takes other columns in rank order."""
     entities = tuple(map(str, entities))
-    values = np.asarray(values, dtype=float)
-    if len(entities) != values.size:
-        raise InputError("entities and values must have equal length")
-    if not np.isfinite(values).all():
-        raise InputError("rank values must be finite")
-    # A stable sort by descending value of the ids in string order keeps
-    # equal values in id order. Sorting treats 0.0 and -0.0 as equal, so
-    # equal neighbours in the sorted values are exactly the ties.
-    by_id = _id_order(entities)
-    order = by_id[np.argsort(-values[by_id], kind="stable")]
-    ordered = values[order]
-    equal = ordered[1:] == ordered[:-1]
-    tied = np.zeros(values.size, dtype=bool)
-    tied[1:] = equal
-    tied[:-1] |= equal
-    table = RankTable(year, basis, tuple([entities[i] for i in order.tolist()]),
-                      tuple(ordered.tolist()), tuple(tied.tolist()))
-    return table, order, tied
+    # The ids' positions in Python string order, which a numpy "U" array
+    # would not keep (it drops trailing NULs), sorted once for every vector.
+    by_id = np.array(sorted(range(len(entities)), key=entities.__getitem__),
+                     dtype=np.intp)
+    ranked = []
+    for basis, values in vectors:
+        values = np.asarray(values, dtype=float)
+        if len(entities) != values.size:
+            raise InputError("entities and values must have equal length")
+        if not np.isfinite(values).all():
+            raise InputError("rank values must be finite")
+        # A stable sort by descending value of the ids in string order keeps
+        # equal values in id order. Sorting treats 0.0 and -0.0 as equal, so
+        # equal neighbours in the sorted values are exactly the ties.
+        order = by_id[np.argsort(-values[by_id], kind="stable")]
+        ordered = values[order]
+        equal = ordered[1:] == ordered[:-1]
+        tied = np.zeros(values.size, dtype=bool)
+        tied[1:] = equal
+        tied[:-1] |= equal
+        ids = tuple([entities[i] for i in order.tolist()])
+        ranked.append((RankTable(year, basis, ids, tuple(ordered.tolist()),
+                                 tuple(tied.tolist())), order, tied))
+    return ranked
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:

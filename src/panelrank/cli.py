@@ -25,9 +25,9 @@ import argparse
 import gc
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,14 +41,13 @@ CHART_KINDS = ("heatmap", "bipartite", "weight_bars", "weighted_lines",
                "rank_bump", "grouped_bars")
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a subcommand needs, resolved from flags."""
 
     # (kind, year, path) per input, in command-line order; kind is
     # "panel" or "indicators".
-    inputs: list[tuple[str, str, Path]] = field(default_factory=list)
-    entity_maps: dict[tuple[str, str], Path] = field(default_factory=dict)
+    inputs: tuple[tuple[str, str, Path], ...] = ()
+    entity_maps: Mapping[tuple[str, str], Path] = MappingProxyType({})
     method: str = "both"  # solvers that run: spectral, iterative, both, none
     tol: float = core.DEFAULT_TOL
     max_steps: int = core.DEFAULT_MAX_STEPS
@@ -63,6 +62,8 @@ class RunConfig:
         # write outputs labelled "A" and "a" to one file.
         seen: dict[str, str] = {}
         for _, year, _ in self.inputs:
+            if not year:
+                raise InputError("a year label is empty")
             # Charts write the label into their text.
             if _NOT_XML.search(year):
                 raise InputError(f"year label {year!r} contains a character "
@@ -168,7 +169,7 @@ def _split_key_value(raw: str, flag: str) -> tuple[str, str]:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
+    inputs = []
     for kind, raw in args.inputs:
         if kind == "panel":
             year, path = _split_key_value(raw, "--panel YEAR=PATH")
@@ -176,37 +177,36 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             year, path = raw.split("=", 1)
         else:
             year, path = Path(raw).stem, raw
-        config.inputs.append((kind, year, Path(path)))
+        inputs.append((kind, year, Path(path)))
+    entity_maps = {}
     for raw in args.entity_map:
         key, path = _split_key_value(raw, "--entity-map A->B=PATH")
         if "->" not in key:
             raise InputError(f"--entity-map key must be 'A->B', got {key!r}")
         a, _, b = key.partition("->")
-        if (a, b) in config.entity_maps:
+        if (a, b) in entity_maps:
             raise InputError(f"--entity-map {key} is given twice")
-        config.entity_maps[(a, b)] = Path(path)
+        entity_maps[(a, b)] = Path(path)
 
-    if hasattr(args, "method"):
-        config.method = args.method
-        config.tol = args.tol
-        config.max_steps = args.max_steps
-        config.allow_nonconverged = args.allow_nonconverged
-    else:
-        config.method = "none"
+    # validate has no solver flags and runs no solver.
+    method = getattr(args, "method", "none")
+    solver = {name: getattr(args, name) for name in
+              ("tol", "max_steps", "allow_nonconverged") if hasattr(args, name)}
     if args.command == "compare":
-        if len(config.inputs) > 2:
+        if len(inputs) > 2:
             raise InputError("compare takes one panel (within-year) or two "
                              "(across years)")
         # Run only the solver the bases read: D_s reads the primary scores
         # (spectral unless --method iterative), k_s and composite_mean none.
         if "D_s" not in (args.basis_a, args.basis_b):
-            config.method = "none"
-        elif config.method == "both":
-            config.method = "spectral"
-    if getattr(args, "out", None) is not None:
-        config.out_dir = Path(args.out)
-    if hasattr(args, "charts"):
-        config.charts = _parse_charts(args.charts)
+            method = "none"
+        elif method == "both":
+            method = "spectral"
+    out = getattr(args, "out", None)
+    config = RunConfig(tuple(inputs), entity_maps, method,
+                       out_dir=None if out is None else Path(out),
+                       charts=_parse_charts(getattr(args, "charts", "all")),
+                       **solver)
     config.validate()
     return config
 
@@ -338,9 +338,11 @@ def _rank_tables(result: YearResult) -> dict[str, tuple]:
     values = {"k_s": deg.totals, "composite_mean": deg.composite_means}
     for key, scores in zip(("D_s", "D_s_iterative"), result.solved):
         values[key] = scores.entity_scores
-    return {key: (vector, *analytics._ranked(panel.entities, vector,
-                  key.removesuffix("_iterative"), panel.year))
-            for key, vector in values.items()}
+    ranked = analytics._ranked(
+        panel.entities, [(key.removesuffix("_iterative"), vector)
+                         for key, vector in values.items()], panel.year)
+    return {key: (vector, *rank)
+            for (key, vector), rank in zip(values.items(), ranked)}
 
 
 def _year_tables(result: YearResult, ranked: dict[str, tuple]) -> dict[str, str]:

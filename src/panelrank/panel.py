@@ -203,10 +203,8 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
     entities = tuple(map(str, entities))
     categories = tuple(map(str, categories))
     scores = np.array(scores, dtype=float)
-    if missing_mask is None:
-        missing_mask = np.zeros(scores.shape, dtype=bool)
-    else:
-        missing_mask = np.array(missing_mask, dtype=bool)
+    missing_mask = (np.zeros(scores.shape, dtype=bool) if missing_mask is None
+                    else np.array(missing_mask, dtype=bool))
 
     if scores.ndim != 2 or scores.shape != missing_mask.shape:
         raise InputError("scores and missing_mask must be 2-D with equal shapes")
@@ -228,26 +226,25 @@ def make_panel(year: str, entities: Sequence[str], categories: Sequence[str],
         name = next(filter(_NOT_XML.search, (*entities, *categories)))
         raise InputError(f"id {name!r} contains a character XML does not allow")
 
-    present = ~missing_mask
-    given = scores[present]
-    if not np.isfinite(given).all():
+    # With its missing cells zeroed, the copy is checked whole. Adding +0.0
+    # turns -0.0 into 0.0, so no score prints as "-0.000".
+    np.copyto(scores, 0.0, where=missing_mask)
+    scores += 0.0
+    if not np.isfinite(scores).all():
         raise InputError("scores must be finite")
-    if ((given < 0) | (given > 100)).any():
-        bad = np.argwhere(present & ((scores < 0) | (scores > 100)))[0]
+    outside = (scores < 0) | (scores > 100)
+    if outside.any():
+        bad = np.argwhere(outside)[0]
         raise InputError(
             f"score out of range [0, 100] at entity {entities[bad[0]]!r}, "
             f"category {categories[bad[1]]!r}: {scores[bad[0], bad[1]]}")
-    if (~present).all(axis=1).any():
-        idx = int(np.argmax((~present).all(axis=1)))
+    if missing_mask.all(axis=1).any():
+        idx = int(np.argmax(missing_mask.all(axis=1)))
         raise InputError(f"entity {entities[idx]!r} has no reported scores")
-    if (~present).all(axis=0).any():
-        idx = int(np.argmax((~present).all(axis=0)))
+    if missing_mask.all(axis=0).any():
+        idx = int(np.argmax(missing_mask.all(axis=0)))
         raise InputError(f"category {categories[idx]!r} has no reported scores")
-
-    # Adding +0.0 turns -0.0 into 0.0, so no score prints as "-0.000".
-    scores = np.where(missing_mask, 0.0, scores) + 0.0
-    totals = scores.sum(axis=1)
-    if (totals == 0).all():
+    if not scores.any():  # finite and nonnegative: a zero total has no nonzero cell
         raise InputError("all rows degenerate: every entity total is zero")
 
     scores.setflags(write=False)

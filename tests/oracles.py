@@ -6,14 +6,16 @@ between the two is meaningful: a brute-force Jacobi eigensolver, a
 closed-form 2x2 eigenpair from the characteristic polynomial, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
 writer, sort-based ranker and cell-by-cell CSV readers that the columnar
-ones replaced, and the rule-by-rule roster aligner that the single walk
-replaced. The chart emitters are the ones that formatted every cell,
-colour, path point, edge, bar and label on its own, each through
-``_text`` and ``html.escape``; they share the package's SVG frame and
-spacing helpers, so they differ from it only in what they format once. ``panel_to_csv`` writes a panel back
-to the CSV form the package reads. The readers build their panels through ``make_panel``, the
-one place that builds a panel, so they differ from the package only in
-how cells are converted and checked.
+ones replaced, the rule-by-rule roster aligner that the single walk
+replaced, and the panel builder that checked the given cells before
+zeroing the missing ones in a second copy. The chart emitters are the
+ones that formatted every cell, colour, path point, edge, bar and label
+on its own, each through ``_text`` and ``html.escape``; they share the
+package's SVG frame and spacing helpers, so they differ from it only in
+what they format once. ``panel_to_csv`` writes a panel back to the CSV
+form the package reads. The readers build their panels through
+``make_panel``, the one place that builds a panel, so they differ from
+the package only in how cells are converted and checked.
 """
 
 from __future__ import annotations
@@ -181,6 +183,35 @@ def panel_to_csv(panel) -> str:
         writer.writerow([entity, *("" if gap else repr(value)
                                    for value, gap in zip(values, gaps))])
     return out.getvalue()
+
+
+def make_panel_by_given_cells(year, entities, categories, scores,
+                              missing_mask=None) -> ScorePanel:
+    """``make_panel`` of valid ids, checking the given cells picked out of
+    the scores and then zeroing the missing ones in a second copy."""
+    scores = np.array(scores, dtype=float)
+    missing_mask = (np.zeros(scores.shape, dtype=bool) if missing_mask is None
+                    else np.array(missing_mask, dtype=bool))
+    present = ~missing_mask
+    given = scores[present]
+    if not np.isfinite(given).all():
+        raise InputError("scores must be finite")
+    if ((given < 0) | (given > 100)).any():
+        bad = np.argwhere(present & ((scores < 0) | (scores > 100)))[0]
+        raise InputError(
+            f"score out of range [0, 100] at entity {entities[bad[0]]!r}, "
+            f"category {categories[bad[1]]!r}: {scores[bad[0], bad[1]]}")
+    if (~present).all(axis=1).any():
+        idx = int(np.argmax((~present).all(axis=1)))
+        raise InputError(f"entity {entities[idx]!r} has no reported scores")
+    if (~present).all(axis=0).any():
+        idx = int(np.argmax((~present).all(axis=0)))
+        raise InputError(f"category {categories[idx]!r} has no reported scores")
+    scores = np.where(missing_mask, 0.0, scores) + 0.0
+    if (scores.sum(axis=1) == 0).all():
+        raise InputError("all rows degenerate: every entity total is zero")
+    return ScorePanel(str(year), tuple(entities), tuple(categories), scores,
+                      missing_mask)
 
 
 def rank_by_sort(entities, values):

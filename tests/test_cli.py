@@ -289,6 +289,23 @@ class TestCompute:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--panel", "--indicators"])
+    @pytest.mark.parametrize("command", ["compute", "compare", "validate"])
+    def test_empty_year_label_exits_1(self, tmp_path, capsys, command, flag):
+        # An empty label would name files such as ranks_k_s_.csv and end
+        # chart titles in a space; it is refused before any input is read.
+        path = write(tmp_path, "p.csv",
+                     WORKED_3X2 if flag == "--panel" else INDICATORS_2X2)
+        args = {"compute": ["compute", "--out", str(tmp_path / "out")],
+                "compare": ["compare", "k_s", "D_s",
+                            "--out", str(tmp_path / "out")],
+                "validate": ["validate"]}[command]
+        assert main([*args, flag, f"={path}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: a year label is empty"]
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_streamed_heatmap_bytes(self, tmp_path, capsys):
         # 2,000 rows go to disk one grid row at a time; the file holds
         # exactly the library's text.
@@ -962,19 +979,22 @@ class TestEntryPoint:
 class TestImports:
     """Importing the CLI loads no module only some runs read: ``html``
     (the charts escape text themselves) and ``json`` (read only for an
-    entity map)."""
+    entity map); nor ``dataclasses``, which no record is built with."""
 
     @staticmethod
-    def loaded_after(code):
+    def loaded_after(code, modules=("html", "html.entities", "json")):
         result = subprocess.run(
             [sys.executable, "-c", code + "\nimport sys\nprint(sorted("
-             "{'html', 'html.entities', 'json'} & set(sys.modules)))"],
+             f"{set(modules)!r} & set(sys.modules)))"],
             capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         return result.stdout.splitlines()[-1]
 
     def test_import_loads_neither_html_nor_json(self):
         assert self.loaded_after("import panelrank.cli") == "[]"
+
+    def test_import_loads_no_dataclasses(self):
+        assert self.loaded_after("import panelrank.cli", ["dataclasses"]) == "[]"
 
     @pytest.mark.parametrize("maps, loaded", [
         ([], "[]"), (["2019->2020"], "['json']")])

@@ -168,10 +168,31 @@ class TestParsePanel:
 
 
 class TestFootprint:
+    def test_make_panel_peak_is_one_copy_and_its_checks(self):
+        # make_panel checks and zeroes its one copy of the scores, peaking
+        # at about 2.15 x n m 8 bytes on 20,000 x 17. Checking the given
+        # cells picked out of the input, then zeroing a second copy, took
+        # about 3.3 times.
+        n, m = 20_000, 17
+        row, col = np.arange(n)[:, None], np.arange(m)
+        scores = 1.0 + (row * 37 + col * 11) % 97
+        mask = (row * 7 + col) % 50 == 0
+        entities = [f"e{i:05d}" for i in range(n)]
+        categories = [f"c{j:02d}" for j in range(m)]
+        tracemalloc.start()
+        try:
+            panel = make_panel("y", entities, categories, scores, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.missing_mask.sum() == n * m // 50
+        assert peak < 2.5 * n * m * 8
+
     def test_read_peak_is_a_small_multiple_of_the_text(self):
         # A deterministic gate instead of a timing one: parsing a plain
-        # 20,000 x 17 panel peaks at about 8.5 times its text. A str made
-        # per cell, and a Python float per score, took about 19 times.
+        # 20,000 x 17 panel peaks at about 6.7 times its text, 8.5 while
+        # make_panel checked a second copy. A str made per cell, and a
+        # Python float per score, took about 19 times.
         n, m = 20_000, 17
         row, col = np.arange(n)[:, None], np.arange(m)
         cells = np.char.mod("%.1f", (row * 37 + col * 11) % 1001 / 10)
@@ -186,7 +207,7 @@ class TestFootprint:
         finally:
             tracemalloc.stop()
         assert panel.missing_mask.sum() == n * m // 50
-        assert peak < 13 * len(text)
+        assert peak < 7.5 * len(text)
 
 
 # A long-form text with no quote: 30 entities x 5 goals x 3 indicators.

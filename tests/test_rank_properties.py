@@ -1,23 +1,23 @@
 """Property test of the id sort, the year's rank record and the cells
 the year's tables share.
 
-``rank_entities`` sorts a roster's ids once and keeps the order for the
-last two rosters, and the CLI ranks a year once into one record per rank
-key: the values in roster order, the rank table, the positions the ranker
-sorted and its tie mask. It writes the year's tables from that record and
-from pieces it builds once: the ids quoted once, each ranked vector
-formatted once for the entity table and taken in rank order for its rank
-table, applicable counts and rank tails from one list, and tie flags
-indexed by the mask. Each year below ranks four vectors over one roster
-(three memo hits), and the years cycle through several rosters (misses
-and evictions). Every rank table must equal the ``sorted`` ranker in
-``oracles``, down to the sign of zero; each record's values must be the
-year's own vector; its positions must give the table's ids and its
-mask the table's tie flags; and every table text the CLI writes must
-equal ``emit_table`` of the oracle's columns. Ids differ only in case or
-accent, or hold a comma, a quote, a ``%`` or a newline; values tie,
-including 0.0 with -0.0; cells go missing, so applicable counts vary. The
-profile is derandomized, so every run draws the same examples.
+The CLI ranks a year's vectors against one sort of the roster's ids,
+into one record per rank key: the values in roster order, the rank
+table, the positions the ranker sorted and its tie mask. It writes the
+year's tables from that record and from pieces it builds once: the ids
+quoted once, each ranked vector formatted once for the entity table and
+taken in rank order for its rank table, applicable counts and rank tails
+from one list, and tie flags indexed by the mask. Each year below ranks
+four vectors over one roster with exactly one ``sorted`` call, and the
+years cycle through several rosters. Every rank table must equal the
+``sorted`` ranker in ``oracles``, down to the sign of zero; each
+record's values must be the year's own vector; its positions must give
+the table's ids and its mask the table's tie flags; and every table text
+the CLI writes must equal ``emit_table`` of the oracle's columns. Ids
+differ only in case or accent, or hold a comma, a quote, a ``%`` or a
+newline; values tie, including 0.0 with -0.0; cells go missing, so
+applicable counts vary. The profile is derandomized, so every run draws
+the same examples.
 """
 
 import numpy as np
@@ -87,9 +87,12 @@ def year_result(roster, vectors, categories, mask):
 def test_shared_id_sort_matches_sorted_ranker(sequence):
     for roster, vectors, categories, mask in sequence:
         result = year_result(roster, vectors, categories, mask)
-        hits = analytics._id_order.cache_info().hits
-        ranked = cli._rank_tables(result)
-        assert analytics._id_order.cache_info().hits >= hits + 3
+        sorts = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analytics, "sorted", lambda *args, **kwargs: (
+                sorts.append(args) or sorted(*args, **kwargs)), raising=False)
+            ranked = cli._rank_tables(result)
+        assert len(sorts) == 1
         texts = cli._year_tables(result, ranked)
         degree = result.prepared.degree
         year_vectors = (degree.totals, degree.composite_means,
