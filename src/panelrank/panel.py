@@ -347,7 +347,10 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     if entities == []:
         raise InputError("panel file has a header but no data rows")
     shape = (len(entities or ()), len(header) - 1)
-    read = None if entities is None else _read_scores(cells)
+    raw = ("0" * 15 + "," + cells + ",").encode()  # 16 bytes lead the cells
+    seps = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
+    read = None if entities is None else _read_scores(raw, seps[:-1], seps[1:])
+    del raw, seps  # freed before make_panel copies the scores
     # A quoted cell holding a comma reads as two: the count is then off.
     if (read is None or read[0].size != shape[0] * shape[1]
             or not ((read[0] >= 0) & (read[0] <= 100)).all()):
@@ -379,9 +382,12 @@ def _panel_body(csv_text: str):
     return header, [row[0] for row in rows], ",".join([row[2] for row in rows])
 
 
-def _read_scores(cells: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The values of comma-joined score cells and their missing mask (the
-    empty cells, read as 0.0), or None if some other cell is not a float.
+def _read_scores(raw: bytes, lefts: np.ndarray, rights: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values of the cells of ``raw`` between the separators at
+    ``lefts`` and ``rights`` and their missing mask (the empty cells, read
+    as 0.0), or None if some other cell is not a float. At least 16 bytes
+    of ``raw`` precede its first cell, so every lane read lies in it.
 
     A cell of at most 16 bytes, an optional sign then digits with at most
     one point, one digit at least, is read from the one or two 8-byte
@@ -392,15 +398,12 @@ def _read_scores(cells: str) -> tuple[np.ndarray, np.ndarray] | None:
     by 1. Every other cell goes through ``float``.
     """
     u = np.uint64
-    # '0's and a comma before the first cell: every lane lies in the text.
-    raw = ("0" * 15 + "," + cells + ",").encode()
     data = np.frombuffer(raw, np.uint8)
-    seps = np.flatnonzero(data == ord(","))
     lanes = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    values, missing = np.empty(len(seps) - 1), np.empty(len(seps) - 1, bool)
+    values, missing = np.empty(len(lefts)), np.empty(len(lefts), bool)
     for a in range(0, len(values), _BLOCK_CELLS):
-        ends = seps[a + 1:a + 1 + _BLOCK_CELLS]
-        size = ends - seps[a:a + len(ends)] - 1
+        ends = rights[a:a + _BLOCK_CELLS]
+        size = ends - lefts[a:a + len(ends)] - 1
         first = data[ends - size]
         length = size - ((first == ord("-")) | (first == ord("+")))
         ok, mantissa, places, point = size <= 16, u(0), u(0), False
@@ -433,7 +436,7 @@ def _read_scores(cells: str) -> tuple[np.ndarray, np.ndarray] | None:
         missing[a:a + len(ends)] = size == 0
         for i in (a + np.flatnonzero(~(ok & (length > point)) & (size > 0))).tolist():
             try:
-                values[i] = float(raw[seps[i] + 1:seps[i + 1]].decode())
+                values[i] = float(raw[lefts[i] + 1:rights[i]].decode())
             except ValueError:
                 return None
     return values, missing
@@ -533,29 +536,45 @@ def aggregate_indicators(table: IndicatorTable) -> ScorePanel:
         raise InputError("indicator table columns differ in length")
     entity_codes, entities = _factorize(table.entities)
     category_codes, categories = _factorize(table.categories)
-    indicator_codes, _ = _factorize(table.indicators)
-    values = np.array(table.values, dtype=float)
+    means = _cell_means(entity_codes, category_codes,
+                        _factorize(table.indicators)[0],
+                        np.array(table.values, dtype=float),
+                        len(entities), len(categories))
+    if means is None:
+        raise InputError(next(_indicator_record_faults(table)))
+    return make_panel(table.year, entities, categories, *means)
 
+
+def _cell_means(entity: np.ndarray, category: np.ndarray,
+                indicator: np.ndarray, values: np.ndarray, n: int, m: int):
+    """The (n, m) scores and missing mask of records coded by entity,
+    category and indicator, each cell the mean of its values by an exactly
+    rounded sum; or None if a record repeats another's codes or a value
+    lies outside [0, 100]."""
     # Records sorted by cell, then indicator: a duplicate is a repeat of
     # the previous record's pair of codes.
-    n, m = len(entities), len(categories)
-    cell = entity_codes * m + category_codes
-    order = np.lexsort((indicator_codes, cell))
-    cell, indicator = cell[order], indicator_codes[order]
+    cell = entity * m + category
+    order = np.lexsort((indicator, cell))
+    cell, indicator = cell[order], indicator[order]
     repeated = (cell[1:] == cell[:-1]) & (indicator[1:] == indicator[:-1])
     if repeated.any() or not ((values >= 0) & (values <= 100)).all():
-        raise InputError(next(_indicator_record_faults(table)))
-
+        return None
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
-    bounds = [*starts.tolist(), len(cell)]
-    ordered = values[order].tolist()
-    sums = [math.fsum(ordered[a:b]) for a, b in zip(bounds, bounds[1:])]
+    counts = np.diff(starts, append=len(cell))
+    ordered = values[order]
+    # A cell's one value is its sum; two take one rounding, as fsum's;
+    # three or more go through fsum, a cell a column of a (k, cells) block.
+    sums = ordered[starts]
+    for k in set(np.flatnonzero(np.bincount(counts)).tolist()) - {1}:
+        at = counts == k
+        block = ordered[starts[at] + np.arange(k)[:, None]]
+        sums[at] = (block[0] + block[1] if k == 2
+                    else list(map(math.fsum, zip(*block.tolist()))))
     scores = np.zeros(n * m)
     missing = np.ones(n * m, dtype=bool)
-    scores[cell[starts]] = np.array(sums) / np.diff(bounds)
+    scores[cell[starts]] = sums / counts
     missing[cell[starts]] = False
-    return make_panel(table.year, entities, categories,
-                      scores.reshape(n, m), missing.reshape(n, m))
+    return scores.reshape(n, m), missing.reshape(n, m)
 
 
 def _indicator_record_faults(table: IndicatorTable):
@@ -572,6 +591,72 @@ def _indicator_record_faults(table: IndicatorTable):
             yield (f"indicator value {value} out of range [0, 100] for "
                    f"entity {entity!r}, category {category!r}, "
                    f"indicator {indicator!r}")
+
+
+def indicator_panel(csv_text: str, year: str) -> ScorePanel:
+    """``aggregate_indicators(parse_indicator_csv(csv_text, year))``, read
+    from the text's bytes, with a str made only per distinct id, if
+    ``_indicator_cells`` takes the text; any other text, or one with a
+    fault, takes those two steps, which name the fault."""
+    read = _indicator_cells(csv_text)
+    if read is None:
+        return aggregate_indicators(parse_indicator_csv(csv_text, year))
+    return make_panel(year, *read)
+
+
+def _indicator_cells(csv_text: str):
+    """The entities, categories, scores and missing mask of a text with
+    nothing to strip and no NUL, with a lowered header of ``entity,category,
+    indicator,value`` and lines, none blank or past the field-size limit,
+    of three commas each; or None for any other text, or a fault."""
+    if _needs_strip(csv_text) or "\0" in csv_text:
+        return None
+    raw = (csv_text if csv_text.endswith("\n") else csv_text + "\n").encode()
+    shape = raw.translate(None, _SHAPE)
+    if (raw[:32].lower() != b"entity,category,indicator,value\n"
+            or len(shape) < 8 or shape != b",,,\n" * (len(shape) // 4)):
+        return None
+    data = np.frombuffer(raw, np.uint8)
+    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    # Refused too: a line past the field-size limit, and fields so wide
+    # that an id column's keys, ceil(w / 8) lanes a record for the widest
+    # field of w bytes, would take more memory than the text.
+    if (np.diff(seps[3::4], prepend=-1).max() > csv.field_size_limit() + 1
+            or (np.diff(seps[3:]).max() + 6) // 8 * 2 * len(seps) > len(raw)):
+        return None
+    # Field c of each record lies between separators 4r + c - 1 and 4r + c.
+    values = _read_scores(raw, seps[6::4], seps[7::4])
+    if values is None or values[1].any():  # a cell float refuses, or empty
+        return None
+    lanes = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
+    (entity, entities), (category, categories), (indicator, indicators) = (
+        _id_codes(csv_text, lanes, seps[3 + c:-1:4], seps[4 + c::4])
+        for c in range(3))
+    means = (None if _NOT_XML.search("\n".join(indicators)) else _cell_means(
+        entity, category, indicator, values[0], len(entities), len(categories)))
+    return None if means is None else (entities, categories, *means)
+
+
+def _id_codes(text: str, lanes: np.ndarray, lefts: np.ndarray,
+              rights: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Codes of the fields of ``text`` between the separators at ``lefts``
+    and ``rights``, numbered by first appearance, and the distinct fields
+    in that order. Each field is keyed by the lanes that end where it
+    ends, masked to its bytes: with no NUL, equal keys are equal fields."""
+    size = rights - lefts - 1
+    after = np.arange(0, max(size.max(), 1), 8)[:, None]
+    # A lane wholly before a field is masked to 0, so it may start before
+    # the text (a negative offset) too.
+    keys = lanes[rights - 8 - after] & _KEEP[np.clip(size - after, 0, 8)]
+    order = np.lexsort(keys)
+    keys = keys[:, order]
+    new = np.concatenate(([True], (keys[:, 1:] != keys[:, :-1]).any(axis=0)))
+    firsts = order[new]  # each field's first record: the sort is stable
+    rank = np.argsort(firsts)
+    codes = np.empty_like(order)
+    codes[order] = np.argsort(rank)[np.cumsum(new) - 1]
+    return codes, tuple(text[a + 1:b] for a, b in zip(
+        lefts[firsts[rank]].tolist(), rights[firsts[rank]].tolist()))
 
 
 def validate_panel(panel: ScorePanel) -> list[Finding]:

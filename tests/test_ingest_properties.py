@@ -16,8 +16,11 @@ Beneath both readers, ``_csv_cells`` must read any text the way
 ``csv.reader`` does, whichever of its two routes the text takes, and
 the wide reader's ``_read_scores`` must give the values ``float`` gives,
 bit for bit, and refuse a text exactly when ``float`` refuses one of its
-non-empty cells. The profile is derandomized, so every run draws the
-same examples.
+non-empty cells. ``indicator_panel``, which reads a plain long-form text
+from its bytes and leaves any other to the two steps, must give the
+record reader's panel bit for bit, or its error, on texts drawn plain
+but for a fault now and then. The profile is derandomized, so every run
+draws the same examples.
 """
 
 import csv
@@ -32,7 +35,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from panelrank import (InputError, aggregate_indicators,  # noqa: E402
-                       parse_indicator_csv, parse_panel)
+                       indicator_panel, parse_indicator_csv, parse_panel)
 from panelrank import panel  # noqa: E402
 from panelrank.panel import _csv_cells, _read_scores  # noqa: E402
 
@@ -208,6 +211,100 @@ def test_indicator_route_matches_record_reader(text):
                        aggregate_indicators_by_records))
 
 
+# Id characters: ASCII ones the byte route keys, a dot and a digit among
+# them, beside C0 controls XML forbids and non-ASCII ones it never takes.
+ID_CHARS = st.sampled_from([*"ab1._-"])
+ODD_CHARS = st.sampled_from(["\x01", "\x07", "\x1b", "\u00e9", "\u540d"])
+# Values in range: the lane reader's cells, ones only ``float`` reads, 17
+# digits, and a pool whose sums of three or more round differently added
+# one by one: (0.1 + 0.2) + 0.3 and (1 + 1e-16) + 1e-16 give
+# 0.6000000000000001 and 1.0, where fsum gives 0.6 and 1.0000000000000002.
+VALUES = st.one_of(
+    st.sampled_from(["+5", "5.", ".5", "1e1", "1_0", "-0.0", "-0", "100",
+                     "12.345678901234567", "3.1415926535897932"]),
+    st.floats(0, 100).map(repr),
+    *[st.sampled_from(["0.1", "0.2", "0.3", "1", "1e-16", "0.7"])] * 3)
+# Values that fail: out of range, not finite, 17 digits too large, not
+# numbers, empty.
+BAD_VALUES = st.sampled_from(["101", "-1", "nan", "inf", "12345678901234567",
+                              "100.00000000000001", "oops", "1.2.3", ""])
+HEADERS = ["entity,category,indicator,value", "ENTITY,Category,indicator,VALUE"]
+
+
+@st.composite
+def names(draw):
+    """1 to 20 bytes, across the 8-byte lane; now and then with an odd
+    character, or empty."""
+    name = draw(st.text(ID_CHARS, min_size=1, max_size=20))
+    kind = draw(st.sampled_from(["plain"] * 60 + ["odd", "empty"]))
+    if kind == "odd":
+        at = draw(st.integers(0, len(name)))
+        return name[:at] + draw(ODD_CHARS) + name[at:]
+    return "" if kind == "empty" else name
+
+
+def id_lists(lo: int, hi: int):
+    """Distinct ids, or siblings differing only in their first byte, the
+    one at the edge of a key's mask."""
+    siblings = st.builds(lambda heads, tail: [h + tail for h in heads],
+                         st.lists(ID_CHARS, min_size=lo, max_size=hi,
+                                  unique=True),
+                         st.text(ID_CHARS, max_size=19))
+    return st.lists(names(), min_size=lo, max_size=hi, unique=True) | siblings
+
+
+@st.composite
+def plain_long_csvs(draw):
+    """A long-form text the byte route mostly takes: distinct ids of 1 to
+    20 bytes, 0 to 5 indicators a cell, records in drawn order; now and
+    then a bad value or a duplicate record. One text in three then gets
+    a fault a plain text cannot hold (a blank line, a carriage return, a
+    quote, padding) or loses its final newline."""
+    entities, categories, indicators = (draw(id_lists(lo, hi))
+                                        for lo, hi in [(2, 4), (2, 3), (1, 5)])
+    # Dense cells give sums of many values; sparse ones leave ids that one
+    # key confused in no common cell, past the duplicate check.
+    some = st.lists(st.sampled_from(indicators), min_size=1, unique=True)
+    subsets = draw(st.sampled_from([
+        st.one_of(some, some, some, st.just([]), st.just(indicators)),
+        st.lists(st.sampled_from(indicators), max_size=1)]))
+    records = draw(st.permutations(
+        [[e, g, k, draw(VALUES)] for e in entities for g in categories
+         for k in draw(subsets)]))
+    for kind in draw(st.lists(st.sampled_from(["bad", "dup", *[None] * 4]),
+                              max_size=2)):
+        if records and kind == "bad":
+            draw(st.sampled_from(records))[3] = draw(BAD_VALUES)
+        elif records and kind == "dup":
+            records.append([*draw(st.sampled_from(records))[:3], draw(VALUES)])
+    lines = [draw(st.sampled_from(HEADERS)), *map(",".join, records)]
+    fault = draw(st.sampled_from([None] * 10 + ["blank", "crlf", "quote",
+                                                 "pad", "end"]))
+    if fault not in (None, "end") and len(lines) > 1:
+        at = draw(st.integers(1, len(lines) - 1))
+        lines[at] = {"blank": "\n" + lines[at], "crlf": lines[at] + "\r",
+                     "quote": '"' + lines[at].replace(",", '",', 1),
+                     "pad": " " + lines[at]}[fault]
+    return "\n".join(lines) + ("" if fault == "end" else "\n")
+
+
+def bits_outcome(panel):
+    return (panel.year, panel.entities, panel.categories,
+            panel.scores.view(np.int64).tolist(), panel.missing_mask.tolist())
+
+
+@PROFILE
+@given(text=plain_long_csvs())
+def test_indicator_panel_matches_record_reader(text):
+    def by_records(text, year):
+        return aggregate_indicators_by_records(
+            parse_indicator_csv_by_rows(text, year))
+
+    def read(build):
+        return bits_outcome(build(text, "y"))
+    assert outcome(read, indicator_panel) == outcome(read, by_records)
+
+
 # A quoted id padded with a carriage return or a newline: the text holds
 # neither a space nor a tab, yet its cells must be stripped.
 @pytest.mark.parametrize("pad", ["\r", "\n"], ids=["cr", "lf"])
@@ -334,7 +431,11 @@ def read_by_float(cells):
 
 
 def read_by_lanes(cells):
-    read = _read_scores(",".join(cells))
+    # Led by 16 bytes, as every caller leads its text: no lane starts
+    # before it.
+    raw = ("0" * 15 + "," + ",".join(cells) + ",").encode()
+    seps = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
+    read = _read_scores(raw, seps[:-1], seps[1:])
     return None if read is None else (read[0].tobytes(), read[1].tolist())
 
 

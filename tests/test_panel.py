@@ -8,8 +8,9 @@ import pytest
 
 import panelrank.panel as panel_module
 from panelrank import (EntityMap, IndicatorTable, InputError,
-                       aggregate_indicators, align_rosters, make_panel,
-                       parse_indicator_csv, parse_panel, validate_panel)
+                       aggregate_indicators, align_rosters, indicator_panel,
+                       make_panel, parse_indicator_csv, parse_panel,
+                       validate_panel)
 
 from conftest import random_panel
 from oracles import panel_to_csv
@@ -209,6 +210,33 @@ class TestFootprint:
         assert panel.missing_mask.sum() == n * m // 50
         assert peak < 7.5 * len(text)
 
+    def test_indicator_read_peak_is_a_small_multiple_of_the_text(self):
+        # Reading a plain 19,779-record long-form text from its bytes
+        # peaks at about 7.8 times the text. A str per cell, a float per
+        # value and an IndicatorTable of them took about 14.6 times.
+        text = indicator_text(400)
+        tracemalloc.start()
+        try:
+            panel = indicator_panel(text, "y")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert panel.missing_mask.sum() == 207
+        assert peak < 11 * len(text)
+
+
+def indicator_text(n: int) -> str:
+    """A long-form text shaped like the benchmark's: n entities x 17 goals
+    x 3 indicators, values of one decimal, every 33rd cell absent."""
+    lines = ["entity,category,indicator,value"]
+    for i in range(n):
+        for j in range(17):
+            if (i * 17 + j) % 33:
+                lines += [f"I{i:05d},goal{j + 1:02d},ind{k + 1},"
+                          f"{(i * 37 + j * 11 + k * 7) % 1000 / 10:.1f}"
+                          for k in range(3)]
+    return "\n".join(lines) + "\n"
+
 
 # A long-form text with no quote: 30 entities x 5 goals x 3 indicators.
 UNQUOTED_INDICATORS = "entity,category,indicator,value\n" + "".join(
@@ -258,6 +286,67 @@ class TestReadRoute:
                                                       panel.categories)
         assert again.scores.tobytes() == panel.scores.tobytes()
         assert np.array_equal(again.missing_mask, panel.missing_mask)
+
+
+class TestIndicatorRoute:
+    """A plain long-form text is read from its bytes, never as an
+    ``IndicatorTable``; any other text, or one with a fault, takes the
+    two steps, which name the fault."""
+
+    @staticmethod
+    def two_steps(monkeypatch) -> list:
+        calls, parse = [], panel_module.parse_indicator_csv
+        monkeypatch.setattr(panel_module, "parse_indicator_csv",
+                            lambda *args: calls.append(args) or parse(*args))
+        return calls
+
+    @staticmethod
+    def same(a, b) -> bool:
+        return ((a.year, a.entities, a.categories) == (b.year, b.entities,
+                                                       b.categories)
+                and a.scores.tobytes() == b.scores.tobytes()
+                and np.array_equal(a.missing_mask, b.missing_mask))
+
+    def test_plain_text_read_from_bytes(self, monkeypatch):
+        text = indicator_text(40)
+        expected = aggregate_indicators(parse_indicator_csv(text, "y"))
+
+        def refuse(*args):
+            raise AssertionError("the two-step route was taken")
+        monkeypatch.setattr(panel_module, "parse_indicator_csv", refuse)
+        assert self.same(indicator_panel(text, "y"), expected)
+        # An upper-case header, and no final newline, stay plain.
+        assert self.same(indicator_panel(
+            "ENTITY,Category" + text[15:-1], "y"), expected)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"), lambda t: t.replace(",", ", ", 1),
+        lambda t: t + "\n", quote_all, lambda t: t.replace("ind2", "ind\u00e9"),
+        # One id whose keys, as wide as it for every record, would outgrow
+        # the text.
+        lambda t: t + "x" * 5000 + ",goal02,ind1,5\n"])
+    def test_other_text_takes_two_steps(self, monkeypatch, edit):
+        text = edit(indicator_text(4))
+        expected = aggregate_indicators(parse_indicator_csv(text, "y"))
+        calls = self.two_steps(monkeypatch)
+        assert self.same(indicator_panel(text, "y"), expected)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("record, message", [
+        ("I00000,goal02,ind1,5",
+         "duplicate indicator 'ind1' for entity 'I00000', category 'goal02'"),
+        ("I00009,goal01,ind1,101", "indicator value 101.0 out of range "
+         "[0, 100] for entity 'I00009', category 'goal01', indicator 'ind1'"),
+        ("I00009,goal01,ind1,", "non-numeric value '' at row 197"),
+        ("I00009,goal01,ind\x01,5", r"indicator 'ind\x01' contains a "
+         "character XML does not allow")])
+    def test_fault_named_by_two_steps(self, monkeypatch, record, message):
+        text = indicator_text(4) + record + "\n"
+        calls = self.two_steps(monkeypatch)
+        with pytest.raises(InputError) as exc:
+            indicator_panel(text, "y")
+        assert str(exc.value) == message
+        assert len(calls) == 1
 
 
 class TestRoundTrip:
