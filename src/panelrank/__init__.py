@@ -22,8 +22,8 @@ from .errors import (DegeneratePanelError, InputError, NonConvergenceError,
                      PanelRankError)
 from .panel import (Alignment, EntityMap, Finding, IndicatorTable, Lineage,
                     MapRule, ScorePanel, aggregate_indicators, align_rosters,
-                    indicator_panel, make_panel, parse_indicator_csv,
-                    parse_panel, validate_panel)
+                    make_panel, parse_indicator_csv, parse_panel,
+                    validate_panel)
 from .report import (emit_bipartite, emit_grouped_bars, emit_heatmap,
                      emit_rank_bump, emit_table, emit_weight_bars,
                      emit_weighted_lines, ramp_color)
@@ -42,8 +42,7 @@ __all__ = [
     "degree_index", "emit_bipartite", "emit_grouped_bars", "emit_heatmap",
     "emit_rank_bump", "emit_table", "emit_weight_bars",
     "emit_weighted_lines", "genepy_scores", "goal_weights",
-    "indicator_panel", "make_panel", "parse_indicator_csv", "parse_panel",
-    "prepare",
+    "make_panel", "parse_indicator_csv", "parse_panel", "prepare",
     "principal_eigenvector", "proximity", "ramp_color", "rank_entities",
     "rank_evolution", "run_fitness", "similarity", "spearman",
     "tertile_groups", "validate_panel", "weighted_performance",

@@ -562,14 +562,13 @@ def _cell_means(entity: np.ndarray, category: np.ndarray,
     starts = np.flatnonzero(np.diff(cell, prepend=-1))
     counts = np.diff(starts, append=len(cell))
     ordered = values[order]
-    # A cell's one value is its sum; two take one rounding, as fsum's;
-    # three or more go through fsum, a cell a column of a (k, cells) block.
+    # A cell's one value is its sum; two or more go through fsum, a cell a
+    # column of a (k, cells) block.
     sums = ordered[starts]
     for k in set(np.flatnonzero(np.bincount(counts)).tolist()) - {1}:
         at = counts == k
         block = ordered[starts[at] + np.arange(k)[:, None]]
-        sums[at] = (block[0] + block[1] if k == 2
-                    else list(map(math.fsum, zip(*block.tolist()))))
+        sums[at] = list(map(math.fsum, zip(*block.tolist())))
     scores = np.zeros(n * m)
     missing = np.ones(n * m, dtype=bool)
     scores[cell[starts]] = sums / counts
@@ -595,27 +594,18 @@ def _indicator_record_faults(table: IndicatorTable):
 
 def indicator_panel(csv_text: str, year: str) -> ScorePanel:
     """``aggregate_indicators(parse_indicator_csv(csv_text, year))``, read
-    from the text's bytes, with a str made only per distinct id, if
-    ``_indicator_cells`` takes the text; any other text, or one with a
+    from the text's bytes, with a str made only per distinct id, for a
+    text with nothing to strip and no NUL, with a lowered header of
+    ``entity,category,indicator,value`` and lines, none blank or past the
+    field-size limit, of three commas each. Any other text, or one with a
     fault, takes those two steps, which name the fault."""
-    read = _indicator_cells(csv_text)
-    if read is None:
-        return aggregate_indicators(parse_indicator_csv(csv_text, year))
-    return make_panel(year, *read)
-
-
-def _indicator_cells(csv_text: str):
-    """The entities, categories, scores and missing mask of a text with
-    nothing to strip and no NUL, with a lowered header of ``entity,category,
-    indicator,value`` and lines, none blank or past the field-size limit,
-    of three commas each; or None for any other text, or a fault."""
     if _needs_strip(csv_text) or "\0" in csv_text:
-        return None
+        return aggregate_indicators(parse_indicator_csv(csv_text, year))
     raw = (csv_text if csv_text.endswith("\n") else csv_text + "\n").encode()
     shape = raw.translate(None, _SHAPE)
     if (raw[:32].lower() != b"entity,category,indicator,value\n"
             or len(shape) < 8 or shape != b",,,\n" * (len(shape) // 4)):
-        return None
+        return aggregate_indicators(parse_indicator_csv(csv_text, year))
     data = np.frombuffer(raw, np.uint8)
     seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     # Refused too: a line past the field-size limit, and fields so wide
@@ -623,18 +613,20 @@ def _indicator_cells(csv_text: str):
     # field of w bytes, would take more memory than the text.
     if (np.diff(seps[3::4], prepend=-1).max() > csv.field_size_limit() + 1
             or (np.diff(seps[3:]).max() + 6) // 8 * 2 * len(seps) > len(raw)):
-        return None
+        return aggregate_indicators(parse_indicator_csv(csv_text, year))
     # Field c of each record lies between separators 4r + c - 1 and 4r + c.
     values = _read_scores(raw, seps[6::4], seps[7::4])
     if values is None or values[1].any():  # a cell float refuses, or empty
-        return None
+        return aggregate_indicators(parse_indicator_csv(csv_text, year))
     lanes = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
     (entity, entities), (category, categories), (indicator, indicators) = (
         _id_codes(csv_text, lanes, seps[3 + c:-1:4], seps[4 + c::4])
         for c in range(3))
     means = (None if _NOT_XML.search("\n".join(indicators)) else _cell_means(
         entity, category, indicator, values[0], len(entities), len(categories)))
-    return None if means is None else (entities, categories, *means)
+    if means is None:
+        return aggregate_indicators(parse_indicator_csv(csv_text, year))
+    return make_panel(year, entities, categories, *means)
 
 
 def _id_codes(text: str, lanes: np.ndarray, lefts: np.ndarray,

@@ -35,9 +35,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from panelrank import (InputError, aggregate_indicators,  # noqa: E402
-                       indicator_panel, parse_indicator_csv, parse_panel)
+                       parse_indicator_csv, parse_panel)
 from panelrank import panel  # noqa: E402
-from panelrank.panel import _csv_cells, _read_scores  # noqa: E402
+from panelrank.panel import (_csv_cells, _read_scores,  # noqa: E402
+                             indicator_panel)
 
 from oracles import (aggregate_indicators_by_records,  # noqa: E402
                      parse_indicator_csv_by_rows, parse_panel_by_cells)

@@ -8,9 +8,9 @@ import pytest
 
 import panelrank.panel as panel_module
 from panelrank import (EntityMap, IndicatorTable, InputError,
-                       aggregate_indicators, align_rosters, indicator_panel,
-                       make_panel, parse_indicator_csv, parse_panel,
-                       validate_panel)
+                       aggregate_indicators, align_rosters, make_panel,
+                       parse_indicator_csv, parse_panel, validate_panel)
+from panelrank.panel import indicator_panel
 
 from conftest import random_panel
 from oracles import panel_to_csv
