@@ -1,10 +1,10 @@
 """Score-panel ingestion: parsing, validation, aggregation, alignment.
 
 A score panel is one year's dense entity-by-category matrix of scores in
-[0, 100]. Missing cells are stored as 0.0 and flagged in a boolean mask so
-that downstream sums treat them as non-contributing while the kernel stays
-dense. All functions here are pure; panels are immutable once built (the
-backing arrays are marked read-only).
+[0, 100]; missing cells are stored as 0.0 and flagged in a boolean mask.
+Both CSV forms are split from their bytes when plain (``_plain_fields``)
+and read by ``csv.reader`` otherwise. All functions here are pure; panels
+are immutable once built (the backing arrays are marked read-only).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import io
 import math
 import re
 from collections import Counter
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,13 +27,15 @@ MISSINGNESS_WARNING_THRESHOLD = 0.5
 # CSV writer would leave unquoted.
 _NOT_XML = re.compile("[\x00-\x08\x0b-\x1f\ufffe\uffff]")
 
-# Every ASCII byte but the comma and the newline: deleting them leaves an
-# ASCII text's row shape.
-_SHAPE = bytes(set(range(128)) - set(b",\n"))
-# What str.strip removes that an ASCII text can hold, bar the newline,
-# which ends an unquoted row; and the quote, within which a cell may
-# hold a newline.
-_PADDING = ' "\t\v\f\r\x1c\x1d\x1e\x1f'
+# What str.strip removes but the newline, which ends an unquoted row; and
+# the quote and the NUL, which csv.reader reads apart (Python 3.10 refuses
+# a NUL). A text holding none of them has nothing to strip.
+_NOT_PLAIN = ("\t\v\f\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"
+              + "".join(map(chr, range(0x2000, 0x200b))) + '"\0')
+# 16 bytes leading a text's bytes, so that no lane read starts before
+# them; the last ends the line before the text's first.
+_LEAD = b"0" * 15 + b"\n"
+_windows = np.lib.stride_tricks.sliding_window_view
 
 # Score cells per block of ``_read_scores``: its dozen uint64 temporaries
 # then take 64 KiB each, and stay in cache.
@@ -268,35 +269,10 @@ def _csv_records(csv_text: str) -> list[tuple[int, list[str]]]:
     return records
 
 
-def _split_lines(csv_text: str) -> list[str] | None:
-    """The non-empty lines of a text that ``csv.reader`` reads as split on
-    newlines and commas, or None. Such a text has no quote, carriage
-    return or NUL (which the reader refuses on Python 3.10 only), no line
-    past the field-size limit, and is not empty."""
-    if not ('"' in csv_text or "\r" in csv_text or "\0" in csv_text):
-        lines = list(filter(None, csv_text.split("\n")))
-        if lines and max(map(len, lines)) <= csv.field_size_limit():
-            return lines
-    return None
-
-
 def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
     """The first non-empty row of a CSV text, and the cells of every later
-    non-empty row in row-major order, read as ``csv.reader`` reads them.
-
-    The cells are None when some row is not as wide as the first; an
-    empty text gives ``([], [])``. A text ``_split_lines`` takes is split
-    on newlines and commas, without a list per row; any other text goes
-    through ``csv.reader``.
-    """
-    lines = _split_lines(csv_text)
-    if lines:
-        header = lines[0].split(",")
-        if not _rectangular(csv_text, lines, len(header)):
-            return header, None
-        body = ",".join(lines[1:])
-        del lines  # freed before the cells are made
-        return header, body.split(",") if body else []
+    one in row-major order, as ``csv.reader`` reads them; the cells are
+    None if some row is not as wide as the first. No row gives ([], [])."""
     rows = [row for _, row in _csv_records(csv_text)]
     if not rows:
         return [], []
@@ -305,27 +281,45 @@ def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
     return rows[0], [cell for row in rows[1:] for cell in row]
 
 
-def _rectangular(csv_text: str, lines: list[str], width: int) -> bool:
-    """Whether each of ``lines``, the non-empty lines of ``csv_text``,
-    holds ``width - 1`` commas.
+def _plain_fields(csv_text: str, width: int | None = None):
+    """A plain text's UTF-8 bytes, led by ``_LEAD``, and its separators'
+    positions as a (lines, width + 1) array: field c of line r lies between
+    those at ``[r, c]`` and ``[r, c + 1]``; or None for any other text.
 
-    An ASCII text is first checked as a whole, in C: if its commas and
-    newlines alone read as ``len(lines)`` rows of ``width - 1`` commas,
-    so does every line, since with a comma per row a blank line or an
-    unterminated last line would leave a row short, and with none the
-    text holds no comma. Any other text, a ragged one too, is checked
-    line by line.
+    A plain text, which ``csv.reader`` reads as split on newlines then on
+    commas, holds no character of ``_NOT_PLAIN``, and its lines, none blank
+    or longer in bytes than ``csv.field_size_limit()``, have ``width``
+    fields each (the header's if None), at least 2, so that a blank line
+    breaks the shape. It may lack a final newline.
     """
-    return ((csv_text.isascii()
-             and csv_text.encode("ascii").translate(None, _SHAPE)
-             == (b"," * (width - 1) + b"\n") * len(lines))
-            or len(set(map(str.count, lines, repeat(",")))) == 1)
+    if any(map(csv_text.__contains__, _NOT_PLAIN)):
+        return None
+    raw = _LEAD + csv_text.encode() + (b"" if csv_text.endswith("\n") else b"\n")
+    seps = _separators(raw)
+    # Each line's last separator, and no other, is a newline. No byte of
+    # a UTF-8 multi-byte sequence is below 0x80, so none is a separator.
+    ends = np.frombuffer(raw, np.uint8)[seps[1:]] == ord("\n")
+    width = width or int(ends.argmax()) + 1
+    if (width < 2 or not ends[width - 1::width].all()
+            or np.count_nonzero(ends) != len(ends) // width
+            or np.diff(seps[::width]).max() > csv.field_size_limit() + 1):
+        return None
+    return raw, _windows(seps, width + 1)[::width]
 
 
-def _needs_strip(csv_text: str) -> bool:
-    """Whether stripping might change a cell of the text: false only for
-    an ASCII text with no quote and no whitespace but its newlines."""
-    return not csv_text.isascii() or any(map(csv_text.__contains__, _PADDING))
+def _separators(raw: bytes) -> np.ndarray:
+    """The positions of the commas and newlines of ``raw``."""
+    data = np.frombuffer(raw, np.uint8)
+    seps = data == ord(",")
+    seps |= data == ord("\n")
+    return np.flatnonzero(seps)
+
+
+def _field_texts(raw: bytes, lefts: np.ndarray, rights: np.ndarray) -> list[str]:
+    """The fields of ``raw`` between ``lefts`` and commas at ``rights``, as str."""
+    sizes = rights - lefts  # each field and its comma
+    at = np.repeat(rights - np.cumsum(sizes), sizes) + np.arange(sizes.sum()) + 1
+    return np.frombuffer(raw, np.uint8)[at].tobytes().decode().split(",")[:-1]
 
 
 def parse_panel(csv_text: str, year: str) -> ScorePanel:
@@ -336,10 +330,27 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     missing. Raises InputError naming the first malformed row or cell in
     row-major order by its file line and column.
     """
-    header, entities, cells = _panel_body(csv_text)
+    raw, bounds = _plain_fields(csv_text) or (None, None)
+    if raw is not None:
+        header = raw[16:bounds[0, -1]].decode().split(",")
+        entities = _field_texts(raw, bounds[1:, 0], bounds[1:, 1])
+        bounds = bounds[1:, 1:]
+    else:
+        header, entities = _csv_cells(csv_text)  # [] with no rows, None ragged
+        header = [cell.strip() for cell in header]
+        if entities:
+            # Stripped, the score cells are read from the bytes of one line;
+            # a quoted one holding a comma or a newline reads as two.
+            cells = list(map(str.strip, entities))
+            entities = cells[::len(header)]
+            del cells[::len(header)]
+            raw = _LEAD + (",".join(cells) + "\n").encode()
+            seps, m = _separators(raw), len(header) - 1
+            if len(seps) == len(cells) + 1:
+                bounds = _windows(seps, m + 1)[::m]
+            del cells
     if not header:
         raise InputError("empty panel file")
-    header = [cell.strip() for cell in header]
     if len(header) < 2:
         raise InputError("panel header must contain at least one category column")
     if header[0].lower() != "entity":
@@ -347,47 +358,21 @@ def parse_panel(csv_text: str, year: str) -> ScorePanel:
     if entities == []:
         raise InputError("panel file has a header but no data rows")
     shape = (len(entities or ()), len(header) - 1)
-    raw = ("0" * 15 + "," + cells + ",").encode()  # 16 bytes lead the cells
-    seps = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
-    read = None if entities is None else _read_scores(raw, seps[:-1], seps[1:])
-    del raw, seps  # freed before make_panel copies the scores
-    # A quoted cell holding a comma reads as two: the count is then off.
-    if (read is None or read[0].size != shape[0] * shape[1]
-            or not ((read[0] >= 0) & (read[0] <= 100)).all()):
+    read = None if bounds is None else _read_scores(raw, bounds)
+    del raw, bounds  # freed before make_panel copies the scores
+    if read is None or not ((read[0] >= 0) & (read[0] <= 100)).all():
         raise InputError(next(_panel_faults(csv_text, header)))
     return make_panel(year, entities, header[1:], read[0].reshape(shape),
                       read[1].reshape(shape))
 
 
-def _panel_body(csv_text: str):
-    """A panel's header cells, its entity ids, and its score cells joined
-    by commas in row-major order, all stripped; the ids are None when some
-    row is not as wide as the header. An ASCII text with nothing to strip
-    that ``_split_lines`` takes is cut at each line's first comma, making
-    no str per score cell."""
-    strip = _needs_strip(csv_text)
-    lines = None if strip else _split_lines(csv_text)
-    if lines is None:
-        header, cells = _csv_cells(csv_text)
-        if not cells:
-            return header, cells, ""
-        cells = list(map(str.strip, cells)) if strip else cells
-        entities = cells[::len(header)]
-        del cells[::len(header)]
-        return header, entities, ",".join(cells)
-    header = lines[0].split(",")
-    if not _rectangular(csv_text, lines, len(header)):
-        return header, None, ""
-    rows = list(map(str.partition, lines[1:], repeat(",")))
-    return header, [row[0] for row in rows], ",".join([row[2] for row in rows])
-
-
-def _read_scores(raw: bytes, lefts: np.ndarray, rights: np.ndarray
+def _read_scores(raw: bytes, bounds: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray] | None:
-    """The values of the cells of ``raw`` between the separators at
-    ``lefts`` and ``rights`` and their missing mask (the empty cells, read
-    as 0.0), or None if some other cell is not a float. At least 16 bytes
-    of ``raw`` precede its first cell, so every lane read lies in it.
+    """The values of the cells of ``raw`` between neighbouring separators
+    in each row of ``bounds``, in row-major order, and their missing mask
+    (the empty cells, read as 0.0); or None if some other cell is not a
+    float. At least 16 bytes of ``raw`` precede its first cell, so every
+    lane read lies in it.
 
     A cell of at most 16 bytes, an optional sign then digits with at most
     one point, one digit at least, is read from the one or two 8-byte
@@ -400,10 +385,13 @@ def _read_scores(raw: bytes, lefts: np.ndarray, rights: np.ndarray
     u = np.uint64
     data = np.frombuffer(raw, np.uint8)
     lanes = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
-    values, missing = np.empty(len(lefts)), np.empty(len(lefts), bool)
-    for a in range(0, len(values), _BLOCK_CELLS):
-        ends = rights[a:a + _BLOCK_CELLS]
-        size = ends - lefts[a:a + len(ends)] - 1
+    width = bounds.shape[1] - 1
+    values, missing = np.empty(len(bounds) * width), np.empty(len(bounds) * width, bool)
+    step = max(1, _BLOCK_CELLS // width)  # rows a block
+    for r in range(0, len(bounds), step):
+        a, block = r * width, bounds[r:r + step]
+        lefts, ends = block[:, :-1].ravel(), block[:, 1:].ravel()
+        size = ends - lefts - 1
         first = data[ends - size]
         length = size - ((first == ord("-")) | (first == ord("+")))
         ok, mantissa, places, point = size <= 16, u(0), u(0), False
@@ -434,9 +422,9 @@ def _read_scores(raw: bytes, lefts: np.ndarray, rights: np.ndarray
         values[a:a + len(ends)] = np.where(first == ord("-"), -1.0, 1.0) * (
             mantissa / _TENS.take(places, mode="clip"))
         missing[a:a + len(ends)] = size == 0
-        for i in (a + np.flatnonzero(~(ok & (length > point)) & (size > 0))).tolist():
+        for i in np.flatnonzero(~(ok & (length > point)) & (size > 0)).tolist():
             try:
-                values[i] = float(raw[lefts[i] + 1:rights[i]].decode())
+                values[a + i] = float(raw[lefts[i] + 1:ends[i]].decode())
             except ValueError:
                 return None
     return values, missing
@@ -465,8 +453,7 @@ def _panel_faults(csv_text: str, header: list[str]):
 def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
     """Parse a long-form indicator CSV (``entity,category,indicator,value``).
 
-    Cells are stripped, unless stripping would change none; the value
-    column is converted as one column.
+    Cells are stripped; the value column is converted as one column.
     """
     header, cells = _csv_cells(csv_text)
     if not header:
@@ -480,8 +467,7 @@ def parse_indicator_csv(csv_text: str, year: str) -> IndicatorTable:
         raise InputError(next(_indicator_row_faults(csv_text)))
     if not cells:
         return IndicatorTable(str(year))
-    if _needs_strip(csv_text):
-        cells = list(map(str.strip, cells))
+    cells = list(map(str.strip, cells))
     try:
         values = tuple(map(float, cells[3::4]))
     except ValueError:
@@ -594,33 +580,23 @@ def _indicator_record_faults(table: IndicatorTable):
 
 def indicator_panel(csv_text: str, year: str) -> ScorePanel:
     """``aggregate_indicators(parse_indicator_csv(csv_text, year))``, read
-    from the text's bytes, with a str made only per distinct id, for a
-    text with nothing to strip and no NUL, with a lowered header of
-    ``entity,category,indicator,value`` and lines, none blank or past the
-    field-size limit, of three commas each. Any other text, or one with a
-    fault, takes those two steps, which name the fault."""
-    if _needs_strip(csv_text) or "\0" in csv_text:
+    from the bytes of a text ``_plain_fields`` takes at four fields a line,
+    with a lowered header of ``entity,category,indicator,value`` and a
+    record at least, making a str only per distinct id. Any other text, or
+    one with a fault, takes those two steps, which name the fault."""
+    raw, bounds = _plain_fields(csv_text, 4) or (b"", None)
+    # Refused too: ids so wide that a column's keys, ceil(w / 8) lanes a
+    # record for the widest id of w bytes, would outgrow the text.
+    if (bounds is None or len(bounds) < 2
+            or raw[16:48].lower() != b"entity,category,indicator,value\n"
+            or (np.diff(bounds[1:, :4]).max() + 6) // 8 * 8 * len(bounds) > len(raw)):
         return aggregate_indicators(parse_indicator_csv(csv_text, year))
-    raw = (csv_text if csv_text.endswith("\n") else csv_text + "\n").encode()
-    shape = raw.translate(None, _SHAPE)
-    if (raw[:32].lower() != b"entity,category,indicator,value\n"
-            or len(shape) < 8 or shape != b",,,\n" * (len(shape) // 4)):
-        return aggregate_indicators(parse_indicator_csv(csv_text, year))
-    data = np.frombuffer(raw, np.uint8)
-    seps = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    # Refused too: a line past the field-size limit, and fields so wide
-    # that an id column's keys, ceil(w / 8) lanes a record for the widest
-    # field of w bytes, would take more memory than the text.
-    if (np.diff(seps[3::4], prepend=-1).max() > csv.field_size_limit() + 1
-            or (np.diff(seps[3:]).max() + 6) // 8 * 2 * len(seps) > len(raw)):
-        return aggregate_indicators(parse_indicator_csv(csv_text, year))
-    # Field c of each record lies between separators 4r + c - 1 and 4r + c.
-    values = _read_scores(raw, seps[6::4], seps[7::4])
+    values = _read_scores(raw, bounds[1:, 3:])
     if values is None or values[1].any():  # a cell float refuses, or empty
         return aggregate_indicators(parse_indicator_csv(csv_text, year))
     lanes = np.ndarray((len(raw) - 7,), "<u8", raw, strides=(1,))
     (entity, entities), (category, categories), (indicator, indicators) = (
-        _id_codes(csv_text, lanes, seps[3 + c:-1:4], seps[4 + c::4])
+        _id_codes(raw, lanes, bounds[1:, c], bounds[1:, c + 1])
         for c in range(3))
     means = (None if _NOT_XML.search("\n".join(indicators)) else _cell_means(
         entity, category, indicator, values[0], len(entities), len(categories)))
@@ -629,12 +605,12 @@ def indicator_panel(csv_text: str, year: str) -> ScorePanel:
     return make_panel(year, entities, categories, *means)
 
 
-def _id_codes(text: str, lanes: np.ndarray, lefts: np.ndarray,
-              rights: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Codes of the fields of ``text`` between the separators at ``lefts``
-    and ``rights``, numbered by first appearance, and the distinct fields
-    in that order. Each field is keyed by the lanes that end where it
-    ends, masked to its bytes: with no NUL, equal keys are equal fields."""
+def _id_codes(raw: bytes, lanes: np.ndarray, lefts: np.ndarray,
+              rights: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """Codes of the fields of ``raw`` between ``lefts`` and commas at
+    ``rights``, numbered by first appearance, and the distinct fields in
+    that order. Each field is keyed by the lanes that end where it ends,
+    masked to its bytes: with no NUL, equal keys are equal fields."""
     size = rights - lefts - 1
     after = np.arange(0, max(size.max(), 1), 8)[:, None]
     # A lane wholly before a field is masked to 0, so it may start before
@@ -647,8 +623,7 @@ def _id_codes(text: str, lanes: np.ndarray, lefts: np.ndarray,
     rank = np.argsort(firsts)
     codes = np.empty_like(order)
     codes[order] = np.argsort(rank)[np.cumsum(new) - 1]
-    return codes, tuple(text[a + 1:b] for a, b in zip(
-        lefts[firsts[rank]].tolist(), rights[firsts[rank]].tolist()))
+    return codes, _field_texts(raw, lefts[firsts[rank]], rights[firsts[rank]])
 
 
 def validate_panel(panel: ScorePanel) -> list[Finding]:

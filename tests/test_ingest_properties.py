@@ -9,18 +9,19 @@ and mask), or an ``InputError`` with the same text, whose row numbers
 are file lines. Blank lines, before the header too, and cells spanning
 lines are drawn, so those numbers drift from a count of records. Texts
 may end without a newline or in blank lines, ids may be non-ASCII, and
-cells may be padded with any character ``str.strip`` removes, so the
-whole-text checks that let the readers skip per-line and per-cell work
-meet texts on both sides of them.
-Beneath both readers, ``_csv_cells`` must read any text the way
-``csv.reader`` does, whichever of its two routes the text takes, and
-the wide reader's ``_read_scores`` must give the values ``float`` gives,
-bit for bit, and refuse a text exactly when ``float`` refuses one of its
-non-empty cells. ``indicator_panel``, which reads a plain long-form text
-from its bytes and leaves any other to the two steps, must give the
-record reader's panel bit for bit, or its error, on texts drawn plain
-but for a fault now and then. The profile is derandomized, so every run
-draws the same examples.
+cells may be padded with any character ``str.strip`` removes, so texts
+meet both routes: the byte split of a plain text, and ``csv.reader``.
+Beneath both readers, whenever ``_plain_fields`` takes a text its field
+bounds must give exactly ``csv.reader``'s non-empty rows, and
+``_read_scores`` must give the values ``float`` gives, bit for bit, and
+refuse a text exactly when ``float`` refuses one of its non-empty cells.
+The wide reader is also drawn one-column, header-only and blank-only
+texts, and reads with score blocks of 1 and 5 cells, so that one text's
+cells cross blocks. ``indicator_panel``, which reads a plain long-form
+text from its bytes and leaves any other to the two steps, must give
+the record reader's panel bit for bit, or its error, on texts drawn
+plain but for a fault now and then. The profile is derandomized, so
+every run draws the same examples.
 """
 
 import csv
@@ -37,8 +38,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from panelrank import (InputError, aggregate_indicators,  # noqa: E402
                        parse_indicator_csv, parse_panel)
 from panelrank import panel  # noqa: E402
-from panelrank.panel import (_csv_cells, _read_scores,  # noqa: E402
-                             indicator_panel)
+from panelrank.panel import (_NOT_PLAIN, _csv_cells,  # noqa: E402
+                             _plain_fields, _read_scores, indicator_panel)
 
 from oracles import (aggregate_indicators_by_records,  # noqa: E402
                      parse_indicator_csv_by_rows, parse_panel_by_cells)
@@ -164,12 +165,28 @@ def wide_csvs(draw):
          *mutate(rows, draw(faults(n, st.integers(0, m))), 1)]))
 
 
+@st.composite
+def edge_csvs(draw):
+    """A one-column text, with rows or none, a text of a header only, or
+    one of blank lines only."""
+    kind = draw(st.sampled_from(["column", "header", "blank"]))
+    rows = {"column": [["entity"], *([f"e{i}"] for i in range(
+                draw(st.integers(0, 3))))],
+            "header": [["entity", *(f"c{j}" for j in range(
+                draw(st.integers(1, 3))))]],
+            "blank": []}[kind]
+    return line_ends(draw, csv_text([*leading_blank_lines(draw), *rows, []]))
+
+
 @PROFILE
-@given(text=wide_csvs())
-def test_parse_panel_matches_cell_reader(text):
+@given(text=st.one_of(wide_csvs(), wide_csvs(), wide_csvs(), edge_csvs()),
+       block=st.sampled_from([1, 5, 8192]))
+def test_parse_panel_matches_cell_reader(text, block):
+    # Small blocks put the score cells of one text in several blocks.
     def read(parse):
         return panel_outcome(parse(text, "y"))
-    assert outcome(read, parse_panel) == outcome(read, parse_panel_by_cells)
+    with mock.patch.object(panel, "_BLOCK_CELLS", block):
+        assert outcome(read, parse_panel) == outcome(read, parse_panel_by_cells)
 
 
 @st.composite
@@ -336,34 +353,58 @@ def reader_cells(text: str):
     return rows[0], [cell for row in rows[1:] for cell in row]
 
 
-# The characters that decide the route (a quote, a carriage return, a
-# NUL) beside ones that do not, one of them a line boundary to
-# ``str.splitlines`` but not to the reader.
-CSV_CHARS = ["a", ",", '"', "\n", "\r", "\0", " ", "\u00e9", "\x1e"]
+def reader_rows(text: str) -> list[list[str]]:
+    return [row for row in csv.reader(io.StringIO(text)) if row]
+
+
+def plain_rows(text: str, width=None):
+    """The rows ``_plain_fields`` cuts ``text`` into, each field read from
+    the bytes between its bounds, or None if it does not take the text."""
+    plain = _plain_fields(text, width)
+    if plain is None:
+        return None
+    raw, bounds = plain
+    return [[raw[a + 1:b].decode() for a, b in zip(row, row[1:])]
+            for row in bounds.tolist()]
+
+
+# Every character str.isspace accepts, the newline among them.
+SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()]
+# Characters the gate passes, of one to four bytes in UTF-8.
+PLAIN_CHARS = st.sampled_from(["a", "\u00e9", "\u540d", "\U0001f600"])
+# The characters that decide the gate (a quote, a NUL, a newline, every
+# space) beside ones that do not.
+CSV_CHARS = st.one_of(st.sampled_from(["a", ",", '"', "\n", "\0"]),
+                      PLAIN_CHARS, st.sampled_from(SPACES))
 
 
 @st.composite
 def texts(draw):
     """Raw text over ``CSV_CHARS``, or rows of drawn cells, mostly of one
-    width, with blank lines between them and at the end. Half the tables
-    have cells that may hold a quote, a carriage return, a NUL, a comma
-    or a newline, and half of those are written by ``csv.writer``, which
-    quotes such cells."""
+    width, in a third of the tables with blank lines between them, and
+    with blank lines or none at the end. In two tables of five the cells
+    hold only characters the gate passes, in one they may hold a space,
+    and in two a quote, a carriage return, a NUL, a comma or a newline;
+    half of those two are written by ``csv.writer``, which quotes such
+    cells."""
     if draw(st.sampled_from([True, False, False])):
-        return draw(st.text(st.sampled_from(CSV_CHARS), max_size=30))
-    special = draw(st.booleans())
-    chars = ["a", " ", "\u00e9", "\x1e"]
-    if special:
-        chars += ['"', "\r", "\0", ",", "\n"]
-    cell = st.text(st.sampled_from(chars), max_size=3)
+        return draw(st.text(CSV_CHARS, max_size=30))
+    kind = draw(st.sampled_from(["plain", "plain", "spaces", "special",
+                                 "special"]))
+    cell = st.text({
+        "plain": PLAIN_CHARS,
+        "spaces": st.one_of(*[PLAIN_CHARS] * 4, st.sampled_from(SPACES)),
+        "special": st.one_of(PLAIN_CHARS, st.sampled_from(
+            ['"', "\r", "\0", ",", "\n"]))}[kind], max_size=3)
     width = draw(st.integers(1, 4))
+    blanks = st.sampled_from(draw(st.sampled_from([[0], [0], [0, 0, 0, 1, 2]])))
     rows = []
     full = st.lists(cell, min_size=width, max_size=width)
-    for row in draw(st.lists(st.one_of(full, full, full, st.lists(
+    for row in draw(st.lists(st.one_of(*[full] * 6, st.lists(
             cell, min_size=1, max_size=5)), max_size=6)):
-        rows += [[]] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        rows += [[]] * draw(blanks)
         rows.append(row)
-    if special and draw(st.booleans()):
+    if kind == "special" and draw(st.booleans()):
         out = io.StringIO()
         csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])),
                    quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL,
@@ -375,17 +416,40 @@ def texts(draw):
 
 
 @settings(PROFILE, max_examples=1000)
-@given(text=texts(), limit=st.sampled_from([None, None, None, 1, 4, 8]))
-def test_csv_cells_read_as_csv_reader(text, limit):
-    # A lowered field-size limit puts some lines past it: those texts
-    # take the reader route, which may refuse them.
+@given(text=texts(), width=st.sampled_from([None, None, None, 1, 2, 3]),
+       limit=st.sampled_from([None, None, None, 1, 4, 8]))
+def test_plain_fields_read_as_csv_reader(text, width, limit):
+    # A lowered field-size limit puts some lines past it: the gate must
+    # refuse those, and the reader may refuse them too.
     default = csv.field_size_limit()
     try:
         if limit is not None:
             csv.field_size_limit(limit)
+        rows = plain_rows(text, width)
+        if rows is not None:
+            assert rows == reader_rows(text)
+            assert len(rows[0]) == (width or len(rows[0])) >= 2
         assert outcome(_csv_cells, text) == reader_cells(text)
     finally:
         csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("text", [
+    "a,b\n", "a,b", "a,,\n,,\n", "entity,x\nCura\u00e7ao,1\n",
+    "\u540d,\U0001f600\n\u00e9,e\n"])
+def test_plain_fields_take_plain_text(text):
+    assert plain_rows(text) == reader_rows(text)
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "a\nb\n", "a,b\n\nc,d\n", "a,b\nc\n", "a,b\n\n", "a, b\n",
+    "a,b\u3000\n", "a,b\r\n", '"a",b\n', "a\0,b\n"])
+def test_plain_fields_refuse_other_text(text):
+    assert _plain_fields(text) is None
+
+
+def test_not_plain_is_the_spaces_but_newline_and_a_quote_and_nul():
+    assert sorted(_NOT_PLAIN) == sorted(set(SPACES) - {"\n"} | {'"', "\0"})
 
 
 # The score reader's alphabet: digits, the point and both signs, beside
@@ -431,23 +495,25 @@ def read_by_float(cells):
     return np.array(values).tobytes(), [not cell for cell in cells]
 
 
-def read_by_lanes(cells):
-    # Led by 16 bytes, as every caller leads its text: no lane starts
-    # before it.
-    raw = ("0" * 15 + "," + ",".join(cells) + ",").encode()
-    seps = np.flatnonzero(np.frombuffer(raw, np.uint8) == ord(","))
-    read = _read_scores(raw, seps[:-1], seps[1:])
+def read_by_lanes(cells, width=1):
+    # Led by 16 bytes, as every caller leads its text, so no lane starts
+    # before it; the cells are read as rows of ``width``.
+    raw = panel._LEAD + (",".join(cells) + ",").encode()
+    seps = panel._separators(raw)
+    read = _read_scores(raw, panel._windows(seps, width + 1)[::width])
     return None if read is None else (read[0].tobytes(), read[1].tolist())
 
 
 @PROFILE
 @given(cells=st.lists(SCORE_CELLS, min_size=1, max_size=12),
-       block=st.sampled_from([1, 3, 8192]))
-def test_score_reader_matches_float(cells, block):
+       width=st.sampled_from([1, 2, 3]), block=st.sampled_from([1, 3, 8192]))
+def test_score_reader_matches_float(cells, width, block):
     # Small blocks put the cells of one text in several blocks, some with
-    # a two-lane cell and some without.
+    # a two-lane cell and some without, and rows of two or three cells
+    # put a block's cells in rows.
+    cells = cells * width
     with mock.patch.object(panel, "_BLOCK_CELLS", block):
-        assert read_by_lanes(cells) == read_by_float(cells)
+        assert read_by_lanes(cells, width) == read_by_float(cells)
 
 
 @pytest.mark.parametrize("cell", EDGE_CELLS)

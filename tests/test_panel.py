@@ -191,9 +191,10 @@ class TestFootprint:
 
     def test_read_peak_is_a_small_multiple_of_the_text(self):
         # A deterministic gate instead of a timing one: parsing a plain
-        # 20,000 x 17 panel peaks at about 6.7 times its text, 8.5 while
-        # make_panel checked a second copy. A str made per cell, and a
-        # Python float per score, took about 19 times.
+        # 20,000 x 17 panel peaks at about 5.7 times its text, 6.7 while
+        # its ids were cut from a copy of each line, 8.5 while make_panel
+        # checked a second copy. A str made per cell, and a Python float
+        # per score, took about 19 times.
         n, m = 20_000, 17
         row, col = np.arange(n)[:, None], np.arange(m)
         cells = np.char.mod("%.1f", (row * 37 + col * 11) % 1001 / 10)
@@ -208,7 +209,7 @@ class TestFootprint:
         finally:
             tracemalloc.stop()
         assert panel.missing_mask.sum() == n * m // 50
-        assert peak < 7.5 * len(text)
+        assert peak < 6.5 * len(text)
 
     def test_indicator_read_peak_is_a_small_multiple_of_the_text(self):
         # Reading a plain 19,779-record long-form text from its bytes
@@ -252,8 +253,9 @@ def quote_all(text: str) -> str:
 
 
 class TestReadRoute:
-    """Unquoted text is split without ``csv.reader``; quoted text goes
-    through it and reads the same."""
+    """A plain text of either form, ASCII or not, is split from its bytes
+    without ``csv.reader``; quoted text goes through it and reads the
+    same."""
 
     @staticmethod
     def count_readers(monkeypatch) -> list:
@@ -266,11 +268,18 @@ class TestReadRoute:
         texts = [path.read_text(encoding="utf-8")
                  for path in sorted(data_dir.glob("panel_*.csv"))]
         assert len(texts) == 4
+        long_texts = [UNQUOTED_INDICATORS,
+                      UNQUOTED_INDICATORS.replace("\ne", "\n\u00e9")]
+        expected = [aggregate_indicators(parse_indicator_csv(text, "y"))
+                    for text in long_texts]
         calls = self.count_readers(monkeypatch)
         for text in texts:
             parse_panel(text, "y")
-        aggregate_indicators(parse_indicator_csv(UNQUOTED_INDICATORS, "y"))
+        panels = [indicator_panel(text, "y") for text in long_texts]
         assert calls == []
+        assert panels[1].entities[0] == "\u00e90"
+        for got, want in zip(panels, expected):
+            assert TestIndicatorRoute.same(got, want)
 
     def test_quoted_text_read_by_reader(self, monkeypatch, data_dir):
         text = (data_dir / "panel_2024.csv").read_text(encoding="utf-8")
@@ -310,6 +319,9 @@ class TestIndicatorRoute:
     def test_plain_text_read_from_bytes(self, monkeypatch):
         text = indicator_text(40)
         expected = aggregate_indicators(parse_indicator_csv(text, "y"))
+        # A non-ASCII name is plain too.
+        other = text.replace("ind2", "ind\u00e9")
+        other_expected = aggregate_indicators(parse_indicator_csv(other, "y"))
 
         def refuse(*args):
             raise AssertionError("the two-step route was taken")
@@ -318,10 +330,13 @@ class TestIndicatorRoute:
         # An upper-case header, and no final newline, stay plain.
         assert self.same(indicator_panel(
             "ENTITY,Category" + text[15:-1], "y"), expected)
+        assert self.same(indicator_panel(other, "y"), other_expected)
 
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("\n", "\r\n"), lambda t: t.replace(",", ", ", 1),
-        lambda t: t + "\n", quote_all, lambda t: t.replace("ind2", "ind\u00e9"),
+        lambda t: t + "\n", quote_all,
+        # A name padded by an ideographic space, which strip removes.
+        lambda t: t.replace("ind2", "ind2\u3000"),
         # One id whose keys, as wide as it for every record, would outgrow
         # the text.
         lambda t: t + "x" * 5000 + ",goal02,ind1,5\n"])
