@@ -273,7 +273,11 @@ def _csv_cells(csv_text: str) -> tuple[list[str], list[str] | None]:
     """The first non-empty row of a CSV text, and the cells of every later
     one in row-major order, as ``csv.reader`` reads them; the cells are
     None if some row is not as wide as the first. No row gives ([], [])."""
-    rows = [row for _, row in _csv_records(csv_text)]
+    reader = csv.reader(io.StringIO(csv_text))
+    try:
+        rows = [row for row in reader if row]
+    except csv.Error as exc:
+        raise InputError(f"unreadable CSV at line {reader.line_num}: {exc}") from None
     if not rows:
         return [], []
     if len(set(map(len, rows))) > 1:

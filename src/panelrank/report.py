@@ -30,6 +30,8 @@ RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
 # about 200 B a cell a piece stays under 128 KiB, above which malloc maps
 # fresh pages for each piece and unmaps them when it is written.
 HEATMAP_BLOCK_CELLS = 512
+# Points a block of ``_paths`` holds, so its byte matrices stay small.
+_PATH_BLOCK_CELLS = 8192
 # A table cell holding any of these characters is quoted.
 _QUOTED = re.compile('[,"\n\r]').search
 # A roster holding any of these characters is escaped id by id.
@@ -128,22 +130,15 @@ def _fields(texts: Sequence[str]) -> Sequence[str]:
     return list(map(_field, texts)) if _QUOTED("".join(texts)) else texts
 
 
-def float_cells(values, lead: str, decimals: int = 6) -> list[str]:
-    """The table cells ``emit_table`` writes for a vector of floats, each
-    led by ``lead``: ``"%.*f" % (decimals, v)``, and only ``lead`` for
-    NaN. A call costs tens of microseconds at any length, so a caller
-    formats all the vectors it writes in one call. ``lead`` holds no NUL
-    and no newline; ``decimals`` is 0 to 9.
+def _fixed_point(x: np.ndarray, decimals: int):
+    """For the floats ``x`` at ``decimals`` decimals: where ``_write_fixed``
+    writes ``%``'s bytes, their integer and decimal parts there (0
+    elsewhere), and the width of the widest with its sign and point.
 
     ``%`` rounds the exact binary value, half to even. While
     ``y = |v| * 10**decimals`` is below 2**43 the product is off by at
     most 2**-11, so where y's fraction is more than 2**-8 from a half,
-    ``rint(y)`` is the integer ``%`` prints. Those cells are laid out in
-    one byte matrix, a column of digits at a time, with '-' where the
-    sign bit is set (``-0.0`` gives ``-0.000000``, as ``%`` does). NaN,
-    +-inf, larger values and values near a half go through ``%``.
-    """
-    x = np.asarray(values, dtype=float)
+    ``rint(y)`` is the integer ``%`` prints."""
     scale = 10.0 ** decimals
     with np.errstate(all="ignore"):
         y = np.abs(x) * scale
@@ -155,17 +150,17 @@ def float_cells(values, lead: str, decimals: int = 6) -> list[str]:
     whole = np.floor(scaled / scale)
     part = (scaled - whole * scale).astype(np.uint32)
     whole = whole.astype(np.uint32)
-    head = np.fromiter(lead.encode(), np.uint8)
-    digits = len(str(int(whole.max(initial=0))))
-    # A row is the lead, the sign, the integer digits right-aligned, the
-    # point and decimals, and a newline; NUL bytes pad and are dropped.
-    rows = np.zeros((x.size, head.size + digits + decimals + (decimals > 0) + 2),
-                    np.uint8)
-    columns = rows.T
-    columns[:head.size] = head[:, None]
-    columns[head.size] = np.signbit(x) * np.uint8(ord("-"))
-    columns[-1] = ord("\n")
-    at = len(columns) - 2
+    width = len(str(int(whole.max(initial=0)))) + decimals + (decimals > 0) + 1
+    return exact, whole, part, width
+
+
+def _write_fixed(columns, x, whole, part, decimals: int) -> None:
+    """Write byte k of each number ``_fixed_point`` split into
+    ``columns[k]``, right-aligned: '-' where x's sign bit is set (so
+    ``-0.0`` gives ``-0.00``, as ``%`` does), the integer digits with NUL
+    for leading zeros, the point and the decimals; 0 where not exact."""
+    columns[0] = np.signbit(x) * np.uint8(ord("-"))
+    at = len(columns) - 1
     for _ in range(decimals):
         rest = part // 10
         columns[at] = part - rest * 10 + ord("0")
@@ -173,13 +168,30 @@ def float_cells(values, lead: str, decimals: int = 6) -> list[str]:
     if decimals:
         columns[at] = ord(".")
         at -= 1
-    for k in range(digits):
+    for k in range(at):
         rest = whole // 10
         digit = whole - rest * 10 + ord("0")
         if k:
             digit *= whole > 0  # a leading zero is padding
         columns[at] = digit
         whole, at = rest, at - 1
+
+
+def float_cells(values, lead: str, decimals: int = 6) -> list[str]:
+    """The table cells ``emit_table`` writes for a vector of floats, each
+    led by ``lead``: ``"%.*f" % (decimals, v)``, and only ``lead`` for
+    NaN. A call costs tens of microseconds at any length, so a caller
+    formats all the vectors it writes in one call. ``lead`` holds no NUL
+    and no newline; ``decimals`` is 0 to 9. The cells ``_fixed_point``
+    finds exact are one byte matrix; the others go through ``%``."""
+    x = np.asarray(values, dtype=float)
+    exact, whole, part, width = _fixed_point(x, decimals)
+    head = np.fromiter(lead.encode(), np.uint8)
+    # A row is the lead, the number and a newline; NUL bytes are dropped.
+    rows = np.zeros((x.size, head.size + width + 1), np.uint8)
+    rows[:, :head.size] = head
+    rows[:, -1] = ord("\n")
+    _write_fixed(rows[:, head.size:-1].T, x, whole, part, decimals)
     cells = rows.tobytes().translate(None, b"\0").decode().split("\n")
     cells.pop()
     inexact = np.flatnonzero(~exact)
@@ -412,29 +424,41 @@ def emit_weight_bars(weights: GoalWeights, title: str = "") -> str:
 
 
 def _paths(x_text: Sequence[str], ys) -> list[str]:
-    """SVG path data for each row of ``ys``, restarting after gaps.
+    """SVG path data for each row of the 2-D ``ys``, restarting after gaps.
 
     Point j of a row is at x ``x_text[j]``, already formatted with ``_fmt``
-    (charts format each column's x once); a non-finite y is a gap. The
-    rows without a gap are one ``%`` format of one template repeated a
-    line per row; each gap pattern gets one template with its x values
-    filled in, so a row with gaps is one format of its finite ys.
-    """
+    (charts format each column's x once); a non-finite y is a gap. A block
+    of rows is one byte matrix of a slot per point and one for a newline.
+    A point's slot is its lead (``M{x},`` for the row's first drawn point,
+    `` M{x},`` after a gap, `` L{x},`` after a drawn point) and its y, by
+    ``_write_fixed`` or, where that is not exact, by ``%``; a gap's is NUL
+    bytes, which are dropped."""
     ys = np.asarray(ys, dtype=float)
-    finite = np.isfinite(ys)
-    full = finite.all(axis=1)
-    patterns = list(map(tuple, finite[~full].tolist()))
-    whole = (True,) * len(x_text)
-    templates = {
-        pattern: " ".join(f"{'L' if j and pattern[j - 1] else 'M'}{x},%.2f"
-                          for j, x in enumerate(x_text) if pattern[j])
-        for pattern in {whole, *patterns}}
-    out = np.empty(len(ys), dtype=object)
-    out[full] = ("\n".join([templates[whole]] * int(full.sum()))
-                 % tuple(ys[full].ravel().tolist())).split("\n")
-    out[~full] = [templates[pattern] % tuple(filter(math.isfinite, row))
-                  for pattern, row in zip(patterns, ys[~full].tolist())]
-    return out.tolist()
+    m = ys.shape[1]
+    # The lead of state s in column j is row s * m + j; a gap's is empty.
+    table = np.array([f"{pen}{x}," for pen in ("M", " M", " L") for x in x_text]
+                     + [""] * m, "S")[:, None].view(np.uint8)
+    out: list[str] = []
+    step = max(1, _PATH_BLOCK_CELLS // (m + 1))
+    for start in range(0, len(ys), step):
+        block = ys[start:start + step]
+        finite = np.isfinite(block)
+        state = np.zeros(block.shape, np.intp)
+        state[:, 1:] = np.logical_or.accumulate(finite, axis=1)[:, :-1]
+        state[:, 1:] += finite[:, :-1]
+        state[~finite] = 3
+        exact, whole, part, width = _fixed_point(block, 2)
+        texts = ["%.2f" % v if math.isfinite(v) else ""
+                 for v in block[~exact].tolist()]
+        width = max([width, *map(len, texts)])
+        slots = np.zeros((len(block), m + 1, table.shape[1] + width), np.uint8)
+        slots[:, :m, :-width] = table[state * m + np.arange(m)]
+        slots[:, m, 0] = ord("\n")
+        numbers = slots[:, :m, -width:]
+        _write_fixed(numbers.transpose(2, 0, 1), block, whole, part, 2)
+        numbers[~exact] = np.array(texts, f"S{width}")[:, None].view(np.uint8)
+        out += slots.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    return out
 
 
 def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
@@ -454,6 +478,8 @@ def emit_weighted_lines(performance: np.ndarray, profile: GroupProfile,
     stacked = np.vstack([performance, profile.group_curves,
                          profile.national_curve[None, :]])
     finite = stacked[np.isfinite(stacked)]
+    if not finite.size:
+        raise InputError("no finite value to draw")
     lo = float(finite.min())
     hi = float(finite.max())
     span = hi - lo if hi > lo else 1.0

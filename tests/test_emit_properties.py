@@ -4,7 +4,10 @@
 distinct score once, and every chart writes each kind of repeated
 element through one ``%`` template over its columns, with ids escaped
 once per roster. Each must write the same text as the emitter in
-``oracles`` that formatted every element on its own. Panels are built as
+``oracles`` that formatted every element on its own. Path data, which
+``_paths`` lays out as one byte matrix a block of rows at a time, is also
+compared with the oracle's point-by-point path directly, at blocks of 1,
+5 and the default number of slots. Panels are built as
 ``ScorePanel`` directly, so present cells can hold both ``-0.0`` and
 ``0.0`` and the emitter cannot lean on ``make_panel``. Curves hold NaN and
 ±inf, whole rows of them included; rank trajectories have gaps; weights
@@ -13,6 +16,9 @@ matter to format strings and to XML. The profile is derandomized, so
 every run draws the same examples.
 """
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -20,6 +26,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from panelrank import report  # noqa: E402
 from panelrank import (GoalWeights, GroupProfile, RankSeries,  # noqa: E402
                        RankTrajectory, ScorePanel, WeightsEvolution,
                        emit_bipartite, emit_grouped_bars, emit_heatmap,
@@ -124,6 +131,48 @@ def weights_evolutions(draw):
     assume(np.nanmax(values, initial=0.0) > 0)
     return WeightsEvolution(years, categories,
                             values.reshape(len(categories), len(years)))
+
+
+# Path ys at the edges of ``_paths``' byte layout: binary halves exact at
+# two decimals, values within 2**-8 of a half (left to ``%``), zeros of
+# either sign and a value that prints as ``-0.00``, magnitudes past the
+# digit passes' range, and gaps.
+path_values = st.one_of(
+    st.sampled_from([0.125, 2.375, -2.375, 1.005, 2.675, -2.675, 0.0, -0.0,
+                     -0.004, 5e-324, 2.0 ** 31, 1e15, -1e15,
+                     np.nan, np.inf, -np.inf]),
+    st.floats(-1e15, 1e15), st.floats(0.0, 600.0))
+
+
+@st.composite
+def path_grids(draw):
+    """Formatted xs and a (rows, m) grid of ys; some rows are all gaps and
+    some hold a single drawn point."""
+    r, m = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    xs = [report._fmt(x) for x in draw(st.lists(
+        st.floats(0.0, 2000.0), min_size=m, max_size=m))]
+    ys = np.array(draw(st.lists(path_values, min_size=r * m, max_size=r * m)),
+                  dtype=float).reshape(r, m)
+    for i in range(r):
+        kind = draw(st.sampled_from(["drawn", "gaps", "point"]))
+        if kind != "drawn":
+            keep = ys[i, draw(st.integers(0, m - 1))]
+            ys[i] = np.nan
+            if kind == "point":
+                ys[i, draw(st.integers(0, m - 1))] = keep
+    return xs, ys
+
+
+@PROFILE
+@given(path_grids(), st.sampled_from([1, 5, 8192]))
+def test_paths_match_oracle(grid, block):
+    # Small blocks put the rows of one grid in several blocks.
+    xs, ys = grid
+    want = [oracles._path_from_points(
+        [(x, y) if math.isfinite(y) else None for x, y in zip(xs, row)])
+        for row in ys.tolist()]
+    with mock.patch.object(report, "_PATH_BLOCK_CELLS", block):
+        assert report._paths(xs, ys) == want
 
 
 def test_ramp_bound_and_values():

@@ -327,6 +327,15 @@ class TestWeightedLines:
                  for el in elements_with_class(svg, "entity-line")}
         assert lines["a"] == "M500.00,40.00"
 
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_nothing_finite_refused(self, m):
+        curves = np.full((3, m), np.nan)
+        profile = GroupProfile(tuple(f"c{j}" for j in range(m)),
+                               (("a",), ("b",), ("c",)), curves,
+                               np.full(m, np.nan))
+        with pytest.raises(InputError, match="^no finite value to draw$"):
+            emit_weighted_lines(curves, profile, ["a", "b", "c"])
+
     def test_best_worst_annotated(self):
         panel = make_panel("y", ["a", "b", "c"], ["c1", "c2"],
                            np.array([[90.0, 10.0], [50.0, 50.0], [10.0, 90.0]]))
