@@ -5,9 +5,10 @@ Two related routes to a pair of score vectors over entities and categories:
 * the spectral route builds the proximity matrix ``N`` (scores rescaled by
   row totals and adjusted column ubiquities) and takes the principal
   eigenvectors of the two similarity matrices ``N N^T`` and ``N^T N``.
-  Those are the leading left and right singular vectors of ``N``, so one
-  thin SVD gives both, with the shared eigenvalue ``sigma_1^2``.
-  ``similarity`` builds the two matrices only as a small-panel diagnostic;
+  One ``eigh`` of the m x m ``N^T N`` gives the category vector ``v`` and
+  the shared eigenvalue; the entity vector is ``N v``, a sum along each
+  row, so rows equal in ``N`` score bit-identically. ``similarity`` builds the
+  two matrices only as a small-panel diagnostic;
 * the iterative route runs the nonlinear fitness-complexity map to a fixed
   point, the entity half and then the category half of each step,
   renormalizing both vectors to mean one.
@@ -39,8 +40,8 @@ from .panel import ScorePanel
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_STEPS = 1000
 
-# Relative distance below which the top singular values (or eigenvalues)
-# of a spectrum count as one degenerate value.
+# Relative distance below which the top eigenvalues of ``N^T N`` (the
+# squared singular values of ``N``) count as one degenerate value.
 _DEGENERACY = 1e-12
 
 
@@ -160,8 +161,9 @@ def adjusted_ubiquity(panel: ScorePanel, deg: DegreeIndex) -> AdjustedUbiquity:
 
 def proximity(panel: ScorePanel, deg: DegreeIndex,
               ubiq: AdjustedUbiquity) -> ProximityMatrix:
-    """Entrywise scores divided by (row total x adjusted ubiquity)."""
-    values = panel.scores / (deg.totals[:, None] * ubiq.values[None, :])
+    """Entrywise row shares (scores over row totals) divided by adjusted
+    ubiquity, so rows with equal shares give bit-equal rows."""
+    values = panel.scores / deg.totals[:, None] / ubiq.values
     return ProximityMatrix(panel.entities, panel.categories, values)
 
 
@@ -190,35 +192,16 @@ def similarity(prox: ProximityMatrix) -> SimilarityPair:
                           (u + u.T) / 2.0, (v + v.T) / 2.0)
 
 
-def _dominant_direction(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Unit vector for the largest of ``values``.
-
-    ``vectors`` holds one orthonormal column per entry of ``values``. The
-    columns whose value lies within ``_DEGENERACY`` (relative) of the
-    largest span the dominant subspace; the result is the uniform vector
-    projected onto it. That is the limit power iteration reaches from the
-    uniform start, so ties resolve the same way whatever basis LAPACK
-    picked, and a simple dominant vector comes out oriented to a positive
-    entry sum.
-    """
-    top = values.max()
-    basis = vectors[:, values >= top - _DEGENERACY * abs(top)]
-    size = basis.shape[0]
-    vec = basis @ (basis.T @ np.full(size, 1.0 / np.sqrt(size)))
-    norm = float(np.linalg.norm(vec))
-    if norm <= _DEGENERACY:
-        raise ValueError("dominant subspace is orthogonal to the uniform vector")
-    return vec / norm
-
-
 def principal_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """Dominant eigenpair of a symmetric non-negative matrix.
 
     A dense symmetric eigensolve (``numpy.linalg.eigh``). Returns the
-    largest eigenvalue and a unit-norm eigenvector oriented so its entry
-    sum is positive. For a degenerate dominant eigenvalue the uniform
-    vector projected onto its eigenspace is returned, which makes ties
-    deterministic.
+    largest eigenvalue and a unit-norm eigenvector. The eigenvectors whose
+    eigenvalue lies within ``_DEGENERACY`` (relative) of the largest span
+    the dominant eigenspace; the result is the uniform vector projected
+    onto it. That is the limit power iteration reaches from the uniform
+    start, so ties resolve the same way whatever basis LAPACK picked, and
+    a simple dominant vector comes out oriented to a positive entry sum.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -226,25 +209,32 @@ def principal_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     if (matrix == 0).all():
         raise ValueError("matrix is all zero")
     values, vectors = np.linalg.eigh(matrix)
-    return float(values[-1]), _dominant_direction(vectors, values)
+    top = values[-1]
+    basis = vectors[:, values >= top - _DEGENERACY * abs(top)]
+    size = basis.shape[0]
+    vec = basis @ (basis.T @ np.full(size, 1.0 / np.sqrt(size)))
+    norm = float(np.linalg.norm(vec))
+    if norm <= _DEGENERACY:
+        raise ValueError("dominant subspace is orthogonal to the uniform vector")
+    return float(top), vec / norm
 
 
 def genepy_scores(prep: Prepared) -> ComplexityScores:
-    """Spectral scores from one thin SVD of the proximity matrix ``N``.
+    """Spectral scores from one eigensolve of the category similarity.
 
-    The principal eigenvectors of ``N N^T`` and ``N^T N`` are the leading
-    left and right singular vectors of ``N``, and both dominant eigenvalues
-    equal the squared top singular value, so they agree exactly. Entity
-    and category scores are those vectors rescaled to mean one. A
-    degenerate top singular value resolves as in ``principal_eigenvector``:
-    the uniform vector projected onto the top singular subspace.
+    ``principal_eigenvector(N^T N)`` gives the category vector ``v`` and
+    the dominant eigenvalue, which ``N N^T`` shares. The entity vector is
+    ``N v``, taken as a sum along each row, so rows equal in ``N`` get
+    bit-identical scores wherever they sit. A degenerate dominant
+    eigenvalue carries over: each ubiquity is the column sum of the row
+    shares, so ``N^T 1 = 1`` and the uniform vector projected onto the top
+    left subspace is, up to a positive factor, ``N`` times the projection
+    ``v`` already is. Both vectors are rescaled to mean one.
     """
     panel = prep.panel
-    left, sigma, right_t = np.linalg.svd(prep.proximity.values,
-                                         full_matrices=False)
-    vec_u = _dominant_direction(left, sigma)
-    vec_v = _dominant_direction(right_t.T, sigma)
-    eigenvalue = float(sigma[0]) ** 2
+    prox = prep.proximity.values
+    eigenvalue, vec_v = principal_eigenvector(prox.T @ prox)
+    vec_u = (prox * vec_v).sum(axis=1)
     return ComplexityScores(
         year=panel.year,
         entities=panel.entities,

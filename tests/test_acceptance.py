@@ -5,7 +5,8 @@ with ``pytest -s``). The criteria are:
 
 1. the hand-worked 3x2 oracle panel;
 2. the 2x2 closed-form oracle;
-3. the dominant eigensolver against a dense Jacobi eigensolver;
+3. the dominant eigensolver, and the spectral score vectors, against a
+   dense Jacobi eigensolver;
 4. the invariance battery (scale, permutation, Perron sign, spectrum);
 5. (a) fixed-point convergence, and (b) iterative-vs-spectral agreement.
    With row totals ``k``, ``P = D_k^-1 X`` and ``u = P^T 1``, the fixed
@@ -95,21 +96,30 @@ def test_criterion_2_closed_form_2x2_oracle():
 
 
 def test_criterion_3_dense_oracle_equivalence():
-    """principal_eigenvector matches a Jacobi eigensolver on 200 small panels."""
+    """principal_eigenvector, and genepy_scores' entity and category
+    vectors, match a Jacobi eigensolver of ``N N^T`` and ``N^T N`` on 200
+    small panels."""
     with criterion(3, "dense-oracle equivalence"):
         start = time.perf_counter()
         rng = np.random.default_rng(1003)
         for _ in range(200):
             panel = random_panel(rng, int(rng.integers(2, 7)),
                                  int(rng.integers(2, 6)), low=0.5)
-            deg = degree_index(panel)
-            pair = similarity(proximity(panel, deg,
-                                        adjusted_ubiquity(panel, deg)))
-            for matrix in (pair.entity_similarity, pair.category_similarity):
+            prep = prepare(panel)
+            pair = similarity(prep.proximity)
+            scores = genepy_scores(prep)
+            for matrix, vector, value in (
+                    (pair.entity_similarity, scores.entity_scores,
+                     scores.entity_eigenvalue),
+                    (pair.category_similarity, scores.category_scores,
+                     scores.category_eigenvalue)):
                 lam_oracle, vec_oracle = jacobi_principal_eigenpair(matrix)
                 lam, vec = principal_eigenvector(matrix)
-                assert abs(lam - lam_oracle) <= 1e-8 * max(1.0, abs(lam_oracle))
+                bound = 1e-8 * max(1.0, abs(lam_oracle))
+                assert abs(lam - lam_oracle) <= bound
                 assert direction_gap(vec, vec_oracle) <= 1e-6
+                assert abs(value - lam_oracle) <= bound
+                assert direction_gap(vector, vec_oracle) <= 1e-6
         assert time.perf_counter() - start < 10.0
 
 

@@ -226,8 +226,9 @@ class TestGenepyScores:
 
     def test_equal_blocks_tie_gives_uniform_scores(self):
         # block-diagonal panels whose blocks normalize to the same N block:
-        # the top singular value is degenerate, and the tie rule returns
-        # the uniform start projected onto the top subspace, not whichever
+        # the top eigenvalue of N^T N is degenerate, and the tie rule
+        # returns the uniform start projected onto the top subspace (for
+        # the entities, N times that category vector), not whichever
         # basis vector LAPACK picks
         blocks = [np.array([[5.0, 0.0], [0.0, 4.0]]),
                   np.kron(np.diag([30.0, 70.0, 50.0]), np.ones((2, 3)))]

@@ -16,8 +16,15 @@ the table's ids and its mask the table's tie flags; and every table text
 the CLI writes must equal ``emit_table`` of the oracle's columns. Ids
 differ only in case or accent, or hold a comma, a quote, a ``%`` or a
 newline; values tie, including 0.0 with -0.0; cells go missing, so
-applicable counts vary. The profile is derandomized, so every run draws
-the same examples.
+applicable counts vary.
+
+A second test solves panels on the spectral route. Permuting a panel's
+rows must leave its ``ranks_D_s`` table as it was: the order, the tie
+flags and the ``%.6f`` cells. A row duplicated under a new id must get
+its original's cell, and both must be flagged tied; so must rows whose
+one present cell lies in the same category, which are equal rows of the
+proximity matrix. The profiles are derandomized, so every run draws the
+same examples.
 """
 
 import numpy as np
@@ -121,3 +128,77 @@ def test_shared_id_sort_matches_sorted_ranker(sequence):
             (categories, result.prepared.ubiquity.values,
              spectral.category_scores, weights[0],
              iterative.category_scores, weights[1]))
+
+
+full_precision = st.floats(0.0, 100.0)
+positive = st.floats(1e-3, 100.0)
+
+
+@st.composite
+def spectral_panels(draw):
+    """Scores of n >= m entities over m >= 3 categories with missing cells,
+    then rows with one present cell each. Cells (i, i % m) and
+    (i, (i + 1) % m) of the first n rows are present and positive, so no
+    row total or ubiquity is zero and the support is connected: on a
+    disconnected one the spectral ranking is not defined."""
+    m = draw(st.integers(3, 17))
+    n = draw(st.integers(m, m + 6))
+    scores = np.array(draw(st.lists(full_precision, min_size=n * m,
+                                    max_size=n * m))).reshape(n, m)
+    missing = np.array(draw(st.lists(st.booleans(), min_size=n * m,
+                                     max_size=n * m))).reshape(n, m)
+    rows = np.arange(n)
+    for column in (rows % m, (rows + 1) % m):
+        scores[rows, column] = draw(st.lists(positive, min_size=n, max_size=n))
+        missing[rows, column] = False
+    singles = draw(st.lists(st.tuples(st.integers(0, m - 1), positive),
+                            max_size=4))
+    single_rows = np.zeros((len(singles), m))
+    for row, (column, value) in zip(single_rows, singles):
+        row[column] = value
+    return (np.vstack([scores, single_rows]),
+            np.vstack([missing, single_rows == 0]),
+            [column for column, _ in singles])
+
+
+def spectral_rank_rows(ids, scores, missing):
+    """The ``ranks_D_s`` text of a panel, and its rows keyed by id."""
+    categories = [f"c{j}" for j in range(scores.shape[1])]
+    panel = make_panel("y", ids, categories, scores, missing)
+    result = cli.compute_year(panel, cli.RunConfig(method="spectral"))
+    text = cli._year_tables(result, cli._rank_tables(result))["ranks_D_s"]
+    return text, {row[0]: row[1:] for row in
+                  (line.split(",") for line in text.splitlines()[1:])}
+
+
+@PROFILE
+@given(panel=spectral_panels(), data=st.data())
+def test_spectral_ranks_ignore_row_order_and_tie_equal_rows(panel, data):
+    scores, missing, singles = panel
+    total = len(scores)
+    ids = [f"e{i}" for i in range(total)]
+    text, rows = spectral_rank_rows(ids, scores, missing)
+
+    order = data.draw(st.permutations(range(total)))
+    permuted, _ = spectral_rank_rows([ids[i] for i in order], scores[order],
+                                     missing[order])
+    assert permuted == text
+
+    first_single = total - len(singles)
+    for column in set(singles):
+        if singles.count(column) > 1:
+            cells = {tuple(rows[ids[first_single + k]][::2])
+                     for k, c in enumerate(singles) if c == column}
+            assert len(cells) == 1 and cells.pop()[1] == "true"
+
+    copied = data.draw(st.lists(st.integers(0, total - 1), min_size=1,
+                                max_size=3))
+    names = ids + [f"d{k}" for k in range(len(copied))]
+    order = data.draw(st.permutations(range(len(names))))
+    rows_of = [i if i < total else copied[i - total] for i in order]
+    _, duplicated = spectral_rank_rows([names[i] for i in order],
+                                       scores[rows_of], missing[rows_of])
+    for k, i in enumerate(copied):
+        copy, original = duplicated[f"d{k}"], duplicated[ids[i]]
+        assert copy[0] == original[0]
+        assert copy[2] == original[2] == "true"

@@ -3,10 +3,12 @@
 ``perfbench/tracer.py`` replaces package functions by module attribute,
 so a renamed or deleted function breaks the benchmark's traced runs
 although the CLI runs fine. This test makes that a tier-1 failure. It is
-also why ``core.similarity`` (with the ``SimilarityPair`` it returns),
-``core.principal_eigenvector`` and ``report.emit_heatmap`` stay, though
-the CLI no longer reaches them: the tracer still wraps them by name, so
-they can go only once it stops.
+also why ``core.similarity`` (with the ``SimilarityPair`` it returns)
+and ``report.emit_heatmap`` stay, though the CLI no longer reaches them:
+the tracer still wraps them by name, so they can go only once it stops.
+``core.principal_eigenvector`` is the spectral route's one eigensolve,
+which ``genepy_scores`` calls through the module attribute, so the
+tracer's ``core.eigen`` span reads one call per spectral solve.
 """
 
 import importlib.util
