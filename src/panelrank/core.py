@@ -108,7 +108,9 @@ class ComplexityScores(NamedTuple):
     """Entity and category score vectors, both normalized to mean one.
 
     ``method`` records how they were obtained ("spectral" or "iterative");
-    the eigenvalue fields are populated on the spectral route only.
+    the eigenvalue fields are populated on the spectral route only. There
+    both hold the one dominant eigenvalue that ``N N^T`` and ``N^T N``
+    share, from the one eigensolve of ``N^T N``.
     """
 
     year: str

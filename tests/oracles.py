@@ -4,6 +4,7 @@ Everything in this module is deliberately written without touching the
 package under test (and without numpy.linalg eigensolvers), so agreement
 between the two is meaningful: a brute-force Jacobi eigensolver, a
 closed-form 2x2 eigenpair from the characteristic polynomial, the
+entity and category similarities of a proximity matrix, the
 textbook Spearman formula for tie-free rankings, and the row-by-row table
 writer, sort-based ranker and cell-by-cell CSV readers that the columnar
 ones replaced, the rule-by-rule roster aligner that the single walk
@@ -80,6 +81,16 @@ def jacobi_principal_eigenpair(matrix) -> tuple[float, np.ndarray]:
     if vec.sum() < 0:
         vec = -vec
     return float(values[0]), vec
+
+
+def gram_pair(values) -> tuple[np.ndarray, np.ndarray]:
+    """The entity and category similarities ``N N^T`` and ``N^T N`` of a
+    proximity matrix ``N``. Each entry sums its products along one row of
+    a broadcast, not through a BLAS product, so both come out exactly
+    symmetric."""
+    n = np.asarray(values, dtype=float)
+    return ((n[:, None, :] * n[None, :, :]).sum(axis=2),
+            (n.T[:, None, :] * n.T[None, :, :]).sum(axis=2))
 
 
 def principal_eigenpair_2x2(matrix) -> tuple[float, np.ndarray]:

@@ -30,12 +30,12 @@ import pytest
 
 from panelrank import (adjusted_ubiquity, degree_index, genepy_scores,
                        goal_weights, make_panel, parse_panel, prepare,
-                       proximity, run_fitness, similarity, spearman,
+                       proximity, run_fitness, spearman,
                        principal_eigenvector, rank_entities)
 from panelrank.cli import main
 
 from conftest import DATA_DIR, random_panel
-from oracles import (direction_gap, jacobi_principal_eigenpair,
+from oracles import (direction_gap, gram_pair, jacobi_principal_eigenpair,
                      principal_eigenpair_2x2)
 
 
@@ -106,13 +106,11 @@ def test_criterion_3_dense_oracle_equivalence():
             panel = random_panel(rng, int(rng.integers(2, 7)),
                                  int(rng.integers(2, 6)), low=0.5)
             prep = prepare(panel)
-            pair = similarity(prep.proximity)
             scores = genepy_scores(prep)
-            for matrix, vector, value in (
-                    (pair.entity_similarity, scores.entity_scores,
-                     scores.entity_eigenvalue),
-                    (pair.category_similarity, scores.category_scores,
-                     scores.category_eigenvalue)):
+            for matrix, vector, value in zip(
+                    gram_pair(prep.proximity.values),
+                    (scores.entity_scores, scores.category_scores),
+                    (scores.entity_eigenvalue, scores.category_eigenvalue)):
                 lam_oracle, vec_oracle = jacobi_principal_eigenpair(matrix)
                 lam, vec = principal_eigenvector(matrix)
                 bound = 1e-8 * max(1.0, abs(lam_oracle))
@@ -158,15 +156,17 @@ def test_criterion_4_invariance_suite():
             assert np.max(np.abs(shuffled.category_scores
                                  - base.category_scores[col_perm])) <= 1e-12
 
-            # Perron non-negativity of the reported eigenvectors
-            pair = similarity(prox)
-            for matrix in (pair.entity_similarity, pair.category_similarity):
-                _, vec = principal_eigenvector(matrix)
+            # Perron non-negativity of the dominant eigenvectors of
+            # N N^T and N^T N, and their shared dominant eigenvalue, which
+            # genepy_scores reports in both of its eigenvalue fields
+            tops = []
+            for matrix in gram_pair(prox.values):
+                top, vec = principal_eigenvector(matrix)
                 assert (vec >= -1e-12).all()
-
-            # shared dominant eigenvalue of the two projections
-            gap = abs(base.entity_eigenvalue - base.category_eigenvalue)
-            assert gap / base.entity_eigenvalue <= 1e-9
+                tops.append(top)
+            for value in (tops[1], base.entity_eigenvalue,
+                          base.category_eigenvalue):
+                assert value == pytest.approx(tops[0], rel=1e-9)
 
 
 def test_criterion_5a_iterative_convergence():

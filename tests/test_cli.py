@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -56,6 +58,43 @@ NOT_UTF8 = {
 # from the code before any rewrite of the scoring or emit paths.
 FIXTURE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
                    / "fixture_sha256.json")
+
+
+def csv_text(rows, **style):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n", **style).writerows(rows)
+    return buffer.getvalue()
+
+
+def quoted(text):
+    return csv_text(csv.reader(io.StringIO(text)), quoting=csv.QUOTE_ALL)
+
+
+def padded(text):
+    """Every cell padded by a space and a tab, and a blank line after the
+    header."""
+    lines = [",".join(f" {cell}\t" for cell in line.split(","))
+             for line in text.splitlines()]
+    return "\n".join([lines[0], "", *lines[1:]]) + "\n"
+
+
+def scores_as(fmt):
+    def rewrite(text):
+        header, *rows = csv.reader(io.StringIO(text))
+        return csv_text([header, *([row[0], *(cell and fmt % float(cell)
+                                              for cell in row[1:])]
+                                   for row in rows)])
+    return rewrite
+
+
+# Spellings of a panel's text that name the same cells: quoted text and
+# padded text are read by csv.reader, plain text is split from its bytes;
+# a %.6f cell fills two 8-byte lanes, a %+07.2f cell carries a sign and
+# leading zeros, and a %.6e cell is read by float.
+SPELLINGS = {"as-given": lambda text: text, "quoted": quoted,
+             "padded": padded, "fixed-6": scores_as("%.6f"),
+             "signed-zero-filled": scores_as("%+07.2f"),
+             "exponent": scores_as("%.6e")}
 
 
 def write(tmp_path, name, text):
@@ -535,12 +574,18 @@ class TestCompute:
         assert bump.count('class="x-tick"') == 4
         assert (tmp_path / "out" / "grouped_bars_weights.svg").exists()
 
+    @pytest.mark.parametrize("spell", SPELLINGS.values(),
+                             ids=SPELLINGS.keys())
     def test_fixture_outputs_match_recorded_digests(self, tmp_path, capsys,
-                                                    data_dir):
+                                                    data_dir, spell):
+        # Written as bytes, so that Windows keeps "\n".
+        panels = []
+        for year in ("2018", "2019", "2020", "2024"):
+            name = f"panel_{year}.csv"
+            text = (data_dir / name).read_bytes().decode("utf-8")
+            (tmp_path / name).write_bytes(spell(text).encode("utf-8"))
+            panels += ["--panel", f"{year}={tmp_path / name}"]
         out = tmp_path / "out"
-        panels = [arg for year in ("2018", "2019", "2020", "2024")
-                  for arg in ("--panel",
-                              f"{year}={data_dir / f'panel_{year}.csv'}")]
         rc = main(["compute", *panels,
                    "--entity-map", f"2019->2020={data_dir / 'map_2019_2020.json'}",
                    "--method", "both", "--charts", "all", "--out", str(out)])
@@ -550,6 +595,16 @@ class TestCompute:
                for path in out.iterdir()}
         assert len(expected) == 44
         assert got == expected
+        # Every table reads back through csv.reader, each row as wide as
+        # its header, and every chart is well-formed XML.
+        tables, charts = sorted(out.glob("*.csv")), sorted(out.glob("*.svg"))
+        assert (len(tables), len(charts)) == (25, 19)
+        for path in tables:
+            with path.open(newline="", encoding="utf-8") as handle:
+                header, *rows = csv.reader(handle)
+            assert rows and all(len(row) == len(header) for row in rows), path
+        for path in charts:
+            ET.parse(path)
 
 
 class TestCompare:
@@ -636,11 +691,20 @@ class TestCompare:
         assert rho_line.startswith("spearman rho")
         assert table == path.read_text(encoding="utf-8") + f"{path}\n"
 
-    def test_mismatched_rosters_without_map_exit_1(self, tmp_path, capsys):
-        a = write(tmp_path, "a.csv", WORKED_3X2)
-        b = write(tmp_path, "b.csv", "entity,g1,g2\nx,2,0\ny,1,1\nz,0,2\n")
-        rc = main(["compare", "k_s", "k_s", "--panel", "2018=" + a,
-                   "--panel", "2024=" + b])
+    @pytest.mark.parametrize("bundled", [False, True],
+                             ids=["no-map", "split-and-merge-map"])
+    def test_mismatched_rosters_without_map_exit_1(self, tmp_path, capsys,
+                                                   data_dir, bundled):
+        # The bundled 2019->2020 map splits one entity and merges two, so
+        # the rosters are not one-to-one under it either.
+        if bundled:
+            args = [*panels_2019_2020(data_dir), "--entity-map",
+                    f"2019->2020={data_dir / 'map_2019_2020.json'}"]
+        else:
+            a = write(tmp_path, "a.csv", WORKED_3X2)
+            b = write(tmp_path, "b.csv", "entity,g1,g2\nx,2,0\ny,1,1\nz,0,2\n")
+            args = ["--panel", "2018=" + a, "--panel", "2024=" + b]
+        rc = main(["compare", "k_s", "k_s", *args])
         assert rc == 1
         assert "one-to-one" in capsys.readouterr().err
 

@@ -9,7 +9,7 @@ from panelrank import (DegeneratePanelError, adjusted_ubiquity, degree_index,
                        similarity)
 
 from conftest import random_panel, structural_zeros_panel
-from oracles import (direction_gap, jacobi_principal_eigenpair,
+from oracles import (direction_gap, gram_pair, jacobi_principal_eigenpair,
                      principal_eigenpair_2x2)
 
 # Hand-computed reference values for the two worked panels.
@@ -241,11 +241,15 @@ class TestGenepyScores:
             assert np.allclose(result.category_scores, np.ones(m), atol=1e-12)
 
     def test_near_block_solves(self, near_block):
-        scores = genepy_scores(prepare(near_block))
-        assert scores.entity_eigenvalue == scores.category_eigenvalue
-        matrix = similarity(pipeline(near_block)[2]).entity_similarity
-        lam_oracle, vec_oracle = jacobi_principal_eigenpair(matrix)
+        prep = prepare(near_block)
+        scores = genepy_scores(prep)
+        entity_gram, category_gram = gram_pair(prep.proximity.values)
+        lam_oracle, vec_oracle = jacobi_principal_eigenpair(entity_gram)
+        lam_category, _ = jacobi_principal_eigenpair(category_gram)
+        assert lam_category == pytest.approx(lam_oracle, rel=1e-9)
         assert scores.entity_eigenvalue == pytest.approx(lam_oracle, rel=1e-12)
+        assert scores.category_eigenvalue == pytest.approx(lam_oracle,
+                                                           rel=1e-12)
         assert direction_gap(scores.entity_scores, vec_oracle) < 1e-8
         # the fixed point flows towards the weak links instead; that is
         # reported in the trace, not hidden
@@ -258,9 +262,13 @@ class TestGenepyScores:
         for _ in range(10):
             panel = random_panel(rng, int(rng.integers(2, 20)),
                                  int(rng.integers(2, 12)))
-            scores = genepy_scores(prepare(panel))
-            gap = abs(scores.entity_eigenvalue - scores.category_eigenvalue)
-            assert gap / scores.entity_eigenvalue <= 1e-9
+            prep = prepare(panel)
+            scores = genepy_scores(prep)
+            top = [principal_eigenvector(matrix)[0]
+                   for matrix in gram_pair(prep.proximity.values)]
+            for value in (top[1], scores.entity_eigenvalue,
+                          scores.category_eigenvalue):
+                assert value == pytest.approx(top[0], rel=1e-9)
 
 
 class TestFitnessStep:
