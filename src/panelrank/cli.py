@@ -27,7 +27,7 @@ import re
 import sys
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +41,10 @@ from .panel import _NOT_XML, Alignment, EntityMap, ScorePanel, \
 
 CHART_KINDS = ("heatmap", "bipartite", "weight_bars", "weighted_lines",
                "rank_bump", "grouped_bars")
+# Rows of entities a chart draws at most: at 50 rows a heatmap row is as
+# tall as its 10 px label on the 500 px plot. A larger roster is drawn as
+# bands of ranks or a sample of them; the tables keep every entity.
+_CHART_ROWS = 50
 
 
 class RunConfig(NamedTuple):
@@ -238,22 +242,17 @@ def _read_text(path: Path) -> str:
                          f"0x{byte:02x} at offset {exc.start})") from None
 
 
-def _write_text(config: RunConfig, name: str, chunks: Iterable[str]) -> Path:
-    """Write one output file under ``--out`` from its text in pieces,
-    creating the directory first. The first piece is taken before the file
-    is opened, so an emitter that fails in its set-up leaves no file. A
-    file the run reads, input or entity map, is never overwritten."""
+def _write_text(config: RunConfig, name: str, text: str) -> Path:
+    """Write one output file under ``--out``, creating the directory
+    first. A file the run reads, input or entity map, is never
+    overwritten."""
     path = config.out_dir / name
     sources = [p for _, _, p in config.inputs] + [*config.entity_maps.values()]
-    chunks = iter(chunks)
-    first = next(chunks, "")
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         if path.exists() and any(path.samefile(src) for src in sources):
             raise InputError(f"cannot write {path}: it is an input of this run")
-        with path.open("w", encoding="utf-8", newline="\n") as handle:
-            handle.write(first)
-            handle.writelines(chunks)
+        path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
     return path
@@ -391,13 +390,45 @@ def _year_tables(result: YearResult, ranked: dict[str, tuple]) -> dict[str, str]
     return texts
 
 
+def _ladder(count: int, size: int) -> list[int]:
+    """Positions of ``size`` rungs spread evenly down a ladder of ``count``,
+    both ends included; every position when ``count <= size``."""
+    if count <= size:
+        return list(range(count))
+    return np.round(np.linspace(0, count - 1, size)).astype(int).tolist()
+
+
 def _bipartite_subset(table: analytics.RankTable, size: int = 8) -> tuple[str, ...]:
     """Entities sampled evenly across the ranking ladder."""
-    ordered = table.entities
-    if len(ordered) <= size:
-        return ordered
-    picks = np.round(np.linspace(0, len(ordered) - 1, size)).astype(int)
-    return tuple(ordered[i] for i in dict.fromkeys(picks))
+    return tuple(table.entities[i] for i in _ladder(len(table.entities), size))
+
+
+def _rank_bands(panel: ScorePanel, rows: np.ndarray) -> ScorePanel:
+    """The panel a heatmap draws: itself up to ``_CHART_ROWS`` rows, else
+    ``_CHART_ROWS`` bands of consecutive ranks, rank k at roster position
+    ``rows[k - 1]``. A band's cell is the mean of its present cells,
+    missing where it has none, and a band is labelled by its rank range."""
+    n = panel.n_entities
+    if n <= _CHART_ROWS:
+        return panel
+    starts = np.arange(_CHART_ROWS) * n // _CHART_ROWS
+    present = ~panel.missing_mask[rows]
+    counts = np.add.reduceat(present.astype(np.int64), starts)
+    sums = np.add.reduceat(np.where(present, panel.scores[rows], 0.0), starts)
+    labels = [str(first + 1) if last == first + 1 else f"{first + 1}-{last}"
+              for first, last in zip(starts.tolist(), [*starts[1:].tolist(), n])]
+    return ScorePanel(panel.year, tuple(labels), panel.categories,
+                      sums / np.maximum(counts, 1), counts == 0)
+
+
+def _bump_sample(series: analytics.RankSeries) -> analytics.RankSeries:
+    """The trajectories a rank-bump chart draws, in final-rank order:
+    ``_CHART_ROWS`` spread down the final year's ladder, and every split
+    or merge lineage, up to ``_CHART_ROWS`` more."""
+    lines = series.trajectories
+    moved = [i for i, line in enumerate(lines) if line.lineage != "own"]
+    keep = sorted({*_ladder(len(lines), _CHART_ROWS), *moved[:_CHART_ROWS]})
+    return series._replace(trajectories=tuple(lines[i] for i in keep))
 
 
 def cmd_compute(config: RunConfig) -> int:
@@ -405,29 +436,29 @@ def cmd_compute(config: RunConfig) -> int:
     panels, alignments = load_inputs(config)
     written: list[Path] = []
 
-    def write(name: str, chunks: Iterable[str]) -> None:
-        written.append(_write_text(config, name, chunks))
+    def write(name: str, text: str) -> None:
+        written.append(_write_text(config, name, text))
 
     results = [compute_year(panel, config) for panel in panels]
     ranked = [_rank_tables(result) for result in results]
 
     for result, year_ranked in zip(results, ranked):
         panel, year_weights = result.prepared.panel, result.weights[0]
-        totals = year_ranked["k_s"][1]
+        _, totals, by_rank, _ = year_ranked["k_s"]
         label = _safe_label(panel.year)
         for stem, text in _year_tables(result, year_ranked).items():
-            write(f"{stem}_{label}.csv", (text,))
+            write(f"{stem}_{label}.csv", text)
 
         if "heatmap" in config.charts:
-            write(f"heatmap_{label}.svg", report.heatmap_chunks(
-                panel, f"Scores {panel.year}"))
+            write(f"heatmap_{label}.svg", report.emit_heatmap(
+                _rank_bands(panel, by_rank), f"Scores {panel.year}"))
         if "bipartite" in config.charts:
-            write(f"bipartite_{label}.svg", (report.emit_bipartite(
+            write(f"bipartite_{label}.svg", report.emit_bipartite(
                 panel, _bipartite_subset(totals),
-                f"Score network {panel.year}"),))
+                f"Score network {panel.year}"))
         if "weight_bars" in config.charts:
-            write(f"weight_bars_{label}.svg", (report.emit_weight_bars(
-                year_weights, f"Category weights {panel.year}"),))
+            write(f"weight_bars_{label}.svg", report.emit_weight_bars(
+                year_weights, f"Category weights {panel.year}"))
         if "weighted_lines" in config.charts:
             if panel.n_entities < 3:
                 _warn(f"year {panel.year}: skipping weighted_lines chart "
@@ -435,27 +466,30 @@ def cmd_compute(config: RunConfig) -> int:
             else:
                 performance = analytics.weighted_performance(panel, year_weights)
                 profile = analytics.tertile_groups(totals, panel, performance)
-                write(f"weighted_lines_{label}.svg", (report.emit_weighted_lines(
-                    performance, profile, panel.entities,
-                    f"Weighted performance {panel.year}"),))
+                drawn = np.sort(by_rank[_ladder(panel.n_entities, _CHART_ROWS)])
+                write(f"weighted_lines_{label}.svg", report.emit_weighted_lines(
+                    performance[drawn], profile,
+                    [panel.entities[i] for i in drawn.tolist()],
+                    f"Weighted performance {panel.year}"))
 
     if config.method == "both":
-        write("method_agreement.csv", (report.emit_table(
+        write("method_agreement.csv", report.emit_table(
             ("year", "spearman_rho"),
             ([panel.year for panel in panels],
              [analytics.spearman(*(s.entity_scores for s in result.solved))
-              for result in results])),))
+              for result in results])))
 
     if "rank_bump" in config.charts:
         alignments = aligned(panels, alignments)
         for basis, title in (("k_s", "totals"), ("D_s", "complexity")):
-            write(f"rank_bump_{basis}.svg", (report.emit_rank_bump(
-                analytics.rank_evolution([t[basis][1] for t in ranked], alignments),
-                f"Rank evolution ({title})"),))
+            write(f"rank_bump_{basis}.svg", report.emit_rank_bump(
+                _bump_sample(analytics.rank_evolution(
+                    [t[basis][1] for t in ranked], alignments)),
+                f"Rank evolution ({title})"))
     if "grouped_bars" in config.charts:
-        write("grouped_bars_weights.svg", (report.emit_grouped_bars(
+        write("grouped_bars_weights.svg", report.emit_grouped_bars(
             analytics.weights_evolution([r.weights[0] for r in results]),
-            "Weight evolution"),))
+            "Weight evolution"))
 
     for path in written:
         print(path)
@@ -497,7 +531,7 @@ def cmd_compare(config: RunConfig, basis_a: str, basis_b: str) -> int:
         name = (f"compare_{basis_a}_vs_{basis_b}_{_safe_label(first.year)}"
                 + ("" if first is last else f"_{_safe_label(last.year)}")
                 + ".csv")
-        print(_write_text(config, name, (text,)))
+        print(_write_text(config, name, text))
     return 0
 
 

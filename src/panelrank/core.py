@@ -259,8 +259,13 @@ def _fitness_update(scores: np.ndarray,
     low-scoring entities come out on top. Each half is one matrix-vector
     product; the pair is half a Sinkhorn-Knopp sweep towards a matrix
     ``diag(1/F) X diag(Q)`` with uniform row and column sums.
+
+    The entity half is an ``einsum``, which sums each row in one order
+    whatever its place in the matrix. A BLAS kernel may sum rows in
+    blocks, so equal rows at different places could get scores that
+    differ in the last bit, and then not tie.
     """
-    entity_raw = scores @ category_scores
+    entity_raw = np.einsum("ij,j->i", scores, category_scores)
     entity_scores = entity_raw / (entity_raw.sum() / entity_raw.size)
     category_raw = 1.0 / ((1.0 / entity_scores) @ scores)
     return (entity_scores,

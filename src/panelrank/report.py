@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,12 +26,6 @@ from .panel import ScorePanel
 WIDTH, HEIGHT = 960, 600
 # Colour ramp endpoints as (r, g, b): yellow for low values, green for high.
 RAMP_LOW, RAMP_HIGH = (255, 255, 0), (0, 128, 0)
-# Grid cells per piece that ``heatmap_chunks`` yields, in whole rows: at
-# about 200 B a cell a piece stays under 128 KiB, above which malloc maps
-# fresh pages for each piece and unmaps them when it is written.
-HEATMAP_BLOCK_CELLS = 512
-# Points a block of ``_paths`` holds, so its byte matrices stay small.
-_PATH_BLOCK_CELLS = 8192
 # A table cell holding any of these characters is quoted.
 _QUOTED = re.compile('[,"\n\r]').search
 # A roster holding any of these characters is escaped id by id.
@@ -130,15 +124,22 @@ def _fields(texts: Sequence[str]) -> Sequence[str]:
     return list(map(_field, texts)) if _QUOTED("".join(texts)) else texts
 
 
-def _fixed_point(x: np.ndarray, decimals: int):
-    """For the floats ``x`` at ``decimals`` decimals: where ``_write_fixed``
-    writes ``%``'s bytes, their integer and decimal parts there (0
-    elsewhere), and the width of the widest with its sign and point.
+def float_cells(values, lead: str, decimals: int = 6) -> list[str]:
+    """The table cells ``emit_table`` writes for a vector of floats, each
+    led by ``lead``: ``"%.*f" % (decimals, v)``, and only ``lead`` for
+    NaN. A call costs tens of microseconds at any length, so a caller
+    formats all the vectors it writes in one call. ``lead`` holds no NUL
+    and no newline; ``decimals`` is 0 to 9.
 
     ``%`` rounds the exact binary value, half to even. While
     ``y = |v| * 10**decimals`` is below 2**43 the product is off by at
     most 2**-11, so where y's fraction is more than 2**-8 from a half,
-    ``rint(y)`` is the integer ``%`` prints."""
+    ``rint(y)`` is the integer ``%`` prints. Those cells are laid out in
+    one byte matrix, a column of digits at a time, with '-' where the
+    sign bit is set (``-0.0`` gives ``-0.000000``, as ``%`` does). NaN,
+    +-inf, larger values and values near a half go through ``%``.
+    """
+    x = np.asarray(values, dtype=float)
     scale = 10.0 ** decimals
     with np.errstate(all="ignore"):
         y = np.abs(x) * scale
@@ -150,17 +151,17 @@ def _fixed_point(x: np.ndarray, decimals: int):
     whole = np.floor(scaled / scale)
     part = (scaled - whole * scale).astype(np.uint32)
     whole = whole.astype(np.uint32)
-    width = len(str(int(whole.max(initial=0)))) + decimals + (decimals > 0) + 1
-    return exact, whole, part, width
-
-
-def _write_fixed(columns, x, whole, part, decimals: int) -> None:
-    """Write byte k of each number ``_fixed_point`` split into
-    ``columns[k]``, right-aligned: '-' where x's sign bit is set (so
-    ``-0.0`` gives ``-0.00``, as ``%`` does), the integer digits with NUL
-    for leading zeros, the point and the decimals; 0 where not exact."""
-    columns[0] = np.signbit(x) * np.uint8(ord("-"))
-    at = len(columns) - 1
+    head = np.fromiter(lead.encode(), np.uint8)
+    digits = len(str(int(whole.max(initial=0))))
+    # A row is the lead, the sign, the integer digits right-aligned, the
+    # point and decimals, and a newline; NUL bytes pad and are dropped.
+    rows = np.zeros((x.size, head.size + digits + decimals + (decimals > 0) + 2),
+                    np.uint8)
+    columns = rows.T
+    columns[:head.size] = head[:, None]
+    columns[head.size] = np.signbit(x) * np.uint8(ord("-"))
+    columns[-1] = ord("\n")
+    at = len(columns) - 2
     for _ in range(decimals):
         rest = part // 10
         columns[at] = part - rest * 10 + ord("0")
@@ -168,30 +169,13 @@ def _write_fixed(columns, x, whole, part, decimals: int) -> None:
     if decimals:
         columns[at] = ord(".")
         at -= 1
-    for k in range(at):
+    for k in range(digits):
         rest = whole // 10
         digit = whole - rest * 10 + ord("0")
         if k:
             digit *= whole > 0  # a leading zero is padding
         columns[at] = digit
         whole, at = rest, at - 1
-
-
-def float_cells(values, lead: str, decimals: int = 6) -> list[str]:
-    """The table cells ``emit_table`` writes for a vector of floats, each
-    led by ``lead``: ``"%.*f" % (decimals, v)``, and only ``lead`` for
-    NaN. A call costs tens of microseconds at any length, so a caller
-    formats all the vectors it writes in one call. ``lead`` holds no NUL
-    and no newline; ``decimals`` is 0 to 9. The cells ``_fixed_point``
-    finds exact are one byte matrix; the others go through ``%``."""
-    x = np.asarray(values, dtype=float)
-    exact, whole, part, width = _fixed_point(x, decimals)
-    head = np.fromiter(lead.encode(), np.uint8)
-    # A row is the lead, the number and a newline; NUL bytes are dropped.
-    rows = np.zeros((x.size, head.size + width + 1), np.uint8)
-    rows[:, :head.size] = head
-    rows[:, -1] = ord("\n")
-    _write_fixed(rows[:, head.size:-1].T, x, whole, part, decimals)
     cells = rows.tobytes().translate(None, b"\0").decode().split("\n")
     cells.pop()
     inexact = np.flatnonzero(~exact)
@@ -275,15 +259,6 @@ def emit_table(header: Sequence[str], columns: Sequence[Sequence]) -> str:
 
 def emit_heatmap(panel: ScorePanel, title: str = "") -> str:
     """Score matrix as a colored grid; one rect per cell, missing hatched."""
-    return "".join(heatmap_chunks(panel, title))
-
-
-def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
-    """``emit_heatmap``'s text in pieces: the head with every label, then
-    the grid in blocks of ``max(1, HEATMAP_BLOCK_CELLS // m)`` rows for
-    ``m`` categories, then the closing tag. All set-up work runs before
-    the first piece is yielded, so a fault in it raises before any text
-    is out."""
     n, m = panel.scores.shape
     margin_left, margin_top, margin_right, margin_bottom = 110, 80, 20, 20
     plot_w = WIDTH - margin_left - margin_right
@@ -310,8 +285,6 @@ def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
     # row, column and distinct score formats its pieces once; scores are
     # keyed by bit pattern, so -0.0 and 0.0 stay apart, and a missing cell
     # takes the last key. Colours come from one call for the whole matrix.
-    # The pieces of a block of rows are gathered into one reused array,
-    # so no array of n·m cells is ever held.
     bits, index = np.unique(panel.scores.view(np.int64), return_inverse=True)
     values = bits.view(np.float64)
     stroke = ' stroke="#ffffff" stroke-width="0.5" data-entity="'
@@ -323,25 +296,18 @@ def heatmap_chunks(panel: ScorePanel, title: str = "") -> Iterator[str]:
           '"/>\n')], dtype=object)
     size = f'width="{_fmt(cell_w)}" height="{_fmt(cell_h)}"'
     keys = np.where(panel.missing_mask, len(values), index.reshape(n, m))
-    by_row = np.array([*zip(
+    cells = np.empty((n, m, 7), dtype=object)
+    cells[:, :, [0, 3, 6]] = by_key[keys]
+    cells[:, :, 1] = list(map('%.2f" '.__mod__,
+                              (margin_left + np.arange(m) * cell_w).tolist()))
+    cells[:, :, [2, 4]] = np.array([*zip(
         map(f'y="%.2f" {size}'.__mod__,
             (margin_top + np.arange(n) * cell_h).tolist()),
-        _escaped(panel.entities))], dtype=object)
-    step = max(1, HEATMAP_BLOCK_CELLS // m)
-    block = np.empty((min(n, step), m, 7), dtype=object)
-    block[:, :, 1] = list(map('%.2f" '.__mod__,
-                              (margin_left + np.arange(m) * cell_w).tolist()))
-    block[:, :, 5] = list(map('" data-category="%s'.__mod__,
+        _escaped(panel.entities))], dtype=object)[:, None]
+    cells[:, :, 5] = list(map('" data-category="%s'.__mod__,
                               _escaped(panel.categories)))
-
-    yield "\n".join(parts) + "\n"
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        cells = block[:len(keys[rows])]
-        cells[:, :, [0, 3, 6]] = by_key[keys[rows]]
-        cells[:, :, [2, 4]] = by_row[rows, None]
-        yield "".join(cells.ravel().tolist())
-    yield "</svg>\n"
+    parts.append("".join(cells.ravel().tolist()) + "</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def emit_bipartite(panel: ScorePanel, subset: Sequence[str],
@@ -427,37 +393,17 @@ def _paths(x_text: Sequence[str], ys) -> list[str]:
     """SVG path data for each row of the 2-D ``ys``, restarting after gaps.
 
     Point j of a row is at x ``x_text[j]``, already formatted with ``_fmt``
-    (charts format each column's x once); a non-finite y is a gap. A block
-    of rows is one byte matrix of a slot per point and one for a newline.
-    A point's slot is its lead (``M{x},`` for the row's first drawn point,
-    `` M{x},`` after a gap, `` L{x},`` after a drawn point) and its y, by
-    ``_write_fixed`` or, where that is not exact, by ``%``; a gap's is NUL
-    bytes, which are dropped."""
-    ys = np.asarray(ys, dtype=float)
-    m = ys.shape[1]
-    # The lead of state s in column j is row s * m + j; a gap's is empty.
-    table = np.array([f"{pen}{x}," for pen in ("M", " M", " L") for x in x_text]
-                     + [""] * m, "S")[:, None].view(np.uint8)
-    out: list[str] = []
-    step = max(1, _PATH_BLOCK_CELLS // (m + 1))
-    for start in range(0, len(ys), step):
-        block = ys[start:start + step]
-        finite = np.isfinite(block)
-        state = np.zeros(block.shape, np.intp)
-        state[:, 1:] = np.logical_or.accumulate(finite, axis=1)[:, :-1]
-        state[:, 1:] += finite[:, :-1]
-        state[~finite] = 3
-        exact, whole, part, width = _fixed_point(block, 2)
-        texts = ["%.2f" % v if math.isfinite(v) else ""
-                 for v in block[~exact].tolist()]
-        width = max([width, *map(len, texts)])
-        slots = np.zeros((len(block), m + 1, table.shape[1] + width), np.uint8)
-        slots[:, :m, :-width] = table[state * m + np.arange(m)]
-        slots[:, m, 0] = ord("\n")
-        numbers = slots[:, :m, -width:]
-        _write_fixed(numbers.transpose(2, 0, 1), block, whole, part, 2)
-        numbers[~exact] = np.array(texts, f"S{width}")[:, None].view(np.uint8)
-        out += slots.tobytes().translate(None, b"\0").decode().split("\n")[:-1]
+    (charts format each column's x once); a non-finite y is a gap."""
+    out = []
+    for row in np.asarray(ys, dtype=float).tolist():
+        points, pen = [], "M"
+        for x, y in zip(x_text, row):
+            if math.isfinite(y):
+                points.append(f"{pen}{x},{y:.2f}")
+                pen = "L"
+            else:
+                pen = "M"
+        out.append(" ".join(points))
     return out
 
 

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -58,6 +59,22 @@ NOT_UTF8 = {
 # from the code before any rewrite of the scoring or emit paths.
 FIXTURE_DIGESTS = (Path(__file__).resolve().parents[1] / "perfbench"
                    / "fixture_sha256.json")
+
+
+# sha256 of every chart ``compute`` writes for ``two_ranked_years`` at
+# 50 rows, recorded from the code before charts were bounded.
+BOUND_CHART_DIGESTS = {
+    "bipartite_2023.svg": "9fdbc52a1769b265e9f73bc2b0d66e54b3a1538888af16ba247b589834f00751",
+    "bipartite_2024.svg": "bb911e8a82db6de5bec0fc9e1b7c037b999d834adeb95eaf28018b3d1ba0fcf5",
+    "grouped_bars_weights.svg": "6bdab2d7f769f3fa07ac0a024f043da5bcc09fe4b29ca88c345f86ca30b50339",
+    "heatmap_2023.svg": "9de520ac715bbf42c551399cb589ea1aaccd2a90fbf8890e501dc7baf41badc3",
+    "heatmap_2024.svg": "61fb26125f2bae123e09022da697082e152bf4d3ebe8b551dc176d153c34e8fb",
+    "rank_bump_D_s.svg": "49cfcb5527d5969d472d1c5740020cc90e958435f6ed3bf9ce49ab66da38c08e",
+    "rank_bump_k_s.svg": "c045edf475a9af381c4efcb02c9074d962987b7224d9085bde210558b24b4b74",
+    "weight_bars_2023.svg": "69e9787caf1ecccbcc64d8d04fb0fb7ee616733a8237064c72ebb473ec8e071d",
+    "weight_bars_2024.svg": "d0f0a21ba854e5731d85cd9f10c81f164f2b45007436b520995207ad9522992b",
+    "weighted_lines_2023.svg": "366635f10b4f02c1a29cab11b69b019f3d81b75904a76f1eb4d53f8446713331",
+    "weighted_lines_2024.svg": "a8ae42754a9543bdc2c25d531ed9604fb8f15207dddf30f2fad128932b41f954"}
 
 
 def csv_text(rows, **style):
@@ -118,6 +135,35 @@ def map_args(tmp_path, maps):
     return [arg for i, (key, text) in enumerate(maps)
             for arg in ("--entity-map",
                         f"{key}={write(tmp_path, f'm{i}.json', text)}")]
+
+
+def two_ranked_years(tmp_path, n):
+    """``compute`` flags for two years of n rows over 17 categories and the
+    map between them, and the two panels by year. Between the years e0001
+    splits off e0001s, and e0002 and e0003 merge into e0002_e0003. In each
+    year the last rows, as many as the last of 50 bands of ranks holds,
+    score below 1 and miss c00, so they hold the lowest ranks."""
+    m = 17
+    early = [f"e{i:04d}" for i in range(n)]
+    late = ([e for e in early if e not in ("e0002", "e0003")]
+            + ["e0001s", "e0002_e0003"])
+    row, col = np.arange(n)[:, None], np.arange(m)
+    args, panels = [], {}
+    for year, ids, shift in (("2023", early, 0), ("2024", late, 3)):
+        scores = ((row * 37 + col * 11 + shift) % 101).astype(float)
+        missing = (row * 13 + col * 7 + shift) % 20 == 0
+        last = n - 49 * n // 50
+        scores[-last:] = (col + 1) / 100
+        missing[-last:] = col == 0
+        panel = panels[year] = make_panel(
+            year, ids, [f"c{j:02d}" for j in range(m)], scores, missing)
+        args += ["--panel", f"{year}=" + write(tmp_path, f"panel_{year}.csv",
+                                               panel_to_csv(panel))]
+    emap = {"splits": [{"from": ["e0001"], "to": ["e0001", "e0001s"]}],
+            "merges": [{"from": ["e0002", "e0003"], "to": ["e0002_e0003"]}]}
+    args += ["--entity-map",
+             "2023->2024=" + write(tmp_path, "map.json", json.dumps(emap))]
+    return args, panels
 
 
 def run_cli(*args):
@@ -345,22 +391,86 @@ class TestCompute:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
-    def test_streamed_heatmap_bytes(self, tmp_path, capsys):
-        # 2,000 rows go to disk one grid row at a time; the file holds
-        # exactly the library's text.
-        path = write(tmp_path, "p.csv",
-                     panel_to_csv(formula_panel(2000, 17, "2024")))
+    def test_charts_at_the_row_bound_are_unchanged(self, tmp_path, capsys):
+        # sha256 of every chart at 50 rows, recorded from the code before
+        # charts were bounded: a roster at the bound is drawn whole.
+        args, _ = two_ranked_years(tmp_path, 50)
         out = tmp_path / "out"
-        assert main(["compute", "--panel", "2024=" + path,
-                     "--method", "spectral", "--charts", "heatmap",
+        assert main(["compute", *args, "--charts", "all",
                      "--out", str(out)]) == 0
-        read = parse_panel(Path(path).read_text(encoding="utf-8"), "2024")
-        assert (out / "heatmap_2024.svg").read_bytes() == emit_heatmap(
-            read, "Scores 2024").encode("utf-8")
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.glob("*.svg")} == BOUND_CHART_DIGESTS
+
+    @pytest.mark.parametrize("n", [51, 2000])
+    def test_charts_above_the_row_bound(self, tmp_path, capsys, n):
+        # The heatmap draws 50 bands of k_s ranks, each cell the mean of
+        # the band's present cells; the line charts draw 50 entities
+        # spread down the ladder, and the rank bumps every split or merge
+        # lineage too. The tables keep every entity.
+        args, panels = two_ranked_years(tmp_path, n)
+        out = tmp_path / "out"
+        assert main(["compute", *args, "--charts", "all",
+                     "--out", str(out)]) == 0
+        bound, m, svg = 50, 17, "{http://www.w3.org/2000/svg}"
+
+        def ranked(name):
+            return [row[0] for row in read_csv(out / name)[1:]]
+
+        def elements(name, tag, cls):
+            return [el for el in ET.parse(out / name).iter(svg + tag)
+                    if (el.get("class") or "").split()[:1] == [cls]]
+
+        starts = [k * n // bound for k in range(bound)] + [n]
+        labels = [str(a + 1) if b == a + 1 else f"{a + 1}-{b}"
+                  for a, b in zip(starts, starts[1:])]
+        ladder = np.round(np.linspace(0, n - 1, bound)).astype(int).tolist()
+        for year, panel in panels.items():
+            by_rank = ranked(f"ranks_k_s_{year}.csv")
+            assert len(by_rank) == n
+            row_of = {e: i for i, e in enumerate(panel.entities)}
+            cells = elements(f"heatmap_{year}.svg", "rect", "cell")
+            assert len(cells) == bound * m
+            assert [el.text for el in elements(f"heatmap_{year}.svg", "text",
+                                               "row-label")] == labels
+            for k, cell in enumerate(cells):
+                band, j = divmod(k, m)
+                rows = [row_of[e] for e in by_rank[starts[band]:starts[band + 1]]]
+                present = [panel.scores[i, j] for i in rows
+                           if not panel.missing_mask[i, j]]
+                assert cell.get("data-entity") == labels[band]
+                assert cell.get("data-category") == f"c{j:02d}"
+                if present:
+                    mean = sum(present) / len(present)
+                    assert abs(float(cell.get("data-value")) - mean) <= 5e-4
+                else:
+                    assert cell.get("class") == "cell missing"
+            # The last band's rows all miss c00.
+            assert cells[(bound - 1) * m].get("class") == "cell missing"
+
+            name = f"weighted_lines_{year}.svg"
+            tick = {el.text: el.get("x")
+                    for el in elements(name, "text", "x-tick")}
+            drawn = {el.get("data-entity"): re.findall(r"[ML]([\d.]+),",
+                                                       el.get("d"))
+                     for el in elements(name, "path", "entity-line")}
+            assert list(drawn) == sorted((by_rank[i] for i in ladder),
+                                         key=row_of.get)
+            for entity, xs in drawn.items():
+                assert xs == [tick[c] for c, gap in zip(
+                    panel.categories, panel.missing_mask[row_of[entity]]) if not gap]
+
+        moved = {"e0001", "e0001s", "e0002_e0003"}
+        for basis in ("k_s", "D_s"):
+            final = ranked(f"ranks_{basis}_2024.csv")
+            lines = elements(f"rank_bump_{basis}.svg", "path", "rank-line")
+            assert [el.get("data-entity") for el in lines] == sorted(
+                {*(final[i] for i in ladder), *moved}, key=final.index)
+            assert {el.get("data-entity") for el in lines
+                    if el.get("data-lineage") != "own"} == moved
 
     def test_heatmap_set_up_fault_leaves_no_file(self, tmp_path, capsys,
                                                  monkeypatch):
-        # The writer takes the chart's first piece before it opens the file.
+        # The chart is built before its file is opened.
         def refuse(t):
             raise InputError("no colours")
 
@@ -522,7 +632,7 @@ class TestCompute:
         ("panel_2019.csv", "heatmap_2019.svg")])
     def test_never_overwrites_an_input(self, tmp_path, capsys, data_dir,
                                        source, name):
-        # A chart target is refused on the streamed path too.
+        # A chart target is refused too.
         charts = "heatmap" if name.endswith(".svg") else "none"
         target = tmp_path / name
         target.write_bytes((data_dir / source).read_bytes())
@@ -605,6 +715,31 @@ class TestCompute:
             assert rows and all(len(row) == len(header) for row in rows), path
         for path in charts:
             ET.parse(path)
+
+    @pytest.mark.parametrize("blas", [{"OPENBLAS_CORETYPE": "Prescott"},
+                                      {"OPENBLAS_CORETYPE": "Haswell"},
+                                      {"OPENBLAS_NUM_THREADS": "2"}],
+                             ids=["prescott", "haswell", "two-threads"])
+    def test_recorded_digests_under_other_blas_kernels(self, tmp_path,
+                                                       data_dir, blas):
+        """The as-given case of the recorded digests, run in a fresh
+        interpreter whose OpenBLAS takes the Prescott kernel (or the
+        nearest older one its build holds), the Haswell kernel, or two
+        threads, so that a kernel's summation order cannot move a digit or
+        a tie flag. Where numpy's BLAS is not OpenBLAS these variables do
+        nothing, and the run is the plain one again."""
+        panels = [arg for year in ("2018", "2019", "2020", "2024") for arg in
+                  ("--panel", f"{year}={data_dir / f'panel_{year}.csv'}")]
+        out = tmp_path / "out"
+        run = subprocess.run(
+            [sys.executable, "-m", "panelrank.cli", "compute", *panels,
+             "--entity-map", f"2019->2020={data_dir / 'map_2019_2020.json'}",
+             "--method", "both", "--charts", "all", "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, **blas})
+        assert run.returncode == 0, run.stderr
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()} == json.loads(
+                    FIXTURE_DIGESTS.read_text())
 
 
 class TestCompare:

@@ -4,10 +4,8 @@
 distinct score once, and every chart writes each kind of repeated
 element through one ``%`` template over its columns, with ids escaped
 once per roster. Each must write the same text as the emitter in
-``oracles`` that formatted every element on its own. Path data, which
-``_paths`` lays out as one byte matrix a block of rows at a time, is also
-compared with the oracle's point-by-point path directly, at blocks of 1,
-5 and the default number of slots. Panels are built as
+``oracles`` that formatted every element on its own. Path data is also
+compared with the oracle's path directly. Panels are built as
 ``ScorePanel`` directly, so present cells can hold both ``-0.0`` and
 ``0.0`` and the emitter cannot lean on ``make_panel``. Curves hold NaN and
 ±inf, whole rows of them included; rank trajectories have gaps; weights
@@ -17,7 +15,6 @@ every run draws the same examples.
 """
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -133,10 +130,9 @@ def weights_evolutions(draw):
                             values.reshape(len(categories), len(years)))
 
 
-# Path ys at the edges of ``_paths``' byte layout: binary halves exact at
-# two decimals, values within 2**-8 of a half (left to ``%``), zeros of
-# either sign and a value that prints as ``-0.00``, magnitudes past the
-# digit passes' range, and gaps.
+# Path ys at the edges of two-decimal formatting: binary halves exact at
+# two decimals, values within 2**-8 of a half, zeros of either sign and a
+# value that prints as ``-0.00``, large magnitudes, and gaps.
 path_values = st.one_of(
     st.sampled_from([0.125, 2.375, -2.375, 1.005, 2.675, -2.675, 0.0, -0.0,
                      -0.004, 5e-324, 2.0 ** 31, 1e15, -1e15,
@@ -164,15 +160,13 @@ def path_grids(draw):
 
 
 @PROFILE
-@given(path_grids(), st.sampled_from([1, 5, 8192]))
-def test_paths_match_oracle(grid, block):
-    # Small blocks put the rows of one grid in several blocks.
+@given(path_grids())
+def test_paths_match_oracle(grid):
     xs, ys = grid
     want = [oracles._path_from_points(
         [(x, y) if math.isfinite(y) else None for x, y in zip(xs, row)])
         for row in ys.tolist()]
-    with mock.patch.object(report, "_PATH_BLOCK_CELLS", block):
-        assert report._paths(xs, ys) == want
+    assert report._paths(xs, ys) == want
 
 
 def test_ramp_bound_and_values():

@@ -23,7 +23,8 @@ rows must leave its ``ranks_D_s`` table as it was: the order, the tie
 flags and the ``%.6f`` cells. A row duplicated under a new id must get
 its original's cell, and both must be flagged tied; so must rows whose
 one present cell lies in the same category, which are equal rows of the
-proximity matrix. The profiles are derandomized, so every run draws the
+proximity matrix. A third test asks the same of the iterative route's
+``ranks_D_s_iterative`` table, for permuted and duplicated rows. The profiles are derandomized, so every run draws the
 same examples.
 """
 
@@ -161,12 +162,16 @@ def spectral_panels(draw):
             [column for column, _ in singles])
 
 
-def spectral_rank_rows(ids, scores, missing):
-    """The ``ranks_D_s`` text of a panel, and its rows keyed by id."""
+def spectral_rank_rows(ids, scores, missing, key="D_s"):
+    """The ``ranks_<key>`` text of a panel, and its rows keyed by id:
+    ``D_s`` solved on the spectral route alone, ``D_s_iterative`` by both
+    methods, the fixed point kept where it did not converge."""
     categories = [f"c{j}" for j in range(scores.shape[1])]
     panel = make_panel("y", ids, categories, scores, missing)
-    result = cli.compute_year(panel, cli.RunConfig(method="spectral"))
-    text = cli._year_tables(result, cli._rank_tables(result))["ranks_D_s"]
+    config = (cli.RunConfig(method="spectral") if key == "D_s" else
+              cli.RunConfig(method="both", allow_nonconverged=True))
+    result = cli.compute_year(panel, config)
+    text = cli._year_tables(result, cli._rank_tables(result))[f"ranks_{key}"]
     return text, {row[0]: row[1:] for row in
                   (line.split(",") for line in text.splitlines()[1:])}
 
@@ -198,6 +203,33 @@ def test_spectral_ranks_ignore_row_order_and_tie_equal_rows(panel, data):
     rows_of = [i if i < total else copied[i - total] for i in order]
     _, duplicated = spectral_rank_rows([names[i] for i in order],
                                        scores[rows_of], missing[rows_of])
+    for k, i in enumerate(copied):
+        copy, original = duplicated[f"d{k}"], duplicated[ids[i]]
+        assert copy[0] == original[0]
+        assert copy[2] == original[2] == "true"
+
+
+@PROFILE
+@given(panel=spectral_panels(), data=st.data())
+def test_iterative_ranks_ignore_row_order_and_tie_equal_rows(panel, data):
+    scores, missing, _ = panel
+    total = len(scores)
+    ids = [f"e{i}" for i in range(total)]
+    text, _ = spectral_rank_rows(ids, scores, missing, "D_s_iterative")
+
+    order = data.draw(st.permutations(range(total)))
+    permuted, _ = spectral_rank_rows([ids[i] for i in order], scores[order],
+                                     missing[order], "D_s_iterative")
+    assert permuted == text
+
+    copied = data.draw(st.lists(st.integers(0, total - 1), min_size=1,
+                                max_size=3))
+    names = ids + [f"d{k}" for k in range(len(copied))]
+    order = data.draw(st.permutations(range(len(names))))
+    rows_of = [i if i < total else copied[i - total] for i in order]
+    _, duplicated = spectral_rank_rows([names[i] for i in order],
+                                       scores[rows_of], missing[rows_of],
+                                       "D_s_iterative")
     for k, i in enumerate(copied):
         copy, original = duplicated[f"d{k}"], duplicated[ids[i]]
         assert copy[0] == original[0]

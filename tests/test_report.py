@@ -148,10 +148,8 @@ class TestRampColor:
         monkeypatch.setattr(report, "ramp_color", counted)
         panel = random_panel(np.random.default_rng(36), 9, 4)
         all_charts(panel, weights_for(panel.categories, [0.5, 1.0, 1.5, 2.0]))
-        # The heatmap's call is made by the generator that emit_heatmap joins.
-        assert sorted(callers) == sorted(
-            "heatmap_chunks" if kind == "heatmap" else f"emit_{kind}"
-            for kind in cli.CHART_KINDS)
+        assert sorted(callers) == sorted(f"emit_{kind}"
+                                         for kind in cli.CHART_KINDS)
 
 
 class TestHeatmap:
@@ -182,27 +180,6 @@ class TestHeatmap:
 
     def test_deterministic(self, worked_3x2):
         assert emit_heatmap(worked_3x2, "t") == emit_heatmap(worked_3x2, "t")
-
-    def test_streamed_in_row_blocks(self):
-        # The head holds the labels and no cell; each later piece holds
-        # whole grid rows, in order, at most a block of them; the pieces
-        # join to the per-cell emitter's text.
-        n, m = 2000, 17
-        block = report.HEATMAP_BLOCK_CELLS // m
-        panel = formula_panel(n, m)
-        head, *pieces, tail = report.heatmap_chunks(panel, "t & u")
-        assert 'class="cell' not in head and head.count('class="row-label"') == n
-        assert len(pieces) == -(-n // block) and tail == "</svg>\n"
-        rows = []
-        for piece in pieces:
-            cells = re.findall(r'<rect class="cell[^>]*data-entity="([^"]*)"',
-                               piece)
-            assert piece.count("<rect") == len(cells)
-            assert 0 < len(cells) <= block * m and len(cells) % m == 0
-            assert cells == [e for e in cells[::m] for _ in range(m)]
-            rows += cells[::m]
-        assert rows == list(panel.entities)
-        assert head + "".join(pieces) + tail == oracles.emit_heatmap(panel, "t & u")
 
 
 class TestBipartite:
@@ -501,8 +478,9 @@ class TestMarkupInIds:
 
         monkeypatch.setattr(report, "_escape", counted)
         args = []
+        # At the chart row bound, so every chart draws every entity.
         for year in ("2023", "2024"):
-            panel = formula_panel(200, 17, year)
+            panel = formula_panel(cli._CHART_ROWS, 17, year)
             if marked:
                 # First by k_s, so the bipartite subset holds it.
                 entities = ("a&b", *panel.entities[1:])
